@@ -76,15 +76,23 @@ def _emit(text: str, args) -> None:
             sys.stdout.write("\n")
 
 
-def _load_instance(path: str) -> GroupMultiset:
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object stored at path; anything else is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read instance {path}: {exc}")
+        raise UsageError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"malformed {what} {path}: expected a JSON object")
+    return obj
+
+
+def _load_instance(path: str) -> GroupMultiset:
+    obj = _load_json(path, "instance")
     try:
         return serialize.instance_from_json(obj)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed instance {path}: {exc}")
 
 
@@ -93,13 +101,19 @@ def _parse_points(text: str):
 
 
 def _budget(args) -> SearchBudget:
-    ms = getattr(args, "budget_ms", None)
-    return SearchBudget(max_ms=ms) if ms else SearchBudget()
+    return SearchBudget(max_ms=getattr(args, "budget_ms", None))
+
+
+def _budget_ms(text: str) -> int:
+    ms = int(text)
+    if ms < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {ms}")
+    return ms
 
 
 def _common(sub, p_d=True):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget-ms", dest="budget_ms", type=int, default=None)
+    sub.add_argument("--budget-ms", dest="budget_ms", type=_budget_ms, default=None)
     sub.add_argument("--output", default=None)
     sub.add_argument("--timings", action="store_true")
     if p_d:
@@ -147,7 +161,6 @@ def build_parser() -> _Parser:
     _common(s, p_d=False)
     s.add_argument("--input", required=True, help="fibers JSON")
     s.add_argument("--T", type=int, default=2)
-    s.add_argument("--samples", type=int, default=64)
 
     s = subs.add_parser("pipeline", help="end-to-end zero-sum search")
     _common(s, p_d=False)
@@ -272,23 +285,20 @@ def cmd_nul(args, started) -> int:
 
 
 def cmd_expand(args, started) -> int:
+    obj = _load_json(args.input, "fibers")
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read fibers {args.input}: {exc}")
-    params = serialize.params_from_json(obj)
-    fibers = {
-        tuple(int(x) for x in item["label"]): serialize.multiset_from_json(
-            params, item["entries"]
-        )
-        for item in obj["fibers"]
-    }
-    l = int(obj["l"])
+        params = serialize.params_from_json(obj)
+        fibers = {
+            tuple(int(x) for x in item["label"]): serialize.multiset_from_json(
+                params, item["entries"]
+            )
+            for item in obj["fibers"]
+        }
+        l = int(obj["l"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed fibers {args.input}: {exc}")
     try:
-        cover = expansion_cover(
-            fibers, l, ExpansionParams(T=args.T, sample_budget=args.samples, seed=args.seed)
-        )
+        cover = expansion_cover(fibers, l, ExpansionParams(T=args.T, seed=args.seed))
     except ExpansionStagnation as exc:
         result = {
             "status": "stagnation",
@@ -333,14 +343,10 @@ def cmd_pipeline(args, started) -> int:
 
 
 def cmd_verify(args, started) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read artifact {args.input}: {exc}")
+    obj = _load_json(args.input, "artifact")
     try:
         checks = verify.verify_payload(obj)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"schema mismatch: {exc}")
     result = {
         "kind": obj.get("kind"),
@@ -353,7 +359,7 @@ def cmd_verify(args, started) -> int:
 
 def cmd_bench(args, started) -> int:
     rows = []
-    budget_s = (args.budget_ms / 1000.0) if args.budget_ms else None
+    budget_s = (args.budget_ms / 1000.0) if args.budget_ms is not None else None
 
     def timed(fn):
         t0 = time.monotonic()
@@ -367,7 +373,7 @@ def cmd_bench(args, started) -> int:
             X = generators.random_cloud(params, min(n, params.order), args.seed)
             secs = timed(lambda: enumerate_subsums(X))
             rows.append(("dp", f"subsums_p{p}_d{d}_n{n}", p, d, n, f"{secs:.4f}"))
-            if budget_s and time.monotonic() - started > budget_s:
+            if budget_s is not None and time.monotonic() - started > budget_s:
                 break
     if args.suite in ("pipeline", "all"):
         params = GroupParams(31, 2)

@@ -707,29 +707,3 @@ def expansion_cover(
     cover.coverage = tuple(cover.choices_for(sub.unindex(i)) for i in range(sub.order))
     return cover
 
-
-def expansion_cover_with_escalation(
-    fibers: Dict[Vec, GroupMultiset],
-    l: int,
-    seed: int = 0,
-    escalations: int = 3,
-) -> Tuple[ExpansionCover, int]:
-    """Try the cover on an escalating (T, sampling) ladder.
-
-    Returns (cover, attempts used).  Re-raises the last ExpansionStagnation
-    if every rung fails.
-    """
-    ladder = [
-        ExpansionParams(T=2, sample_budget=64, per_step_samples=8, seed=seed),
-        ExpansionParams(T=4, sample_budget=128, per_step_samples=16, seed=seed + 1),
-        ExpansionParams(T=4, sample_budget=256, per_step_samples=32, seed=seed + 2),
-        ExpansionParams(T=6, sample_budget=256, per_step_samples=32, seed=seed + 3),
-    ]
-    last: Optional[ExpansionStagnation] = None
-    for attempt, eparams in enumerate(ladder[: max(1, escalations + 1)], start=1):
-        try:
-            return expansion_cover(fibers, l, eparams), attempt
-        except ExpansionStagnation as exc:
-            last = exc
-    assert last is not None
-    raise last

@@ -7,7 +7,9 @@ multiset, built by the incremental rule
 
 processed one element copy at a time.  Adding x permutes the state space, so
 (old + x) is a d-fold cyclic roll of the table.  A first-reached-round array
-makes witness extraction a straight backtrack.
+makes witness extraction a straight backtrack.  There is one DP path: a numpy
+boolean table of shape (p,) * d, rolled once per element copy, for every
+group size; it stops early once every state is reachable.
 
 On top of the table sit the ground-truth services: zero-sum witnesses,
 largest zero-sum-free sets (branch and bound), and Olson constants.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
@@ -25,8 +26,6 @@ import numpy as np
 
 from .group import GroupParams, Vec
 from .multiset import GroupMultiset
-
-_SMALL_STATE_LIMIT = 1 << 12  # below this, pure-python int bitsets win
 
 
 class StateBudgetError(ValueError):
@@ -79,89 +78,6 @@ class ReachabilityTable:
         return GroupMultiset.from_points(pr, picked)
 
 
-@lru_cache(maxsize=32)
-def _add_permutations(p: int, d: int):
-    """perm[index(x)][s] = index(s + x) for every element x; small spaces only."""
-    n = p ** d
-    coords = []
-    for s in range(n):
-        v = []
-        ss = s
-        for _ in range(d):
-            ss, c = divmod(ss, p)
-            v.append(c)
-        coords.append(tuple(reversed(v)))
-    perms = []
-    for xi in range(n):
-        x = coords[xi]
-        perm = []
-        for s in range(n):
-            acc = 0
-            for c, xc in zip(coords[s], x):
-                acc = acc * p + (c + xc) % p
-            perm.append(acc)
-        perms.append(tuple(perm))
-    return tuple(perms)
-
-
-def _enumerate_small(params: GroupParams, seq: List[Vec]):
-    """Int-bitset DP for small state spaces; avoids numpy per-call overhead."""
-    p, d, n = params.p, params.d, params.order
-    perms = _add_permutations(p, d)
-    full = (1 << n) - 1
-    reach = 0
-    first = [-1] * n
-    idx = params.index
-    for r, x in enumerate(seq):
-        if reach == full:
-            break
-        perm = perms[idx(x)]
-        shifted = 0
-        bits = reach
-        while bits:
-            low = bits & -bits
-            s = low.bit_length() - 1
-            bits ^= low
-            shifted |= 1 << perm[s]
-        shifted |= 1 << idx(x)
-        new = shifted & ~reach
-        if new:
-            bits = new
-            while bits:
-                low = bits & -bits
-                s = low.bit_length() - 1
-                bits ^= low
-                first[s] = r
-            reach |= shifted
-    table = np.zeros(n, dtype=bool)
-    for s in range(n):
-        if (reach >> s) & 1:
-            table[s] = True
-    shape = (p,) * d
-    return table.reshape(shape), np.array(first, dtype=np.int32).reshape(shape)
-
-
-def _enumerate_numpy(params: GroupParams, seq: List[Vec]):
-    p, d = params.p, params.d
-    shape = (p,) * d
-    reach = np.zeros(shape, dtype=bool)
-    first = np.full(shape, -1, dtype=np.int32)
-    full = params.order
-    count = 0
-    axes = tuple(range(d))
-    for r, x in enumerate(seq):
-        if count == full:
-            break
-        shifted = np.roll(reach, shift=x, axis=axes)
-        shifted[tuple(x)] = True
-        new = shifted & ~reach
-        if new.any():
-            first[new] = r
-            reach |= new
-            count = int(reach.sum())
-    return reach, first
-
-
 def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
     """Reachability table of all nonempty subsums of A."""
     if len(A) == 0:
@@ -170,11 +86,24 @@ def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
     if params.order > params.state_budget:
         raise StateBudgetError("state space exceeds budget")
     seq = list(A.iter_with_multiplicity())
-    if params.order <= _SMALL_STATE_LIMIT:
-        table, first = _enumerate_small(params, seq)
-    else:
-        table, first = _enumerate_numpy(params, seq)
-    return ReachabilityTable(params, table, first, tuple(seq))
+    p, d = params.p, params.d
+    shape = (p,) * d
+    reach = np.zeros(shape, dtype=bool)
+    first = np.full(shape, -1, dtype=np.int32)
+    count = 0
+    axes = tuple(range(d))
+    for r, x in enumerate(seq):
+        if count == params.order:
+            break
+        shifted = np.roll(reach, shift=x, axis=axes)
+        shifted[tuple(x)] = True
+        new = shifted & ~reach
+        grown = np.count_nonzero(new)
+        if grown:
+            first[new] = r
+            reach |= new
+            count += grown
+    return ReachabilityTable(params, reach, first, tuple(seq))
 
 
 def naive_subsums(A: GroupMultiset) -> set:
@@ -202,11 +131,14 @@ class ZeroSumCertificate:
     subset: GroupMultiset
 
     def verify(self, A: GroupMultiset) -> bool:
+        """B nonempty, inside A, over A's group, and summing to zero there."""
+        if self.params != A.params or self.subset.params != A.params:
+            return False
         if len(self.subset) == 0:
             return False
         if not A.contains_submultiset(self.subset):
             return False
-        return self.subset.total() == self.params.zero()
+        return self.subset.total() == A.params.zero()
 
 
 def find_zero_sum_subset(A: GroupMultiset) -> Optional[ZeroSumCertificate]:
@@ -321,7 +253,7 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
         nodes += 1
         if exhausted:
             return
-        if nodes > budget.max_nodes or (deadline is not None and time.monotonic() > deadline):
+        if nodes > budget.max_nodes or (deadline is not None and time.monotonic() >= deadline):
             exhausted = True
             return
         addable = [x for x in cands if neg(x) not in reach]

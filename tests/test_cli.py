@@ -42,6 +42,21 @@ def test_olson_budget_interval(capsys):
         assert res["lower"] <= res["upper"] == 2 * 100 + 1
 
 
+def test_olson_zero_budget(capsys):
+    code, out = run_cli(capsys, "olson", "--p", "5", "--d", "2", "--budget-ms", "0")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert not res["exact"] and res["olson"] is None
+    assert res["nodes"] == 1 and res["lower"] <= res["upper"] == 2 * 4 + 1
+
+
+def test_olson_negative_budget_rejected(capsys):
+    code = main(["olson", "--p", "5", "--d", "2", "--budget-ms", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_gen_pipeline_verify_roundtrip(tmp_path, capsys):
     xpath = str(tmp_path / "X.json")
     code, _ = run_cli(
@@ -204,3 +219,21 @@ def test_verify_failure_trace_and_tamper(tmp_path, capsys):
     assert code == 2
     names = {c["name"]: c["passed"] for c in json.loads(out)["result"]["checks"]}
     assert any("failure_re_violates" in n and not ok for n, ok in names.items())
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("subsums", [[1, 2], [3, 4]]),
+        ("find-zero-sum", [[1, 2], [3, 4]]),
+        ("pipeline", {"p": 31, "d": 2, "entries": 7}),
+        ("verify", [{"kind": "instance"}]),
+        ("expand", {"p": 11, "d": 1, "l": 0}),
+    ],
+)
+def test_malformed_input_exits_1(tmp_path, capsys, command, payload):
+    path = _write_json(tmp_path, payload, "bad.json")
+    code = main([command, "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("error: ")

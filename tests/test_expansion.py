@@ -14,7 +14,6 @@ from zerosum.expansion import (
     build_difference_multiset,
     enumerate_relations,
     expansion_cover,
-    expansion_cover_with_escalation,
     verify_fiber_thickness,
 )
 from zerosum.group import GroupParams
@@ -224,13 +223,6 @@ def test_cover_stagnates_on_tiny_fiber():
     fibers = {(0,): ms(params, [(0, 1), (0, 2)])}
     with pytest.raises(ExpansionStagnation):
         expansion_cover(fibers, 1, ExpansionParams(seed=0))
-
-
-def test_escalation_wrapper_passthrough():
-    params = GroupParams(11, 1)
-    X = ms(params, [(i,) for i in range(11)])
-    cover, attempts = expansion_cover_with_escalation({(): X}, 0, seed=5)
-    assert attempts == 1 and cover.verify_all_targets()
 
 
 def test_cover_determinism():

@@ -4,9 +4,11 @@ import pytest
 
 from zerosum.group import GroupParams
 from zerosum.multiset import GroupMultiset
+from zerosum.pipeline import verify_certificate
 from zerosum.subsums import (
     SearchBudget,
     StateBudgetError,
+    ZeroSumCertificate,
     enumerate_subsums,
     find_zero_sum_subset,
     max_zero_sum_free,
@@ -60,13 +62,20 @@ def test_find_zero_sum_examples():
 
 def test_dp_equals_naive_random():
     rng = random.Random(42)
-    for _ in range(60):
-        p = rng.choice([3, 5, 7, 11])
-        d = rng.choice([1, 2])
+    groups = [(p, d) for p in (3, 5, 7, 11) for d in (1, 2, 3)]
+    # and a larger group: F_17^3 has 4,913 states
+    groups += [(17, 3)] * 4
+    for trial in range(80):
+        p, d = groups[trial % len(groups)]
         params = GroupParams(p, d)
-        n = rng.randrange(1, 12)
+        n = rng.randrange(1, 13)
         A = ms(params, [tuple(rng.randrange(p) for _ in range(d)) for _ in range(n)])
-        assert reachable_set(enumerate_subsums(A)) == naive_subsums(A)
+        table = enumerate_subsums(A)
+        expected = naive_subsums(A)
+        assert reachable_set(table) == expected
+        for target in expected:
+            w = table.witness(target)
+            assert len(w) > 0 and A.contains_submultiset(w) and w.total() == target
 
 
 def test_monotonicity_on_nested_pairs():
@@ -183,3 +192,12 @@ def test_olson_sqrt_bound_sanity():
         res = olson_constant(GroupParams(p, 1))
         assert res.exact
         assert res.olson <= math.sqrt(2 * p) + 2, (p, res.olson)
+
+
+def test_certificate_rejects_other_group():
+    # the same tuples sum to zero in F_5 but not in F_7
+    X = ms(GroupParams(7, 1), [(1,), (4,)])
+    p5 = GroupParams(5, 1)
+    cert = ZeroSumCertificate(p5, ms(p5, [(1,), (4,)]))
+    assert not cert.verify(X)
+    assert not verify_certificate(X, cert)
