@@ -2,16 +2,19 @@
 
 A multiset X is (K, delta)-thick along a functional xi when at least a
 delta-fraction of X (with multiplicity) lies outside the slab H(xi, K).
-Everything below is built from exhaustive scans: one value histogram per
-canonical direction (leading coefficient 1), expanded to all scalar
-multiples by index permutation -- scaling is not a symmetry here, since
-[-K, K] pulls back along c to an arithmetic progression -- with the binding
-constant term read off circular window sums.
+Everything below is built from exhaustive scans over all directions at once,
+in blocks: one bincount gives the value histograms of a block of canonical
+directions (leading coefficient 1), one gather through a cached index table
+expands them to the scalar multiples c <= (p-1)/2 -- scaling is not a
+symmetry here, since [-K, K] pulls back along c to an arithmetic
+progression, while -c gives the same counts as c -- and cumulative sums give
+the in-tube count for every constant term.
 
 Three operations mirror the structural reductions used by the search
 pipeline: a single tube reduction, a recursive decomposition into parts that
 are thick inside their affine hulls, and a strengthened decomposition whose
-part-unions all carry re-checkable tubular certificates.
+part-unions all carry re-checkable tubular certificates.  The inequalities
+those reductions guarantee are checked explicitly and raise InvariantError.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -19,6 +22,7 @@ through floating point.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +48,28 @@ from .multiset import GroupMultiset
 class DecompositionBudgetError(RuntimeError):
     """Raised when the iterate exponent outruns its cap (a sign the growth
     function is pathological for this instance)."""
+
+
+class InvariantError(AssertionError):
+    """An inequality the argument guarantees failed to hold: always a bug.
+
+    Carries the inequality with both sides evaluated, like a pipeline
+    StageFailure, and is raised by `_check`, which `python -O` keeps.
+    """
+
+    def __init__(self, name: str, lhs, op: str, rhs, context: str = ""):
+        self.name, self.lhs, self.op, self.rhs = name, lhs, op, rhs
+        detail = f" ({context})" if context else ""
+        super().__init__(f"invariant {name} failed: {lhs} {op} {rhs}{detail}")
+
+
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
+
+
+def _check(name: str, lhs, op: str, rhs, context: str = "") -> None:
+    """Raise InvariantError unless `lhs op rhs`."""
+    if not _OPS[op](lhs, rhs):
+        raise InvariantError(name, lhs, op, rhs, context)
 
 
 class SubsetSweepBudgetError(RuntimeError):
@@ -162,86 +188,103 @@ class ThicknessParams:
 # ---------------------------------------------------------------------------
 
 
-def value_histogram(X: GroupMultiset, linear: Vec) -> np.ndarray:
-    """Multiplicity-weighted histogram of x -> <linear, x> over F_p."""
-    p = X.params.p
+# Directions scanned per block: a block's (n, L) projection and its
+# (L, (p-1)/2, p+2K) gathered histograms stay under 2^15 cells (256 KB of
+# int64).  Blocks of 2^14 cells measured 5-8% slower on the structural
+# workloads and 2^16 no faster; unblocked, d = 3 scans of large sets would
+# hold an n x L projection of tens of MB.
+_BLOCK_CELLS = 2 ** 15
+
+
+def value_histogram(X: GroupMultiset, directions) -> np.ndarray:
+    """(L, p) matrix: row i is the multiplicity-weighted histogram of
+    x -> <directions[i], x> over F_p, from one bincount over all rows."""
+    p, d = X.params.p, X.params.d
+    dirs = np.asarray(directions, dtype=np.int64).reshape(-1, d)
+    L = len(dirs)
     pts, mults = X.arrays()
     if len(pts) == 0:
-        return np.zeros(p, dtype=np.int64)
-    vals = (pts @ np.asarray(linear, dtype=np.int64)) % p
-    return np.bincount(vals, weights=mults, minlength=p).astype(np.int64)
-
-
-def window_counts(hist: np.ndarray, K: int, p: int) -> np.ndarray:
-    """counts[a0] = total histogram mass with a0 + value in [-K, K]."""
-    w = min(2 * K + 1, p)
-    doubled = np.concatenate([hist, hist])
-    csum = np.concatenate([[0], np.cumsum(doubled)])
-    starts = (-K - np.arange(p)) % p
-    return csum[starts + w] - csum[starts]
-
-
-def best_window(hist: np.ndarray, K: int, p: int) -> Tuple[int, int]:
-    """(max in-tube count over constant terms, smallest a0 attaining it)."""
-    counts = window_counts(hist, K, p)
-    best = int(counts.max())
-    a0 = int(np.flatnonzero(counts == best)[0])
-    return best, a0
+        return np.zeros((L, p), dtype=np.int64)
+    vals = (pts @ dirs.T) % p + p * np.arange(L)  # direction-offset values
+    hist = np.bincount(vals.ravel(), weights=np.repeat(mults, L), minlength=L * p)
+    return hist.astype(np.int64).reshape(L, p)
 
 
 @lru_cache(maxsize=64)
-def _inverse_table(p: int) -> np.ndarray:
-    return np.array([pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+def _scaling_index(p: int) -> np.ndarray:
+    """idx[c-1, v] = c^{-1} v mod p for c <= (p-1)/2: a histogram of linear
+    gathered through row c-1 is the histogram of c * linear."""
+    inv = np.array([pow(c, -1, p) for c in range(1, (p + 1) // 2)], dtype=np.int64)
+    return (inv[:, None] * np.arange(p)[None, :]) % p
 
 
-def scaling_window_table(hist: np.ndarray, K: int, p: int) -> np.ndarray:
-    """In-tube counts for every scalar multiple of a direction at once.
+def scaling_window_table(
+    hists: np.ndarray, K: int, p: int, zero_constant_term: bool = False
+) -> np.ndarray:
+    """In-tube counts for the scalar multiples of a block of directions.
 
     The value histogram of (c * linear) is the c-permutation of the histogram
-    of linear, so row c-1, column a0 holds |X ∩ H(c*linear + a0, K)|.
+    of linear, so entry [i, c-1, a0] holds |X ∩ H(c*linear_i + a0, K)| for
+    c <= (p-1)/2; with zero_constant_term only the a0 = 0 column is built.
     Scalings matter: [-K, K] pulls back along c to an arithmetic progression,
     not an interval, so thickness along a direction says nothing about its
-    multiples and an exhaustive scan must cover all of them.
+    multiples.  The other half needs no table: [-K, K] is symmetric, so row
+    p-c is row c read at -a0 and holds the same counts, one row later.
     """
     w = min(2 * K + 1, p)
-    idx = (_inverse_table(p)[:, None] * np.arange(p)[None, :]) % p
-    scaled = hist[idx]  # scaled[c-1, v] = hist[c^{-1} v]
-    doubled = np.concatenate([scaled, scaled], axis=1)
-    csum = np.concatenate(
-        [np.zeros((p - 1, 1), dtype=np.int64), np.cumsum(doubled, axis=1)], axis=1
-    )
-    starts = (-K - np.arange(p)) % p
-    return csum[:, starts + w] - csum[:, starts]
-
-
-def _argmax_functional(
-    counts: np.ndarray, lam: Vec, p: int, zero_constant_term: bool
-) -> Tuple[int, Vec, int]:
-    """Largest in-tube count over (scaling, a0), with the lexicographically
-    smallest scaled functional among the maximisers.
-
-    lam is canonical (leading coefficient 1), so c*lam compares by c alone
-    and the lex-min maximiser is the smallest row, then the smallest column.
-    """
+    # column j lists the value K - j of c * linear, so the w columns from a0
+    # on are exactly {v : a0 + v in [-K, K]}
+    idx = _scaling_index(p)[:, (K - np.arange(p + w - 1)) % p]
     if zero_constant_term:
-        col = counts[:, 0]
-        best = int(col.max())
-        c = int(np.flatnonzero(col == best)[0]) + 1
-        a0 = 0
-    else:
-        best = int(counts.max())
-        hit_rows = np.flatnonzero((counts == best).any(axis=1))
-        row = int(hit_rows[0])
-        c = row + 1
-        a0 = int(np.flatnonzero(counts[row] == best)[0])
-    scaled = tuple((c * a) % p for a in lam)
-    return best, scaled, a0
+        return hists[:, idx[:, :w]].sum(axis=2, keepdims=True)
+    csum = np.cumsum(hists[:, idx], axis=2)
+    table = csum[:, :, w - 1 : w - 1 + p].copy()
+    table[:, :, 1:] -= csum[:, :, : p - 1]
+    return table
+
+
+def _scan(
+    X: GroupMultiset, K: int, directions, zero_constant_term: bool
+) -> Optional[Tuple[int, Vec, int]]:
+    """(largest in-tube count over all scalings c*lam + a0 of all directions,
+    lex-min c*lam, its a0), or None for an empty family.
+
+    Directions are canonical (leading coefficient 1), so c*lam compares by c
+    alone: the row-major first maximiser of a direction's table is its lex-min
+    maximiser (rows past (p-1)/2 repeat earlier rows' counts, so never come
+    first), and only the directions tied for the overall maximum need their
+    scaled functional built to break the tie.
+    """
+    p, d = X.params.p, X.params.d
+    dirs = np.asarray(directions, dtype=np.int64).reshape(-1, d)
+    if len(dirs) == 0:
+        return None
+    block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
+    counts, firsts = [], []
+    for start in range(0, len(dirs), block):
+        table = scaling_window_table(
+            value_histogram(X, dirs[start : start + block]), K, p, zero_constant_term
+        )
+        flat = table.reshape(len(table), -1)
+        first = flat.argmax(axis=1)
+        firsts.append(first)
+        counts.append(flat[np.arange(len(flat)), first])
+    count = np.concatenate(counts)
+    first = np.concatenate(firsts)
+    top = int(count.max())
+    cols = 1 if zero_constant_term else p
+    tied = []
+    for i in np.flatnonzero(count == top).tolist():
+        row, a0 = divmod(int(first[i]), cols)
+        tied.append((tuple((row + 1) * a % p for a in dirs[i].tolist()), a0))
+    scaled, a0 = min(tied)
+    return top, scaled, a0
 
 
 def inside_count(X: GroupMultiset, xi: LinearFunctional, K: int) -> int:
     p = X.params.p
-    hist = value_histogram(X, xi.linear)
-    return int(window_counts(hist, K, p)[xi.a0 % p])
+    table = scaling_window_table(value_histogram(X, [xi.linear]), K, p)
+    return int(table[0, 0, xi.a0 % p])  # scaling c = 1
 
 
 def is_thick(X: GroupMultiset, xi: LinearFunctional, params: ThicknessParams):
@@ -297,28 +340,19 @@ def find_thin_functional(
 ) -> Optional[LinearFunctional]:
     """A functional along which X fails to be (K, delta)-thick.
 
-    Directions are enumerated once through their canonical representatives
-    and expanded to all scalar multiples through histogram permutations; the
-    constant term is chosen to maximise |X ∩ H(xi, K)|.  Among thin
-    functionals the largest in-tube count wins, ties broken by the
+    All directions are scanned in blocks through their canonical
+    representatives and expanded to all scalar multiples through histogram
+    permutations; the constant term is chosen to maximise |X ∩ H(xi, K)|.
+    Among thin functionals the largest in-tube count wins, ties broken by the
     lexicographic encoding.  Returns None when X is thick along every
     admissible functional.
     """
     n = len(X)
-    p = X.params.p
-    best: Optional[Tuple[int, Vec, int]] = None
-    for lam in candidate_parts(X, excluded=excluded, hull_basis=hull_basis):
-        hist = value_histogram(X, lam)
-        counts = scaling_window_table(hist, K, p)
-        in_tube, scaled, a0 = _argmax_functional(counts, lam, p, False)
-        outside = n - in_tube
-        if Fraction(outside) < delta * n:  # thin
-            key = (-in_tube, scaled, a0)
-            if best is None or key < (-best[0], best[1], best[2]):
-                best = (in_tube, scaled, a0)
-    if best is None:
+    found = _scan(X, K, candidate_parts(X, excluded=excluded, hull_basis=hull_basis), False)
+    # thinness only grows with the in-tube count, so the best is thin or none is
+    if found is None or not Fraction(n - found[0]) < delta * n:
         return None
-    return LinearFunctional(best[2], best[1])
+    return LinearFunctional(found[2], found[1])
 
 
 def min_outside_fraction(
@@ -338,18 +372,10 @@ def min_outside_fraction(
     n = len(X)
     if n == 0:
         raise ValueError("empty multiset")
-    worst: Optional[Tuple[Fraction, Vec, int]] = None
-    p = X.params.p
-    for lam in linear_parts:
-        hist = value_histogram(X, lam)
-        counts = scaling_window_table(hist, K, p)
-        in_tube, scaled, a0 = _argmax_functional(counts, lam, p, zero_constant_term)
-        frac = Fraction(n - in_tube, n)
-        if worst is None or (frac, scaled, a0) < (worst[0], worst[1], worst[2]):
-            worst = (frac, scaled, a0)
-    if worst is None:
+    found = _scan(X, K, linear_parts, zero_constant_term)
+    if found is None:
         return Fraction(1), None
-    return worst[0], LinearFunctional(worst[2], worst[1])
+    return Fraction(n - found[0], n), LinearFunctional(found[2], found[1])
 
 
 def hull_thickness(X: GroupMultiset, K: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
@@ -413,8 +439,8 @@ def tube_decompose(
     params = X.params
     d, p = params.d, params.p
     delta = Fraction(delta)
-    if not delta < Fraction(1, 2 ** (d + 1)):
-        raise ValueError("tube reduction requires delta < 2^-(d+1)")
+    if not 0 < delta < Fraction(1, 2 ** (d + 1)):
+        raise ValueError("tube reduction requires 0 < delta < 2^-(d+1)")
     if len(X) == 0:
         raise ValueError("empty multiset")
 
@@ -441,7 +467,7 @@ def tube_decompose(
         Y = X
 
     lower = (Fraction(1) - Fraction(2 ** (d + 1)) * delta) * len(X)
-    assert Fraction(len(Y)) >= lower, "tube reduction kept too little mass"
+    _check("tube_mass", Fraction(len(Y)), ">=", lower)
 
     if l > 0:
         matrix = linalg.complete_basis([f.linear for f in chosen], p)
@@ -452,8 +478,10 @@ def tube_decompose(
     psi = AffineIso(matrix, shift)
     cert = TubularCertificate(params, l, psi, K, g(K), delta, tuple(chosen))
     if validate:
-        ok, frac, worst = cert.validate(Y)
-        assert ok, f"tubular certificate failed its own rescan (worst {worst}, {frac})"
+        # validate's ok is frac >= delta: it reports 0 when a point leaves
+        # the box, and delta > 0
+        _ok, frac, worst = cert.validate(Y)
+        _check("tube_rescan", frac, ">=", cert.delta, f"worst {worst}")
     return Y, cert
 
 
@@ -597,7 +625,7 @@ def decompose(
             break
         total_removed = sum(len(r) for r in removed)
         allowance = eps * len(X) - total_removed
-        assert allowance > 0, "internal: X_0 allowance exhausted"
+        _check("x0_allowance", allowance, ">", 0)
         redo = [parts[i] for i in failing]
         for i in sorted(failing, reverse=True):
             del parts[i]
@@ -619,7 +647,7 @@ def decompose(
     x0 = GroupMultiset.empty(params)
     for r in removed:
         x0 = x0.union(r)
-    assert Fraction(len(x0)) <= eps * len(X), "X_0 exceeded its budget"
+    _check("x0_budget", Fraction(len(x0)), "<=", eps * len(X))
 
     return Decomposition(
         params=params,
@@ -632,7 +660,7 @@ def decompose(
         delta=delta,
         mu=mu,
         epsilon=eps,
-        growth=g if isinstance(g, GrowthFunction) else g,  # keep as given
+        growth=g,
         n_cap=n_cap,
     )
 
@@ -715,7 +743,7 @@ def strong_decompose(
     delta_j = eps mu0 delta0 2^{-d-2-m} 2^{-(d+m+4) j}; the schedule shrinks
     fast enough that total removals stay below eps|X|/2, every part keeps
     half its thickness, and each union stays tubular at half its sweep delta.
-    All three facts are asserted on exact integers, not assumed.
+    All three facts are checked on exact integers, not assumed.
     """
     eps = Fraction(epsilon)
     params = X.params
@@ -768,14 +796,14 @@ def strong_decompose(
         sweeps[subset] = (cert, delta_j)
 
     # bullet 1: sweep removals stay below eps|X|/2
-    assert Fraction(removed_total) < eps * len(X) / 2, "sweep removals exceeded eps|X|/2"
+    _check("sweep_removals", Fraction(removed_total), "<", eps * len(X) / 2)
 
     # bullet 2: parts keep half their hull thickness at g^{d+1}(K)
     part_delta = None
     for part in parts:
-        assert len(part) > 0, "a part was emptied by the sweeps"
+        _check("part_nonempty", len(part), ">", 0)
         frac, worst = hull_thickness(part, gp(K))
-        assert frac >= delta0 / 2, f"part lost thickness (worst {worst}: {frac})"
+        _check("part_thickness", frac, ">=", delta0 / 2, f"worst {worst}")
         if frac < Fraction(1):
             part_delta = frac if part_delta is None else min(part_delta, frac)
     if part_delta is None:
@@ -791,8 +819,8 @@ def strong_decompose(
         final_cert = TubularCertificate(
             params, cert.l, cert.psi, cert.K, cert.K_prime, delta_j / 2, cert.functionals
         )
-        ok, frac, worst = final_cert.validate(X_S)
-        assert ok, f"union {subset} lost tubularity (worst {worst}: {frac})"
+        _ok, frac, worst = final_cert.validate(X_S)
+        _check("union_tubular", frac, ">=", final_cert.delta, f"union {subset}, worst {worst}")
         subset_certs[subset] = SubsetCertificate(subset, final_cert, delta_j, frac)
         if cert.l < d:
             tubular_min = frac if tubular_min is None else min(tubular_min, frac)
@@ -803,7 +831,7 @@ def strong_decompose(
     x0 = dec.x0
     for r in removed_sets:
         x0 = x0.union(r)
-    assert Fraction(len(x0)) <= eps * len(X), "strong decomposition X_0 over budget"
+    _check("strong_x0_budget", Fraction(len(x0)), "<=", eps * len(X))
 
     return StrongDecomposition(
         params=params,

@@ -1,0 +1,106 @@
+"""Golden comparison: seeded pipeline traces and strong decompositions.
+
+`tests/data/golden.json` holds the outputs of the instances below as they were
+before the thickness scan was batched over directions.  Every later change
+that claims to keep outputs identical must reproduce them byte for byte.
+
+Regenerate (only when an output change is intended and recorded in
+CHANGES.md) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from zerosum.generators import box, fiber_union
+from zerosum.group import GroupParams
+from zerosum.multiset import GroupMultiset
+from zerosum.pipeline import PipelineConfig, find_zero_sum
+from zerosum.serialize import frac_str, multiset_to_json, trace_to_json
+from zerosum.thickness import GrowthFunction, strong_decompose
+
+FIXTURE = Path(__file__).parent / "data" / "golden.json"
+
+# indices into the criterion-7 favorable family: p = 31 and p = 61, full and
+# trimmed fibers, one skewed union
+PIPELINE_CASES = (0, 1, 2, 3, 6, 9)
+
+
+def _favorable(i: int) -> GroupMultiset:
+    """Instance i of the criterion-7 family (tests/test_acceptance.py); the
+    test modules import nothing from each other."""
+    p = 31 if i % 2 == 0 else 61
+    return fiber_union(
+        GroupParams(p, 2),
+        [5, 6, 7, 9][i % 4],
+        fiber_size=None if i % 3 else p - (i % 5),
+        seed=i,
+        skew=(i % 5 == 2),
+        offset=1 + (i % 3),
+    )
+
+
+def _strong_cases():
+    # three parallel lines 3x - y = c, so the certificates carry scaled,
+    # non-axis functionals
+    lines = [(b, (3 * b - c) % 31) for c in (3, 4, 9) for b in range(31)]
+    return {
+        "box_11": box(GroupParams(11, 2), 1),
+        "box_31": box(GroupParams(31, 2), 1).translate((5, 29)),
+        "lines_31": GroupMultiset.from_points(GroupParams(31, 2), lines),
+    }
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _strong_summary(sdec) -> dict:
+    """x0 and, per union, [subset, [[a0, linear], ...], achieved, delta_j].
+
+    delta_j has thousands of digits on the boxes (its denominator carries
+    2^((d+m+4)j)), so it is kept as a SHA-256 prefix of its exact decimal
+    form.
+    """
+    certs = []
+    for subset in sorted(sdec.subset_certs):
+        sc = sdec.subset_certs[subset]
+        certs.append(
+            [
+                list(subset),
+                [[f.a0, list(f.linear)] for f in sc.cert.functionals],
+                frac_str(sc.achieved),
+                hashlib.sha256(frac_str(sc.delta_schedule).encode()).hexdigest()[:16],
+            ]
+        )
+    return {"x0": multiset_to_json(sdec.x0), "certs": certs}
+
+
+def golden_outputs() -> dict:
+    out = {}
+    for i in PIPELINE_CASES:
+        X = _favorable(i)
+        res = find_zero_sum(X, PipelineConfig(seed=i))
+        out[f"pipeline_{i}"] = _dump(trace_to_json(X, res.trace))
+    g = GrowthFunction("affine", 1, 1)
+    for name, X in _strong_cases().items():
+        sdec = strong_decompose(X, 0, Fraction(1, 4), g)
+        out[f"strong_{name}"] = _dump(_strong_summary(sdec))
+    return out
+
+
+def test_golden_outputs_are_byte_identical():
+    expected = json.loads(FIXTURE.read_text())
+    got = golden_outputs()
+    assert sorted(got) == sorted(expected)
+    for key in sorted(expected):
+        assert got[key] == expected[key], f"{key} differs from the golden fixture"
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(golden_outputs(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")
