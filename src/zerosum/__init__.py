@@ -43,14 +43,7 @@ from .weighted import (
     weighted_zero_sum,
     zero_sum_sequence,
 )
-from .expansion import (
-    DifferenceMultiset,
-    ExpansionCover,
-    alon_dubiner_step,
-    build_difference_multiset,
-    expansion_cover,
-    verify_fiber_thickness,
-)
+from .expansion import ExpansionCover, alon_dubiner_step, expansion_cover
 from .pipeline import (
     PipelineConfig,
     PipelineResult,

@@ -24,20 +24,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .group import GroupParams, LinearFunctional, Vec, canonical_linear_parts
+from .group import GroupParams, Vec
 from .multiset import GroupMultiset
-from .thickness import min_outside_fraction
+from .thickness import _check
 
 
 class ExpansionStagnation(RuntimeError):
-    """Cover construction stopped before full coverage."""
+    """Cover construction stopped before every target was reached."""
 
     def __init__(self, reason: str, covered: int, total: int, pairs: int):
         super().__init__(
@@ -157,47 +156,8 @@ def enumerate_relations(
 
 
 # ---------------------------------------------------------------------------
-# Difference multisets
+# Pair sampling
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DifferenceEntry:
-    sigma: Vec                      # full-length vector, first l coords zero
-    j1: Tuple[Vec, ...]
-    j2: Tuple[Vec, ...]
-    source: str                     # "relation" | "fiber-pair"
-    relation: Optional[RelationVector] = None
-
-
-@dataclass
-class DifferenceMultiset:
-    params: GroupParams
-    l: int
-    entries: Tuple[DifferenceEntry, ...]
-    diagnostic: Optional[str] = None
-
-    def sigma_multiset(self) -> GroupMultiset:
-        return GroupMultiset.from_points(self.params, (e.sigma for e in self.entries))
-
-    def validate(self) -> bool:
-        p = self.params.p
-        for e in self.entries:
-            acc = [0] * self.params.d
-            for x in e.j1:
-                acc = [a + c for a, c in zip(acc, x)]
-            for x in e.j2:
-                acc = [a - c for a, c in zip(acc, x)]
-            sigma = tuple(a % p for a in acc)
-            if sigma != e.sigma:
-                return False
-            if any(sigma[: self.l]):
-                return False
-        return True
-
-
-def _fiber_slots(fiber: GroupMultiset) -> List[Vec]:
-    return list(fiber.iter_with_multiplicity())
 
 
 def _sample_distinct(slots: List[Vec], k: int, rng: random.Random) -> List[Vec]:
@@ -250,149 +210,17 @@ def _sigma(j1: Iterable[Vec], j2: Iterable[Vec], params: GroupParams) -> Vec:
     return tuple(a % params.p for a in acc)
 
 
-def build_difference_multiset(
-    fibers: Dict[Vec, GroupMultiset],
-    l: int,
-    T: int = 2,
-    sample_budget: int = 64,
-    rng: Optional[random.Random] = None,
-    include_fiber_pairs: bool = False,
-) -> DifferenceMultiset:
-    """Multiset of sigma = sum(J1) - sum(J2) values landing in {0} x F_p^{d-l}.
-
-    Relations are enumerated up to infinity norm T; each feasible relation is
-    sampled up to sample_budget times (full enumeration of the selections is
-    exponential).  Every produced entry carries its (relation, J1, J2)
-    provenance and is re-checkable.  With no usable relation the result is
-    empty and carries a diagnostic; a single fiber can never produce one,
-    since the coefficients must sum to zero.
-    """
-    if rng is None:
-        rng = random.Random(0)
-    if not fibers:
-        raise ValueError("need at least one fiber")
-    params = next(iter(fibers.values())).params
-    p = params.p
-    _check_fiber_geometry(fibers, l, p)
-
-    entries: List[DifferenceEntry] = []
-
-    labels = sorted(fibers)
-    relations = enumerate_relations(labels, T) if l > 0 else []
-    usable = []
-    for rel in relations:
-        if all(len(fibers[lab]) >= c for lab, c in rel.positive()) and all(
-            len(fibers[lab]) >= c for lab, c in rel.negative()
-        ):
-            usable.append(rel)
-
-    for rel in usable:
-        for _ in range(sample_budget):
-            j1: List[Vec] = []
-            j2: List[Vec] = []
-            for lab, c in rel.positive():
-                j1.extend(_sample_distinct(_fiber_slots(fibers[lab]), c, rng))
-            for lab, c in rel.negative():
-                j2.extend(_sample_distinct(_fiber_slots(fibers[lab]), c, rng))
-            sigma = _sigma(j1, j2, params)
-            assert not any(sigma[:l]), "relation difference left the fiber factor"
-            entries.append(
-                DifferenceEntry(sigma, tuple(sorted(j1)), tuple(sorted(j2)), "relation", rel)
-            )
-
-    if include_fiber_pairs:
-        for label in labels:
-            support = sorted(fibers[label].support())
-            for a in support:
-                for b in support:
-                    if a == b:
-                        continue
-                    entries.append(
-                        DifferenceEntry(params.sub(a, b), (a,), (b,), "fiber-pair", None)
-                    )
-
-    diagnostic = None
-    if not entries:
-        if l == 0:
-            diagnostic = "single fiber with fewer than two distinct elements"
-        elif not relations:
-            diagnostic = (
-                "no nonzero relation exists among the fiber labels "
-                f"(|Y|={len(labels)}, l={l})"
-            )
-        elif not usable:
-            diagnostic = "relations exist but every one exceeds some fiber size"
-        else:
-            diagnostic = "no differences produced"
-    return DifferenceMultiset(params, l, tuple(entries), diagnostic)
-
-
-@dataclass
-class ThicknessReport:
-    passed: bool
-    size: int
-    worst_fraction: Optional[Fraction]
-    worst_functional: Optional[LinearFunctional]
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "size": self.size,
-            "worst_fraction": (
-                str(self.worst_fraction) if self.worst_fraction is not None else None
-            ),
-            "worst_functional": (
-                {
-                    "a0": self.worst_functional.a0,
-                    "linear": list(self.worst_functional.linear),
-                }
-                if self.worst_functional is not None
-                else None
-            ),
-        }
-
-
-def verify_fiber_thickness(
-    A: DifferenceMultiset, k_prime: int, delta_prime: Fraction
-) -> ThicknessReport:
-    """Empirical thickness of the difference multiset on the fiber factor.
-
-    Scans every canonical functional with zero constant term on
-    {0} x F_p^{d-l} and reports the worst outside-fraction against the
-    (k_prime, delta_prime) claim.
-    """
-    if not A.entries:
-        return ThicknessReport(False, 0, None, None)
-    params = A.params
-    D = params.d - A.l
-    if D == 0:
-        return ThicknessReport(True, len(A.entries), Fraction(1), None)
-    sub = GroupParams(params.p, D)
-    projected = GroupMultiset.from_points(sub, (e.sigma[A.l :] for e in A.entries))
-    parts = canonical_linear_parts(params.p, D)
-    frac, worst = min_outside_fraction(projected, k_prime, parts, zero_constant_term=True)
-    if worst is not None:
-        worst = LinearFunctional(0, (0,) * A.l + worst.linear)
-    return ThicknessReport(frac >= delta_prime, len(projected), frac, worst)
-
-
 # ---------------------------------------------------------------------------
 # The growth step and the cover
 # ---------------------------------------------------------------------------
 
 
-def alon_dubiner_step(
-    A: GroupMultiset,
-    ycur: Iterable[Vec],
-    K: Optional[int] = None,
-    delta: Optional[Fraction] = None,
-) -> Tuple[Vec, int]:
+def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
     """Element of A maximising |(Y + a) \\ Y|, ties broken lexicographically.
 
-    K and delta are the thickness parameters under which the growth bound
-    max(|Y|^{(d-1)/d} / 2, K delta |Y| / (c0 p)) is guaranteed; they do not
-    influence the exhaustive maximisation and are accepted only to document
-    call sites.
+    The maximisation is exhaustive.  When A is (K, delta)-thick along every
+    functional with zero constant term, the growth is at least
+    max(|Y|^{(d-1)/d} / 2, K delta |Y| / (c0 p)).
     """
     if len(A) == 0:
         raise ValueError("empty difference multiset")
@@ -408,14 +236,13 @@ def alon_dubiner_step(
     for v in yset:
         Y[v] = True
     axes = tuple(range(d))
-    best: Optional[Tuple[int, Vec]] = None
+    best, best_growth = None, -1
     for a in sorted(A.support()):
         shifted = np.roll(Y, shift=a, axis=axes)
         growth = int((shifted & ~Y).sum())
-        if best is None or growth > best[0]:
-            best = (growth, a)
-    assert best is not None
-    return best[1], best[0]
+        if growth > best_growth:
+            best, best_growth = a, growth
+    return best, best_growth
 
 
 @dataclass(frozen=True)
@@ -423,7 +250,7 @@ class CoverPair:
     j1: Tuple[Vec, ...]
     j2: Tuple[Vec, ...]
     sigma: Vec
-    source: str
+    source: str                     # "relation" | "fiber-pair"
     relation: Optional[RelationVector] = None
 
 
@@ -431,9 +258,10 @@ class ExpansionCover:
     """Disjoint pair family whose branch choices hit every coset target.
 
     For every u in F_p^{d-l} some choice of J1 or J2 per pair sums to
-    (u0, u), always with the same total cardinality k.  first_step backs the
-    per-target backtracking; coverage stores one choice bitmask per target
-    state so a stored cover can be re-checked offline.
+    (u0, u), always with the same total cardinality k.  first_step[s] is the
+    1-based index of the pair that first reached state s (0 at the origin,
+    -1 if never reached); walking it back from a target yields the choices,
+    so a stored cover re-checks offline from its pairs and first_step alone.
     """
 
     def __init__(
@@ -445,7 +273,6 @@ class ExpansionCover:
         base: Vec,
         k: int,
         first_step: Tuple[int, ...],
-        coverage: Tuple[int, ...] = (),
     ):
         self.params = params
         self.l = l
@@ -455,7 +282,6 @@ class ExpansionCover:
         self.u0 = self.base[:l]
         self.k = k
         self.first_step = tuple(first_step)
-        self.coverage = tuple(coverage)
         self._label_of: Dict[Vec, Vec] = {}
         for label in sorted(self.fibers):
             for x, _m in self.fibers[label].items():
@@ -469,7 +295,13 @@ class ExpansionCover:
         return GroupParams(self.params.p, self.fiber_dim)
 
     def choices_for(self, u: Vec) -> int:
-        """Choice bitmask reaching projected target u (bit i set = take J1)."""
+        """Choice bitmask reaching projected target u (bit i set = take J1).
+
+        Each step's pair must come strictly before the previous one, as it
+        does in every cover expansion_cover builds (a state is first reached
+        after its predecessor), so the walk takes at most len(pairs) steps
+        and a corrupt first_step raises KeyError instead of looping.
+        """
         D = self.fiber_dim
         if D == 0:
             return 0
@@ -480,10 +312,13 @@ class ExpansionCover:
         cur = sub.reduce(tuple((c - b) % p for c, b in zip(u, self.base[self.l :])))
         zero = sub.zero()
         mask = 0
+        prev = len(self.pairs) + 1
         while cur != zero:
-            t = self.first_step[sub.index(cur)]
-            if t <= 0:
+            i = sub.index(cur)
+            t = self.first_step[i] if i < len(self.first_step) else -1
+            if not 0 < t < prev:
                 raise KeyError(f"target {u} is not covered")
+            prev = t
             mask |= 1 << (t - 1)
             sigma_proj = self.pairs[t - 1].sigma[self.l :]
             cur = sub.sub(cur, sigma_proj)
@@ -491,14 +326,7 @@ class ExpansionCover:
 
     def select(self, u: Vec) -> Dict[Vec, List[Vec]]:
         """Per-fiber selections S_y with sum (u0, u) and total size k."""
-        D = self.fiber_dim
-        if D == 0:
-            return {label: [] for label in self.fibers}
-        if self.coverage:
-            sub = self._sub()
-            mask = self.coverage[sub.index(sub.reduce(u))]
-        else:
-            mask = self.choices_for(u)
+        mask = self.choices_for(u)
         out: Dict[Vec, List[Vec]] = {label: [] for label in self.fibers}
         for i, pair in enumerate(self.pairs):
             branch = pair.j1 if (mask >> i) & 1 else pair.j2
@@ -508,7 +336,10 @@ class ExpansionCover:
 
     def verify_target(self, u: Vec) -> bool:
         params = self.params
-        sel = self.select(u)
+        try:
+            sel = self.select(u)
+        except KeyError:
+            return False
         total = [0] * params.d
         count = 0
         for label, elems in sel.items():
@@ -529,7 +360,30 @@ class ExpansionCover:
         if D == 0:
             return self.k == 0 and not self.pairs
         sub = self._sub()
+        if len(self.first_step) != sub.order:
+            return False
         return all(self.verify_target(sub.unindex(i)) for i in range(sub.order))
+
+    def validate(self) -> List[Tuple[str, bool]]:
+        """Re-check the cover from its fibers, pairs and first_step alone."""
+        sigma_ok = all(
+            _sigma(pair.j1, pair.j2, self.params) == pair.sigma
+            and not any(pair.sigma[: self.l])
+            for pair in self.pairs
+        )
+        used: Dict[Vec, int] = {}
+        for pair in self.pairs:
+            for x in pair.j1 + pair.j2:
+                used[x] = used.get(x, 0) + 1
+        pool = GroupMultiset.empty(self.params)
+        for fib in self.fibers.values():
+            pool = pool.union(fib)
+        disjoint = all(pool.multiplicity(x) >= count for x, count in used.items())
+        return [
+            ("sigma_provenance", sigma_ok),
+            ("pairs_disjoint", disjoint),
+            ("covers_all_targets", self.verify_all_targets()),
+        ]
 
 
 class _FreePool:
@@ -550,7 +404,6 @@ class _FreePool:
 @dataclass
 class ExpansionParams:
     T: int = 2
-    sample_budget: int = 64
     per_step_samples: int = 8
     seed: int = 0
     combo_cap: int = 2_000_000
@@ -692,18 +545,15 @@ def expansion_cover(
     for pair in pairs:
         s1 = _sigma(pair.j1, (), gparams)
         s2 = _sigma(pair.j2, (), gparams)
-        assert s1[:l] == s2[:l], "pair branches disagree on the bounded coordinates"
-        assert len(pair.j1) == len(pair.j2)
+        _check("pair_branch_heads_equal", s1[:l], "==", s2[:l])
+        _check("pair_branch_sizes_equal", len(pair.j1), "==", len(pair.j2))
         for kk in range(d):
             base[kk] += s2[kk]
         k += len(pair.j1)
     base = tuple(a % p for a in base)
 
-    cover = ExpansionCover(
+    return ExpansionCover(
         gparams, l, fibers, tuple(pairs), base, k,
         tuple(int(x) for x in first_step.reshape(-1)),
     )
-    sub = GroupParams(p, D)
-    cover.coverage = tuple(cover.choices_for(sub.unindex(i)) for i in range(sub.order))
-    return cover
 

@@ -528,19 +528,7 @@ def find_zero_sum(X: GroupMultiset, config: Optional[PipelineConfig] = None) -> 
         )
     r = int(-((-mu_used * len(X_prime)) // 3))
     _require(1 <= r <= r_max, "margin r fell outside its feasible range")
-    hypothesis_rhs = base_threshold + 2 * r * m
-    if total_w < hypothesis_rhs:
-        return fail(
-            StageFailure(
-                "weighted_zero_sum",
-                "weight_sum_hypothesis",
-                total_w,
-                ">=",
-                hypothesis_rhs,
-                "instance too small for the weighted zero-sum stage",
-                {"r": r, "m": m, "dim": d - 1},
-            )
-        )
+    _require(total_w >= base_threshold + 2 * r * m, "r <= r_max yet the weight sum is short")
 
     h_basis = linalg.kernel_basis([normal.linear], p)
     _require(len(h_basis) == d - 1, "hyperplane basis has wrong dimension")
@@ -707,7 +695,7 @@ def find_zero_sum(X: GroupMultiset, config: Optional[PipelineConfig] = None) -> 
                     },
                 )
             )
-        assert last_stag is not None
+        _require(last_stag is not None, "no cover, yet no expansion attempt failed")
         return fail(
             StageFailure(
                 "expansion",
@@ -778,18 +766,7 @@ def find_zero_sum(X: GroupMultiset, config: Optional[PipelineConfig] = None) -> 
     fill: Dict[Vec, List[Vec]] = {}
     for label in sorted(fibers):
         need = a_y[label] - k_y[label]
-        if need < 0:
-            return fail(
-                StageFailure(
-                    "fill_selection",
-                    "fill_size_nonnegative",
-                    need,
-                    ">=",
-                    0,
-                    "cover consumed more of a fiber than its coefficient allows",
-                    {"label": list(label)},
-                )
-            )
+        _require(need >= 0, "k_y <= a_y passed, yet the fill size is negative")
         avail = sorted(
             x for x, _m in fibers[label].items() if x not in Z[label]
         )

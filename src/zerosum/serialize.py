@@ -293,7 +293,6 @@ def cover_to_json(cover: ExpansionCover) -> dict:
             for pair in cover.pairs
         ],
         "first_step": list(cover.first_step),
-        "coverage": list(cover.coverage),
     }
 
 
@@ -321,7 +320,6 @@ def cover_from_json(obj) -> ExpansionCover:
         tuple(int(c) for c in obj["base"]),
         int(obj["k"]),
         tuple(int(x) for x in obj["first_step"]),
-        tuple(int(x) for x in obj["coverage"]),
     )
 
 

@@ -63,7 +63,13 @@ class InvariantError(AssertionError):
         super().__init__(f"invariant {name} failed: {lhs} {op} {rhs}{detail}")
 
 
-_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
+_OPS = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    ">": operator.gt,
+    "<": operator.lt,
+    "==": operator.eq,
+}
 
 
 def _check(name: str, lhs, op: str, rhs, context: str = "") -> None:

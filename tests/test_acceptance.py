@@ -166,7 +166,7 @@ def test_criterion_4_growth_step_bound():
         Y = set()
         while len(Y) < ysize:
             Y.add(tuple(rng.randrange(p) for _ in range(d)))
-        _a, growth = alon_dubiner_step(A, Y, K=1, delta=Fraction(1, 4))
+        _a, growth = alon_dubiner_step(A, Y)
         bound = math.ceil(len(Y) ** ((d - 1) / d) / 2)
         assert growth >= bound, (p, d, len(Y), growth, bound)
         checked += 1
@@ -180,9 +180,9 @@ def test_criterion_5_expansion_coverage():
     attempts = 0
     stagnated_first = 0
     ladder = [
-        ExpansionParams(T=2, sample_budget=64, per_step_samples=8, seed=0),
-        ExpansionParams(T=4, sample_budget=128, per_step_samples=16, seed=1),
-        ExpansionParams(T=4, sample_budget=256, per_step_samples=32, seed=2),
+        ExpansionParams(T=2, per_step_samples=8, seed=0),
+        ExpansionParams(T=4, per_step_samples=16, seed=1),
+        ExpansionParams(T=4, per_step_samples=32, seed=2),
     ]
 
     cases = []

@@ -178,6 +178,32 @@ def test_expand_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["all_passed"]
 
 
+def test_expand_verify_rejects_corrupt_first_step(tmp_path, capsys):
+    fibers_payload = {
+        "p": 11,
+        "d": 1,
+        "l": 0,
+        "fibers": [
+            {"label": [], "entries": [{"element": [i], "multiplicity": 1} for i in range(11)]}
+        ],
+    }
+    fpath = _write_json(tmp_path, fibers_payload, "fibers.json")
+    code, out = run_cli(capsys, "expand", "--input", fpath, "--seed", "1")
+    assert code == 0
+    cover_artifact = json.loads(out)["result"]["cover"]
+    assert "coverage" not in cover_artifact
+    code, out = run_cli(
+        capsys, "verify", "--input", _write_json(tmp_path, cover_artifact, "cover.json")
+    )
+    assert code == 0 and json.loads(out)["result"]["all_passed"]
+    cover_artifact["first_step"] = [0] + [1] * 10
+    code, out = run_cli(
+        capsys, "verify", "--input", _write_json(tmp_path, cover_artifact, "bad.json")
+    )
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["result"]["checks"]}
+    assert code == 2 and checks["covers_all_targets"] is False
+
+
 def test_bench_empty_suite(capsys):
     code, out = run_cli(capsys, "bench", "--suite", "none")
     assert code == 0

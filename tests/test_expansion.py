@@ -1,23 +1,28 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from zerosum import serialize, verify
 from zerosum.expansion import (
-    DifferenceEntry,
-    DifferenceMultiset,
     ExpansionParams,
     ExpansionStagnation,
     RelationVector,
     alon_dubiner_step,
-    build_difference_multiset,
     enumerate_relations,
     expansion_cover,
-    verify_fiber_thickness,
 )
-from zerosum.group import GroupParams
+from zerosum.group import GroupParams, canonical_linear_parts
 from zerosum.multiset import GroupMultiset
+from zerosum.thickness import min_outside_fraction
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def ms(params, pts):
@@ -58,65 +63,75 @@ def test_enumerate_relations_no_relation():
     assert enumerate_relations([(0,), (1,)], 4) == []
 
 
-# -- difference multisets ----------------------------------------------------
+# -- pair provenance ---------------------------------------------------------
+
+
+def all_passed(cover):
+    return all(ok for _name, ok in cover.validate())
 
 
 def test_single_fiber_diagnostic():
+    # one fiber admits no relation, and five elements feed at most two
+    # fiber pairs: four reachable states of eleven
     params = GroupParams(11, 2)
     fibers = {(0,): ms(params, [(0, b) for b in range(5)])}
-    A = build_difference_multiset(fibers, 1)
-    assert not A.entries and A.diagnostic is not None
+    with pytest.raises(ExpansionStagnation) as info:
+        expansion_cover(fibers, 1)
+    assert info.value.reason and info.value.covered < info.value.total
 
 
 def test_collinear_fibers_produce_relation_entries():
+    # second coordinates in {0, 1, 2} leave fiber pairs only the shifts
+    # +-1 and +-2, so the cover reaches for the (1, -2, 1) relation
     params = GroupParams(11, 2)
-    rng = random.Random(0)
+    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
     fibers = {
-        (lab,): ms(params, [(lab % 11, v) for v in rng.sample(range(11), 5)])
-        for lab in (-1, 0, 1)
+        (lab,): ms(params, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)])
+        for lab, mult in counts.items()
     }
-    A = build_difference_multiset(fibers, 1, T=2, sample_budget=16, rng=random.Random(1))
-    assert A.entries and A.validate()
-    assert all(e.sigma[0] == 0 for e in A.entries)
-    assert any(e.relation is not None for e in A.entries)
+    cover = expansion_cover(fibers, 1, ExpansionParams(T=2, seed=0))
+    assert all_passed(cover)
+    assert all(pair.sigma[0] == 0 for pair in cover.pairs)
+    assert any(pair.source == "relation" for pair in cover.pairs)
+    assert all((pair.relation is None) == (pair.source == "fiber-pair") for pair in cover.pairs)
 
 
 def test_fiber_pairs_flag():
     params = GroupParams(11, 2)
-    fibers = {(0,): ms(params, [(0, b) for b in range(5)])}
-    A = build_difference_multiset(fibers, 1, include_fiber_pairs=True)
-    assert A.entries and all(e.source == "fiber-pair" for e in A.entries)
-    assert A.validate()
+    fibers = {(0,): ms(params, [(0, b) for b in range(11)])}
+    cover = expansion_cover(fibers, 1)
+    assert cover.pairs and all(pair.source == "fiber-pair" for pair in cover.pairs)
+    assert all_passed(cover)
 
 
 def test_fiber_geometry_validation():
     params = GroupParams(11, 2)
     bad = {(0,): ms(params, [(0, 1), (1, 2)])}
     with pytest.raises(ValueError):
-        build_difference_multiset(bad, 1)
+        expansion_cover(bad, 1)
 
 
-# -- thickness report --------------------------------------------------------
+# -- thickness of the pair differences ----------------------------------------
+
+
+def fiber_thickness(params, sigmas, k):
+    """Worst outside-fraction of projected differences over every functional
+    with zero constant term on the fiber factor F_p^1."""
+    projected = ms(GroupParams(params.p, 1), [s[1:] for s in sigmas])
+    parts = canonical_linear_parts(params.p, 1)
+    return min_outside_fraction(projected, k, parts, zero_constant_term=True)
 
 
 def test_fiber_thickness_full_space():
     params = GroupParams(11, 2)
-    entries = tuple(
-        DifferenceEntry((0, b), ((0, b),), ((0, 0),), "fiber-pair") for b in range(11)
-    )
-    A = DifferenceMultiset(params, 1, entries)
-    rep = verify_fiber_thickness(A, 2, Fraction(6, 11))
-    assert rep.passed and rep.worst_fraction == Fraction(6, 11)
+    frac, _worst = fiber_thickness(params, [(0, b) for b in range(11)], 2)
+    assert frac == Fraction(6, 11)
 
 
 def test_fiber_thickness_concentrated_fails():
     params = GroupParams(11, 2)
-    entries = tuple(
-        DifferenceEntry((0, 3), ((0, 3),), ((0, 0),), "fiber-pair") for _ in range(6)
-    )
-    A = DifferenceMultiset(params, 1, entries)
-    rep = verify_fiber_thickness(A, 1, Fraction(1, 10))
-    assert not rep.passed and rep.worst_functional is not None
+    frac, worst = fiber_thickness(params, [(0, 3)] * 6, 1)
+    assert frac < Fraction(1, 10) and worst is not None
 
 
 # -- growth step -------------------------------------------------------------
@@ -198,15 +213,12 @@ def test_cover_three_fibers_l1():
         for lab in (-1, 0, 1)
     }
     cover = expansion_cover(fibers, 1, ExpansionParams(seed=3))
-    assert cover.verify_all_targets()
-    # pairs are globally disjoint within each fiber's multiset
-    used = {}
-    for pair in cover.pairs:
-        for x in pair.j1 + pair.j2:
-            used[x] = used.get(x, 0) + 1
-    for x, count in used.items():
-        label = tuple([params.signed(x[0] % 13)])
-        assert fibers[label].multiplicity(x) >= count
+    # sigma provenance, disjoint pairs within the fibers, every target reached
+    assert cover.validate() == [
+        ("sigma_provenance", True),
+        ("pairs_disjoint", True),
+        ("covers_all_targets", True),
+    ]
 
 
 def test_cover_cloud_l0_d2():
@@ -234,7 +246,7 @@ def test_cover_determinism():
     }
     c1 = expansion_cover(fibers, 1, ExpansionParams(seed=3))
     c2 = expansion_cover(fibers, 1, ExpansionParams(seed=3))
-    assert c1.pairs == c2.pairs and c1.coverage == c2.coverage
+    assert c1.pairs == c2.pairs and c1.first_step == c2.first_step
 
 
 def test_cover_growth_strictly_increases_until_half():
@@ -269,3 +281,66 @@ def test_enumerate_relations_two_dim_labels():
     for rel in rels:
         for k in range(2):
             assert sum(c * lab[k] for lab, c in rel.entries) == 0
+
+
+# -- stored first_step --------------------------------------------------------
+
+
+def line_cover_artifact():
+    """Cover of F_11 by the pairs with sigmas 1, 2, 4, 3 (base 2)."""
+    X = ms(GroupParams(11, 1), [(i,) for i in range(11)])
+    obj = serialize.cover_to_json(expansion_cover({(): X}, 0, ExpansionParams(seed=1)))
+    assert [pair["sigma"] for pair in obj["pairs"]] == [[1], [2], [4], [3]]
+    assert obj["first_step"] == [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4]
+    return obj
+
+
+def checks_of(obj):
+    return dict(verify.verify_payload(obj))
+
+
+def test_corrupt_first_step_fails_verification():
+    obj = line_cover_artifact()
+    assert all(checks_of(obj).values())
+    obj["first_step"] = [0] + [1] * 10
+    checks = checks_of(obj)
+    assert checks["sigma_provenance"] and checks["pairs_disjoint"]
+    assert not checks["covers_all_targets"]
+
+
+@pytest.mark.parametrize(
+    "first_step",
+    [
+        [0, 1, 2, 2, 3, 3, 3, 3, 4, 4],        # one entry short
+        [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4],  # one entry long
+        [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 5],     # no fifth pair
+        [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, -1],    # unreached state
+        [0, 1, 1, 2, 3, 3, 3, 3, 4, 4, 4],     # state 2 walks pair 1 twice
+    ],
+)
+def test_malformed_first_step_reports_false(first_step):
+    obj = line_cover_artifact()
+    obj["first_step"] = first_step
+    assert checks_of(obj)["covers_all_targets"] is False
+
+
+def test_cyclic_first_step_terminates():
+    # 5 -> 1 -> 9 -> 5 through the pairs with sigmas 4, 3, 4: the walk from
+    # target 7 (state 5 after the base) loops unless indices must decrease
+    obj = line_cover_artifact()
+    obj["first_step"][5], obj["first_step"][1], obj["first_step"][9] = 3, 4, 3
+    script = (
+        "import json, sys\n"
+        "from zerosum import verify\n"
+        "print(json.dumps(dict(verify.verify_payload(json.load(sys.stdin)))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(obj),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["covers_all_targets"] is False
