@@ -5,7 +5,9 @@ pipeline, verify, bench, gen.  Reports are JSON (CSV for bench), written
 atomically; every command is deterministic given --seed, and timings are
 only embedded when --timings is passed so repeated runs stay byte-identical.
 
-Exit codes: 0 success, 1 usage or input error, 2 stage failure.
+Exit codes: 0 success, 1 usage or input error, 2 stage failure or failed
+verification, 3 internal invariant failure (a bug; stderr then carries the
+JSON object {"error": "invariant", "name", "lhs", "op", "rhs"}).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__, generators, serialize, verify
 from .expansion import ExpansionParams, ExpansionStagnation, expansion_cover
-from .group import GroupParams
+from .group import GroupParams, InvariantError
 from .multiset import GroupMultiset
 from .pipeline import PipelineConfig, find_zero_sum
 from .subsums import SearchBudget, enumerate_subsums, find_zero_sum_subset, olson_constant
@@ -41,20 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZEROSUM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _report(command: str, args, result: dict, started: float) -> dict:
     rep = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "command": command,
         "seed": getattr(args, "seed", None),
-        "threads": _threads(),
+        "threads": 1,
         "result": result,
         "timings": None,
     }
@@ -442,6 +437,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        report = {"error": "invariant", "name": exc.name, "lhs": exc.lhs, "op": exc.op, "rhs": exc.rhs}
+        print(json.dumps(report, default=str), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,9 +30,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .group import GroupParams, Vec
+from .group import GroupParams, Vec, _check
 from .multiset import GroupMultiset
-from .thickness import _check
 
 
 class ExpansionStagnation(RuntimeError):

@@ -4,15 +4,17 @@ symmetric intervals, and affine coordinate changes.
 Points are plain tuples of residues in [0, p-1], kept canonical by
 construction.  All arithmetic is exact integer arithmetic; "signed" values
 refer to the symmetric representative in [-(p-1)/2, (p-1)/2].
+
+Also home to InvariantError and `_check`, the one internal-error mechanism
+of the package: the lowest module every other one imports.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from . import linalg
 
@@ -20,6 +22,34 @@ Vec = Tuple[int, ...]
 
 DEFAULT_STATE_BUDGET = 1 << 24
 DEFAULT_DIM_CAP = 6
+
+
+class InvariantError(AssertionError):
+    """An inequality the argument guarantees failed to hold: always a bug.
+
+    Carries the inequality with both sides evaluated, like a pipeline
+    StageFailure, and is raised by `_check`, which `python -O` keeps.
+    """
+
+    def __init__(self, name: str, lhs, op: str, rhs, context: str = ""):
+        self.name, self.lhs, self.op, self.rhs = name, lhs, op, rhs
+        detail = f" ({context})" if context else ""
+        super().__init__(f"invariant {name} failed: {lhs} {op} {rhs}{detail}")
+
+
+_OPS = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    ">": operator.gt,
+    "<": operator.lt,
+    "==": operator.eq,
+}
+
+
+def _check(name: str, lhs, op: str, rhs, context: str = "") -> None:
+    """Raise InvariantError unless `lhs op rhs`."""
+    if not _OPS[op](lhs, rhs):
+        raise InvariantError(name, lhs, op, rhs, context)
 
 
 def is_prime(n: int) -> bool:
@@ -92,9 +122,6 @@ class GroupParams:
         r %= self.p
         return r if r <= (self.p - 1) // 2 else r - self.p
 
-    def signed_vec(self, v: Vec) -> Vec:
-        return tuple(self.signed(x) for x in v)
-
     def index(self, v: Vec) -> int:
         """Mixed-radix state index; lexicographic tuple order = numeric order."""
         i = 0
@@ -129,12 +156,6 @@ class SymmetricInterval:
     def contains(self, residue: int, p: int) -> bool:
         r = residue % p
         return r <= self.K or r >= p - self.K
-
-    def width(self, p: int) -> int:
-        return min(2 * self.K + 1, p)
-
-    def covers_all(self, p: int) -> bool:
-        return 2 * self.K + 1 >= p
 
 
 def in_interval(residue: int, K: int, p: int) -> bool:
@@ -206,11 +227,6 @@ def canonical_linear_parts(p: int, d: int) -> Tuple[Vec, ...]:
     return tuple(sorted(parts))
 
 
-@lru_cache(maxsize=64)
-def canonical_linear_parts_array(p: int, d: int) -> np.ndarray:
-    return np.array(canonical_linear_parts(p, d), dtype=np.int64)
-
-
 def count_canonical_functionals(p: int, d: int) -> tuple[int, int]:
     """(non-constant canonical functionals, constant functionals)."""
     return (p ** d - 1) // (p - 1) * p, p
@@ -240,15 +256,6 @@ class AffineIso:
         neg_shift = linalg.matvec(minv, tuple((-s) % p for s in self.shift), p)
         return AffineIso(minv, neg_shift)
 
-    def compose(self, other: "AffineIso", p: int) -> "AffineIso":
-        """self after other: x -> self(other(x))."""
-        mat = linalg.matmul(self.matrix, other.matrix, p)
-        shift = tuple(
-            (a + b) % p
-            for a, b in zip(linalg.matvec(self.matrix, other.shift, p), self.shift)
-        )
-        return AffineIso(mat, shift)
-
     @staticmethod
     def identity(d: int) -> "AffineIso":
         return AffineIso(linalg.identity(d), (0,) * d)
@@ -272,13 +279,6 @@ def affine_hull(points: Iterable[Vec], p: int):
     diffs = [tuple((x - b) % p for x, b in zip(q, base)) for q in pts[1:]]
     basis, _ = linalg.rref(diffs, p)
     return len(basis), base, tuple(basis)
-
-
-def hull_contains(base: Vec, basis: Sequence[Vec], point: Vec, p: int) -> bool:
-    diff = tuple((x - b) % p for x, b in zip(point, base))
-    if not basis:
-        return all(x == 0 for x in diff)
-    return linalg.solve(list(zip(*basis)), diff, p) is not None
 
 
 def nonconstant_on_span(linear: Vec, basis: Sequence[Vec], p: int) -> bool:

@@ -60,13 +60,6 @@ def matvec(mat, vec, p):
     return tuple(sum(m * v for m, v in zip(row, vec)) % p for row in mat)
 
 
-def matmul(a, b, p):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

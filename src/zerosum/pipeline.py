@@ -8,10 +8,18 @@ structure: random thinning reserves fibers for an expansion cover, the cover
 fixes per-fiber cardinalities k_y, deterministic fill sets A_y contribute the
 remaining a_y - k_y elements, and a final selector call cancels the total.
 
-Every inequality the argument relies on is asserted at run time on exact
-integers or Fractions; a violated one aborts the stage with a StageFailure
-recording the precondition and both evaluated sides.  The asymptotic
-"sufficiently large p" has no other footprint in the code.
+`find_zero_sum` is a loop over `_STAGES`, one function per trace stage.  Each
+takes the `_Run` that holds the products of the stages before it and returns
+`(record, failure)`: the stage's trace record, or a StageFailure naming the
+precondition that did not hold with both sides evaluated.  The driver alone
+appends records, turns a failure into the failed result, and re-checks the
+final certificate independently.
+
+Every inequality the argument relies on is checked at run time on exact
+integers or Fractions.  A hypothesis that can fail on a given input is a
+StageFailure; an identity the argument guarantees is a `_check`, whose
+InvariantError is always a bug.  The asymptotic "sufficiently large p" has no
+other footprint in the code.
 """
 
 from __future__ import annotations
@@ -21,13 +29,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .expansion import ExpansionParams, ExpansionStagnation, expansion_cover
-from .group import GroupParams, LinearFunctional, Vec, affine_hull
+from .group import _OPS, GroupParams, LinearFunctional, Vec, _check, affine_hull
 from .multiset import GroupMultiset
-from .subsums import ZeroSumCertificate, find_zero_sum_subset
+from .subsums import ZeroSumCertificate
 from .thickness import (
     DecompositionBudgetError,
     GrowthFunction,
@@ -36,14 +44,20 @@ from .thickness import (
     min_outside_fraction,
     strong_decompose,
 )
-from .weighted import CoefficientSolution, WeightedInstance, weighted_zero_sum
+from .weighted import WeightedInstance, weighted_zero_sum
 
 RNG_ALGORITHM = "MT19937"  # python random.Random; reproducible given the seed
 TRACE_SCHEMA_VERSION = 2
 
-
-class PipelineInternalError(AssertionError):
-    """An identity the argument guarantees failed to hold; always a bug."""
+# Fixed run parameters.  The trace's config record lists them, together with
+# "oracle_prepass": false, so config digests match those of earlier traces.
+K0 = 0  # starting tube scale of the strong decomposition
+HYPERPLANE_BUDGET = 1000  # normals drawn before the hyperplane stage fails
+THINNING_BUDGET = 100  # draws per thinning attempt
+EXPANSION_ESCALATIONS = 3  # thinning + cover rungs, each with a fresh seed
+RELATION_BOUND = 2  # T of the first cover rung; later rungs double it
+M_BUDGET = 12  # most parts whose 2^m unions the decomposition sweeps
+N_CAP = 32  # cap on the decomposition's iterate exponent
 
 
 @dataclass
@@ -51,36 +65,25 @@ class PipelineConfig:
     epsilon: Fraction = Fraction(1, 2)
     growth: GrowthFunction = GrowthFunction("affine", 1, 1)
     seed: int = 0
-    k0: int = 0
-    hyperplane_budget: int = 1000
-    thinning_budget: int = 100
-    expansion_escalations: int = 3
-    relation_bound: int = 2
-    m_budget: int = 12
-    n_cap: int = 32
-    oracle_prepass: bool = False
 
     def __post_init__(self):
         self.epsilon = Fraction(self.epsilon)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        for name in ("hyperplane_budget", "thinning_budget", "expansion_escalations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
     def as_dict(self) -> dict:
         return {
             "epsilon": str(self.epsilon),
             "growth": self.growth.describe(),
             "seed": self.seed,
-            "k0": self.k0,
-            "hyperplane_budget": self.hyperplane_budget,
-            "thinning_budget": self.thinning_budget,
-            "expansion_escalations": self.expansion_escalations,
-            "relation_bound": self.relation_bound,
-            "m_budget": self.m_budget,
-            "n_cap": self.n_cap,
-            "oracle_prepass": self.oracle_prepass,
+            "k0": K0,
+            "hyperplane_budget": HYPERPLANE_BUDGET,
+            "thinning_budget": THINNING_BUDGET,
+            "expansion_escalations": EXPANSION_ESCALATIONS,
+            "relation_bound": RELATION_BOUND,
+            "m_budget": M_BUDGET,
+            "n_cap": N_CAP,
+            "oracle_prepass": False,
             "rng": RNG_ALGORITHM,
         }
 
@@ -93,6 +96,15 @@ def _num(x):
     if isinstance(x, Fraction):
         return str(x)
     return x
+
+
+def _vsum(terms: Iterable[Tuple[int, Sequence[int]]], length: int, p: int) -> Vec:
+    """sum of c * x over the (c, x) terms, reduced mod p; x has `length` coordinates."""
+    acc = [0] * length
+    for c, x in terms:
+        for k, xk in enumerate(x):
+            acc[k] += c * xk
+    return tuple(t % p for t in acc)
 
 
 @dataclass
@@ -111,16 +123,8 @@ class StageFailure:
     suggestion: str
     context: dict = field(default_factory=dict)
 
-    _OPS = {
-        ">=": lambda a, b: a >= b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        "<": lambda a, b: a < b,
-        "==": lambda a, b: a == b,
-    }
-
     def holds(self) -> bool:
-        return self._OPS[self.op](Fraction(self.lhs), Fraction(self.rhs))
+        return _OPS[self.op](Fraction(self.lhs), Fraction(self.rhs))
 
     def as_dict(self) -> dict:
         return {
@@ -184,10 +188,7 @@ def _hull_hyperplane_point(base: Vec, basis: Sequence[Vec], normal: Vec, p: int)
         if pivot is not None:
             acc = (-c0 - sum(w[i] * t[i] for i in slots)) % p
             t[pivot] = (acc * linalg.inv_mod(w[pivot], p)) % p
-        x = tuple(
-            (b + sum(t[i] * basis[i][k] for i in range(h))) % p
-            for k, b in enumerate(base)
-        )
+        x = _vsum([(1, base), *zip(t, basis)], len(base), p)
         if best is None or x < best:
             best = x
     return best
@@ -330,521 +331,443 @@ def verify_certificate(X: GroupMultiset, cert: ZeroSumCertificate) -> bool:
 
 
 def _identity(name, lhs, rhs) -> dict:
-    return {"name": name, "lhs": _num(lhs), "rhs": _num(rhs), "holds": lhs == rhs}
+    """Trace record of an identity the argument guarantees, checked first."""
+    _check(name, lhs, "==", rhs)
+    return {"name": name, "lhs": _num(lhs), "rhs": _num(rhs), "holds": True}
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise PipelineInternalError(message)
+def _labelled(values: Dict[Vec, int]) -> Dict[str, int]:
+    return {str(list(label)): values[label] for label in sorted(values)}
 
 
-def find_zero_sum(X: GroupMultiset, config: Optional[PipelineConfig] = None) -> PipelineResult:
-    """Find a nonempty subset of X with vanishing sum, or fail with a named,
-    re-checkable inequality."""
-    if config is None:
-        config = PipelineConfig()
-    params = X.params
-    p, d = params.p, params.d
-    if d < 2:
-        raise ValueError("the pipeline needs d >= 2; use the subset-sum oracle for d = 1")
-    if not X.is_set():
-        raise ValueError("the pipeline takes a set (all multiplicities 1)")
-    if len(X) == 0:
-        raise ValueError("empty input")
+class _Run:
+    """One search: the input, the config, and what the stages produced so far."""
 
-    eps = config.epsilon
-    g = config.growth
-    rng = random.Random(config.seed)
-    trace: dict = {
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "rng": RNG_ALGORITHM,
-        "seed": config.seed,
-        "config": config.as_dict(),
-        "p": p,
-        "d": d,
-        "input_size": len(X),
-        "stages": [],
-    }
-    stages: List[dict] = trace["stages"]
+    def __init__(self, X: GroupMultiset, config: PipelineConfig):
+        self.X = X
+        self.config = config
+        self.params = X.params
+        self.p, self.d = X.params.p, X.params.d
+        self.rng = random.Random(config.seed)
+        self.cert: Optional[ZeroSumCertificate] = None
 
-    def fail(sf: StageFailure) -> PipelineResult:
-        stages.append({"stage": sf.stage, "outcome": "failure", **sf.as_dict()})
-        trace["result"] = {"status": "failure"}
-        return PipelineResult(None, sf, trace)
 
-    def success(cert: ZeroSumCertificate) -> PipelineResult:
-        ok = verify_certificate(X, cert)
-        _require(ok, "produced certificate failed independent verification")
-        trace["result"] = {
-            "status": "certificate",
-            "subset": [[list(e), m] for e, m in cert.subset.items()],
-            "size": len(cert.subset),
-        }
-        return PipelineResult(cert, None, trace)
-
-    # stage 0: short circuits
-    zero = params.zero()
-    if zero in X:
-        stages.append({"stage": "short_circuit", "outcome": "zero element present"})
-        return success(ZeroSumCertificate(params, GroupMultiset(params, {zero: 1})))
-    if config.oracle_prepass and Fraction(len(X)) < (d - 1 + eps) * p:
-        cert = find_zero_sum_subset(X)
-        stages.append({"stage": "oracle_prepass", "outcome": "certificate" if cert else "absent"})
-        if cert is not None:
-            return success(cert)
-        return fail(
-            StageFailure(
-                "oracle_prepass",
-                "zero_in_subsums",
-                0,
-                ">=",
-                1,
-                "0 is provably not a nonempty subsum of X",
-                {"input_size": len(X)},
-            )
-        )
-
-    # stage 1: strong decomposition with eps' = eps / 2d
-    eps_dec = eps / (2 * d)
+def _strong_decompose_stage(run: _Run):
+    """Strong decomposition with eps' = eps / 2d."""
+    eps = run.config.epsilon
     try:
-        sdec = strong_decompose(X, config.k0, eps_dec, g, config.m_budget, config.n_cap)
+        sdec = strong_decompose(run.X, K0, eps / (2 * run.d), run.config.growth, M_BUDGET, N_CAP)
     except SubsetSweepBudgetError as exc:
-        return fail(
-            StageFailure(
-                "strong_decompose",
-                "part_count_within_budget",
-                exc.m,
-                "<=",
-                exc.budget,
-                "raise m_budget or use a larger epsilon",
-                {"error": str(exc)},
-            )
+        return None, StageFailure(
+            "strong_decompose",
+            "part_count_within_budget",
+            exc.m,
+            "<=",
+            exc.budget,
+            "raise m_budget or use a larger epsilon",
+            {"error": str(exc)},
         )
     except DecompositionBudgetError as exc:
-        return fail(
-            StageFailure(
-                "strong_decompose",
-                "iterate_exponent_within_cap",
-                config.n_cap + 1,
-                "<=",
-                config.n_cap,
-                "choose a slower-growing g or raise n_cap",
-                {"error": str(exc)},
-            )
+        return None, StageFailure(
+            "strong_decompose",
+            "iterate_exponent_within_cap",
+            N_CAP + 1,
+            "<=",
+            N_CAP,
+            "choose a slower-growing g or raise n_cap",
+            {"error": str(exc)},
         )
-    m = sdec.m
-    X_prime = GroupMultiset.empty(params)
-    for part in sdec.parts:
-        X_prime = X_prime.union(part)
-    mu0 = sdec.mu
-    mu_norm_ok = mu0 * m < eps / 100
-    stages.append(
-        {
-            "stage": "strong_decompose",
-            "m": m,
-            "K": sdec.K,
-            "l": sdec.l,
-            "delta": _num(sdec.delta),
-            "mu": _num(mu0),
-            "x0_size": len(sdec.x0),
-            "retained": len(X_prime),
-            "mu_norm_mu_m_lt_eps_over_100": bool(mu_norm_ok),
-        }
-    )
+    run.sdec = sdec
+    run.weights = tuple(len(part) for part in sdec.parts)
+    run.total_w = sum(run.weights)  # |X'|, the points the parts retain
+    return {
+        "stage": "strong_decompose",
+        "m": sdec.m,
+        "K": sdec.K,
+        "l": sdec.l,
+        "delta": _num(sdec.delta),
+        "mu": _num(sdec.mu),
+        "x0_size": len(sdec.x0),
+        "retained": run.total_w,
+        "mu_norm_mu_m_lt_eps_over_100": bool(sdec.mu * sdec.m < eps / 100),
+    }, None
 
-    # stage 2: hyperplane through the origin meeting every hull
-    hulls = [affine_hull(part.support(), p) for part in sdec.parts]
-    min_dim = min(h[0] for h in hulls)
-    if min_dim < 1:
-        return fail(
-            StageFailure(
-                "hyperplane",
-                "hull_dimension_positive",
-                min_dim,
-                ">=",
-                1,
-                "a part degenerated to one point; use a larger instance",
-                {"dims": [h[0] for h in hulls]},
-            )
+
+def _hyperplane_stage(run: _Run):
+    """A hyperplane through the origin meeting every part's affine hull."""
+    run.hulls = [affine_hull(part.support(), run.p) for part in run.sdec.parts]
+    dims = [h[0] for h in run.hulls]
+    if min(dims) < 1:
+        return None, StageFailure(
+            "hyperplane",
+            "hull_dimension_positive",
+            min(dims),
+            ">=",
+            1,
+            "a part degenerated to one point; use a larger instance",
+            {"dims": dims},
         )
     try:
-        normal, points = sample_hyperplane(
-            hulls, p, d, rng, config.hyperplane_budget, require_distinct_points=True
+        run.normal, run.points = sample_hyperplane(
+            run.hulls, run.p, run.d, run.rng, HYPERPLANE_BUDGET, require_distinct_points=True
         )
     except HyperplaneError as exc:
-        return fail(
-            StageFailure(
-                "hyperplane",
-                "admissible_hyperplanes_found",
-                0,
-                ">=",
-                1,
-                "p is too small relative to m; use a larger prime",
-                {"attempts": exc.attempts},
-            )
+        return None, StageFailure(
+            "hyperplane",
+            "admissible_hyperplanes_found",
+            0,
+            ">=",
+            1,
+            "p is too small relative to m; use a larger prime",
+            {"attempts": exc.attempts},
         )
-    stages.append(
-        {
-            "stage": "hyperplane",
-            "normal": list(normal.linear),
-            "points": [list(x) for x in points],
-        }
-    )
+    return {
+        "stage": "hyperplane",
+        "normal": list(run.normal.linear),
+        "points": [list(x) for x in run.points],
+    }, None
 
-    # stage 3: weighted zero-sum inside the hyperplane (dimension d - 1)
-    weights = tuple(len(part) for part in sdec.parts)
-    total_w = sum(weights)
-    _require(total_w == len(X_prime), "weights do not add up to |X'|")
+
+def _weighted_zero_sum_stage(run: _Run):
+    """Weighted zero-sum of the hull points inside the hyperplane (dimension d - 1)."""
+    p, d, m, total_w = run.p, run.d, run.sdec.m, run.total_w
+    mu0 = run.sdec.mu
     base_threshold = (d - 1) * (p - 1) + 1
-    r_nominal = -((-mu0 * len(X_prime)) // 3)  # ceil(mu0 |X'| / 3)
     if total_w < base_threshold:
-        rhs = base_threshold + 2 * int(r_nominal) * m
-        return fail(
-            StageFailure(
-                "weighted_zero_sum",
-                "weight_sum_hypothesis",
-                total_w,
-                ">=",
-                rhs,
-                "instance too small: grow |X| or shrink epsilon",
-                {"r": int(r_nominal), "m": m, "dim": d - 1},
-            )
+        r_nominal = int(-((-mu0 * total_w) // 3))  # ceil(mu0 |X'| / 3)
+        return None, StageFailure(
+            "weighted_zero_sum",
+            "weight_sum_hypothesis",
+            total_w,
+            ">=",
+            base_threshold + 2 * r_nominal * m,
+            "instance too small: grow |X| or shrink epsilon",
+            {"r": r_nominal, "m": m, "dim": d - 1},
         )
     r_max = (total_w - base_threshold) // (2 * m)
-    mu_cap = Fraction(3 * r_max, len(X_prime)) if r_max > 0 else Fraction(0)
-    mu_used = min(mu0, mu_cap) if mu_cap > 0 else Fraction(0)
+    mu_used = min(mu0, Fraction(3 * r_max, total_w)) if r_max > 0 else Fraction(0)
     if mu_used <= 0:
-        rhs = base_threshold + 2 * m  # the r = 1 requirement
-        return fail(
-            StageFailure(
-                "weighted_zero_sum",
-                "weight_sum_hypothesis",
-                total_w,
-                ">=",
-                rhs,
-                "no positive margin r fits the weighted hypothesis",
-                {"m": m, "dim": d - 1},
-            )
+        return None, StageFailure(
+            "weighted_zero_sum",
+            "weight_sum_hypothesis",
+            total_w,
+            ">=",
+            base_threshold + 2 * m,  # the r = 1 requirement
+            "no positive margin r fits the weighted hypothesis",
+            {"m": m, "dim": d - 1},
         )
-    r = int(-((-mu_used * len(X_prime)) // 3))
-    _require(1 <= r <= r_max, "margin r fell outside its feasible range")
-    _require(total_w >= base_threshold + 2 * r * m, "r <= r_max yet the weight sum is short")
+    # r <= r_max is exactly total_w >= base_threshold + 2 r m
+    r = int(-((-mu_used * total_w) // 3))
+    _check("margin_r_positive", r, ">=", 1)
+    _check("margin_r_within_max", r, "<=", r_max)
 
-    h_basis = linalg.kernel_basis([normal.linear], p)
-    _require(len(h_basis) == d - 1, "hyperplane basis has wrong dimension")
-    sub = GroupParams(p, d - 1)
+    h_basis = linalg.kernel_basis([run.normal.linear], p)
+    _check("hyperplane_basis_dimension", len(h_basis), "==", d - 1)
+    columns = list(zip(*h_basis))
     h_coords = []
-    for x in points:
-        c = linalg.solve(list(zip(*h_basis)), x, p)
-        _require(c is not None, "hyperplane point failed to express in basis")
+    for x in run.points:
+        c = linalg.solve(columns, x, p)
+        _check("hyperplane_point_in_basis", c is not None, "==", True)
         h_coords.append(tuple(c))
-    _require(len(set(h_coords)) == m, "hyperplane coordinates collided")
-    inst = WeightedInstance(sub, tuple(h_coords), weights, r)
-    sol = weighted_zero_sum(inst)
-    _require(sol is not None, "weighted stage is guaranteed yet returned infeasible")
+    _check("hyperplane_coordinates_distinct", len(set(h_coords)), "==", m)
+    sol = weighted_zero_sum(WeightedInstance(GroupParams(p, d - 1), tuple(h_coords), run.weights, r))
+    _check("weighted_stage_solvable", sol is not None, "==", True)
     a = sol.coefficients
-    lift = [0] * d
-    for ai, x in zip(a, points):
-        for k, c in enumerate(x):
-            lift[k] += ai * c
-    id_axi = _identity("sum_a_i_x_i", tuple(t % p for t in lift), zero)
-    _require(id_axi["holds"], "sum a_i x_i != 0 after lifting")
-    S = tuple(i for i in range(m) if a[i] > 0)
-    stages.append(
-        {
-            "stage": "weighted_zero_sum",
-            "dim": d - 1,
-            "r": r,
-            "mu_used": _num(mu_used),
-            "weights": list(weights),
-            "coefficients": list(a),
-            "support": list(S),
-            "identities": [id_axi],
-        }
-    )
+    id_axi = _identity("sum_a_i_x_i", _vsum(zip(a, run.points), d, p), run.params.zero())
+    run.a, run.r, run.mu_used = a, r, mu_used
+    run.S = tuple(i for i in range(m) if a[i] > 0)
+    return {
+        "stage": "weighted_zero_sum",
+        "dim": d - 1,
+        "r": r,
+        "mu_used": _num(mu_used),
+        "weights": list(run.weights),
+        "coefficients": list(a),
+        "support": list(run.S),
+        "identities": [id_axi],
+    }, None
 
-    # stage 4: tubular coordinates of X_S, labels, aggregated a_y
-    sc = sdec.subset_certs[S]
-    cert_S = sc.cert
-    l = cert_S.l
-    M = cert_S.psi.matrix
-    b_shift = cert_S.psi.shift
-    _require(all(c == 0 for c in b_shift[l:]), "tube shift leaks into fiber coords")
-    v = tuple((-c) % p for c in b_shift)  # in F_p^l x {0}
-    K_S = cert_S.K
+
+def _tube_projection_stage(run: _Run):
+    """Tubular coordinates of X_S, fiber labels and the aggregated a_y."""
+    p, params, S, a = run.p, run.params, run.S, run.a
+    run.sc = run.sdec.subset_certs[S]
+    cert_S = run.sc.cert
+    l = run.l = cert_S.l
+    M, b_shift = cert_S.psi.matrix, cert_S.psi.shift
+    _check("tube_shift_in_label_coordinates", tuple(b_shift[l:]), "==", (0,) * (run.d - l))
+    v = run.v = tuple((-c) % p for c in b_shift)  # in F_p^l x {0}
+    K_S = run.K_S = cert_S.K
 
     proj_rank = 0
     for i in S:
-        _dim, _base, basis = hulls[i]
-        mapped = [linalg.matvec(M, row, p) for row in basis]
+        mapped = [linalg.matvec(M, row, p) for row in run.hulls[i][2]]
         rk = linalg.rank([row[:l] for row in mapped], p) if l else 0
         proj_rank = max(proj_rank, rk)
     if proj_rank > 0:
-        return fail(
-            StageFailure(
-                "tube_projection",
-                "projected_hull_dimension",
-                proj_rank,
-                "<=",
-                0,
-                "K_S is not small enough against the part thickness scale",
-                {"S": list(S), "l": l},
-            )
+        return None, StageFailure(
+            "tube_projection",
+            "projected_hull_dimension",
+            proj_rank,
+            "<=",
+            0,
+            "K_S is not small enough against the part thickness scale",
+            {"S": list(S), "l": l},
         )
 
-    def tilde(x: Vec) -> Vec:
-        return linalg.matvec(M, x, p)
-
     part_labels: Dict[int, Vec] = {}
-    fibers: Dict[Vec, GroupMultiset] = {}
     fiber_entries: Dict[Vec, Dict[Vec, int]] = {}
-    back_map: Dict[Vec, Vec] = {}
+    run.back_map = {}
     for i in S:
         labels_seen = set()
-        for x, mult in sdec.parts[i].items():
-            xt = tilde(x)
-            back_map[xt] = x
+        for x, mult in run.sdec.parts[i].items():
+            xt = linalg.matvec(M, x, p)
+            run.back_map[xt] = x
             label = tuple(params.signed((h - vv) % p) for h, vv in zip(xt[:l], v[:l]))
             labels_seen.add(label)
             fiber_entries.setdefault(label, {})[xt] = mult
-        _require(len(labels_seen) == 1, "a part spread over several labels")
+        _check("part_has_one_label", len(labels_seen), "==", 1, f"part {i}")
         part_labels[i] = labels_seen.pop()
+    run.fibers = {}
     for label, entries in fiber_entries.items():
-        _require(all(abs(c) <= K_S for c in label), "label outside the tube box")
-        fibers[label] = GroupMultiset(params, entries)
+        _check("label_inside_tube_box", max(map(abs, label), default=0), "<=", K_S)
+        run.fibers[label] = GroupMultiset(params, entries)
 
-    ys_sum = [0] * l
+    ys = ((a[i], linalg.matvec(M, run.points[i], p)[:l]) for i in S)
+    id_ys = _identity("sum_a_i_y_i", _vsum(ys, l, p), (0,) * l)
+    run.a_y = {}
     for i in S:
-        yi = tuple(tilde(points[i])[:l])
-        for k, c in enumerate(yi):
-            ys_sum[k] += a[i] * c
-    id_ys = _identity("sum_a_i_y_i", tuple(t % p for t in ys_sum), (0,) * l)
-    _require(id_ys["holds"], "projected coefficient identity failed")
+        run.a_y[part_labels[i]] = run.a_y.get(part_labels[i], 0) + a[i]
+    return {
+        "stage": "tube_projection",
+        "S": list(S),
+        "l": l,
+        "K_S": K_S,
+        "v": list(v),
+        "labels": _labelled(run.a_y),
+        "identities": [id_ys],
+    }, None
 
-    a_y: Dict[Vec, int] = {}
-    for i in S:
-        a_y[part_labels[i]] = a_y.get(part_labels[i], 0) + a[i]
-    stages.append(
-        {
-            "stage": "tube_projection",
-            "S": list(S),
-            "l": l,
-            "K_S": K_S,
-            "v": list(v),
-            "labels": {str(list(lab)): a_y[lab] for lab in sorted(a_y)},
-            "identities": [id_ys],
-        }
-    )
 
-    # stages 5 and 6: random thinning feeding the expansion cover.  Each
-    # escalation rung redraws Z with a fresh seed and raises the relation
-    # search effort, so an unluckily lopsided draw cannot starve the cover.
-    delta_S = sc.achieved if sc.achieved < 1 else sdec.delta
-    thin_seed = rng.randrange(1 << 62)
-    exp_seed = rng.randrange(1 << 62)
-    cover = None
-    Z = None
-    attempts_used = 0
+def _thinning_stage(run: _Run):
+    """Random thinning feeding the expansion cover.
+
+    Each escalation rung redraws Z with a fresh seed and raises the relation
+    search effort, so an unluckily lopsided draw cannot starve the cover.
+    """
+    delta_S = run.sc.achieved if run.sc.achieved < 1 else run.sdec.delta
+    thin_seed = run.rng.randrange(1 << 62)
+    run.exp_seed = run.rng.randrange(1 << 62)
     last_stag: Optional[ExpansionStagnation] = None
     last_thin: Optional[ThinningError] = None
-    rungs = max(1, config.expansion_escalations)
-    for attempt in range(1, rungs + 1):
+    for attempt in range(1, EXPANSION_ESCALATIONS + 1):
         try:
-            Z_try = random_thinning(
-                fibers,
-                mu_used,
+            Z = random_thinning(
+                run.fibers,
+                run.mu_used,
                 delta_S,
-                K_S,
-                g,
+                run.K_S,
+                run.config.growth,
                 thin_seed + attempt - 1,
-                config.thinning_budget,
-                l=l,
-                upper_cap=r,
+                THINNING_BUDGET,
+                l=run.l,
+                upper_cap=run.r,
             )
         except ThinningError as exc:
             last_thin = exc
             continue
         eparams = ExpansionParams(
-            T=config.relation_bound * min(attempt, 2),
+            T=RELATION_BOUND * min(attempt, 2),
             per_step_samples=8 * attempt,
-            seed=exp_seed + attempt - 1,
+            seed=run.exp_seed + attempt - 1,
         )
         try:
-            cover = expansion_cover(Z_try, l, eparams)
-            Z = Z_try
-            attempts_used = attempt
-            break
+            run.cover = expansion_cover(Z, run.l, eparams)
         except ExpansionStagnation as exc:
             last_stag = exc
-    if cover is None:
-        if last_stag is None and last_thin is not None:
-            worst = last_thin.worst_functional
-            return fail(
-                StageFailure(
-                    "random_thinning",
-                    "thinned_union_thickness",
-                    last_thin.worst_outside if last_thin.worst_outside is not None else 0,
-                    ">=",
-                    last_thin.required if last_thin.required is not None else _num(delta_S / 4),
-                    "fibers too small or union too thin; escalate epsilon or p",
-                    {
-                        "attempts": last_thin.attempts,
-                        "worst_functional": (
-                            {"a0": worst.a0, "linear": list(worst.linear)} if worst else None
-                        ),
-                    },
-                )
-            )
-        _require(last_stag is not None, "no cover, yet no expansion attempt failed")
-        return fail(
-            StageFailure(
-                "expansion",
-                "cover_growth",
-                0,
-                ">=",
-                1,
-                "expansion stagnated after escalation; fibers carry too few pairs",
-                {
-                    "reason": last_stag.reason,
-                    "covered": last_stag.covered,
-                    "total": last_stag.total,
-                    "pairs": last_stag.pairs,
-                },
-            )
-        )
-    stages.append(
-        {
+            continue
+        run.Z, run.attempts = Z, attempt
+        return {
             "stage": "random_thinning",
-            "seed": thin_seed + attempts_used - 1,
-            "sizes": {str(list(lab)): len(Z[lab]) for lab in sorted(Z)},
+            "seed": thin_seed + attempt - 1,
+            "sizes": _labelled({label: len(Z[label]) for label in Z}),
             "delta_target": _num(delta_S / 4),
-        }
-    )
-
-    sel0 = cover.select((0,) * (d - l))
-    k_y = {label: len(sel0[label]) for label in sorted(Z)}
-    k = cover.k
-    id_k = _identity("sum_k_y", sum(k_y.values()), k)
-    _require(id_k["holds"], "selector at 0 has wrong cardinality")
-    u0_shift = [0] * l
-    for label, cnt in k_y.items():
-        for kk, c in enumerate(label):
-            u0_shift[kk] += cnt * c
-    u0_shift = tuple(t % p for t in u0_shift)
-    u0_full = tuple((us + k * vv) % p for us, vv in zip(u0_shift, v[:l]))
-    id_u0 = _identity("sum_k_y_labels", u0_full, cover.u0)
-    _require(id_u0["holds"], "k_y label sum disagrees with the cover's u0")
-
-    for label in sorted(Z):
-        ky, zy, ay = k_y[label], len(Z[label]), a_y[label]
-        if not (ky <= zy <= ay):
-            return fail(
-                StageFailure(
-                    "expansion",
-                    "cardinality_chain_k_y<=|Z_y|<=a_y",
-                    zy,
-                    "<=",
-                    ay,
-                    "thinning produced oversized Z_y for this label",
-                    {"label": list(label), "k_y": ky, "r": r},
-                )
-            )
-    stages.append(
-        {
-            "stage": "expansion",
-            "seed": exp_seed,
-            "escalation_attempts": attempts_used,
-            "k": k,
-            "k_y": {str(list(lab)): k_y[lab] for lab in sorted(k_y)},
-            "u0": list(cover.u0),
-            "pairs": len(cover.pairs),
-            "identities": [id_k, id_u0],
-        }
-    )
-
-    # stage 7: deterministic fill sets A_y and the residual vector u
-    fill: Dict[Vec, List[Vec]] = {}
-    for label in sorted(fibers):
-        need = a_y[label] - k_y[label]
-        _require(need >= 0, "k_y <= a_y passed, yet the fill size is negative")
-        avail = sorted(
-            x for x, _m in fibers[label].items() if x not in Z[label]
+        }, None
+    if last_stag is None:  # every rung failed at thinning
+        worst = last_thin.worst_functional
+        return None, StageFailure(
+            "random_thinning",
+            "thinned_union_thickness",
+            last_thin.worst_outside if last_thin.worst_outside is not None else 0,
+            ">=",
+            last_thin.required if last_thin.required is not None else _num(delta_S / 4),
+            "fibers too small or union too thin; escalate epsilon or p",
+            {
+                "attempts": last_thin.attempts,
+                "worst_functional": (
+                    {"a0": worst.a0, "linear": list(worst.linear)} if worst else None
+                ),
+            },
         )
-        if len(avail) < need:
-            return fail(
-                StageFailure(
-                    "fill_selection",
-                    "fill_pool_large_enough",
-                    len(avail),
-                    ">=",
-                    need,
-                    "fiber too small after thinning",
-                    {"label": list(label)},
-                )
-            )
-        fill[label] = avail[:need]
-    u = [0] * d
-    for elems in fill.values():
-        for x in elems:
-            for kk, c in enumerate(x):
-                u[kk] += c
-    u = tuple(t % p for t in u)
-    u1, u2 = u[:l], u[l:]
-    want_u1 = tuple((-(us) - k * vv) % p for us, vv in zip(u0_shift, v[:l]))
-    id_u1 = _identity("u1_=_-u0-kv", u1, want_u1)
-    _require(id_u1["holds"], "bounded coordinates of the fill sum are off")
-    stages.append(
+    return None, StageFailure(
+        "expansion",
+        "cover_growth",
+        0,
+        ">=",
+        1,
+        "expansion stagnated after escalation; fibers carry too few pairs",
         {
-            "stage": "fill_selection",
-            "sizes": {str(list(lab)): len(fill[lab]) for lab in sorted(fill)},
-            "u": list(u),
-            "identities": [id_u1],
-        }
+            "reason": last_stag.reason,
+            "covered": last_stag.covered,
+            "total": last_stag.total,
+            "pairs": last_stag.pairs,
+        },
     )
 
-    # stage 8: final selector call and assembly of B
-    target = tuple((-c) % p for c in u2)
+
+def _expansion_stage(run: _Run):
+    """The cover's selector at 0 fixes the per-fiber cardinalities k_y."""
+    p, l, cover, Z = run.p, run.l, run.cover, run.Z
+    sel0 = cover.select((0,) * (run.d - l))
+    run.k_y = {label: len(sel0[label]) for label in sorted(Z)}
+    k = cover.k
+    id_k = _identity("sum_k_y", sum(run.k_y.values()), k)
+    run.u0_shift = _vsum(((cnt, label) for label, cnt in run.k_y.items()), l, p)
+    u0_full = _vsum([(1, run.u0_shift), (k, run.v[:l])], l, p)
+    id_u0 = _identity("sum_k_y_labels", u0_full, cover.u0)
+    for label in sorted(Z):
+        ky, zy, ay = run.k_y[label], len(Z[label]), run.a_y[label]
+        if not (ky <= zy <= ay):
+            return None, StageFailure(
+                "expansion",
+                "cardinality_chain_k_y<=|Z_y|<=a_y",
+                zy,
+                "<=",
+                ay,
+                "thinning produced oversized Z_y for this label",
+                {"label": list(label), "k_y": ky, "r": run.r},
+            )
+    return {
+        "stage": "expansion",
+        "seed": run.exp_seed,
+        "escalation_attempts": run.attempts,
+        "k": k,
+        "k_y": _labelled(run.k_y),
+        "u0": list(cover.u0),
+        "pairs": len(cover.pairs),
+        "identities": [id_k, id_u0],
+    }, None
+
+
+def _fill_selection_stage(run: _Run):
+    """Deterministic fill sets A_y and the residual vector u."""
+    p, l, k = run.p, run.l, run.cover.k
+    run.fill = {}
+    for label in sorted(run.fibers):
+        need = run.a_y[label] - run.k_y[label]
+        _check("fill_size_nonnegative", need, ">=", 0)
+        avail = sorted(x for x, _m in run.fibers[label].items() if x not in run.Z[label])
+        if len(avail) < need:
+            return None, StageFailure(
+                "fill_selection",
+                "fill_pool_large_enough",
+                len(avail),
+                ">=",
+                need,
+                "fiber too small after thinning",
+                {"label": list(label)},
+            )
+        run.fill[label] = avail[:need]
+    u = _vsum(((1, x) for elems in run.fill.values() for x in elems), run.d, p)
+    run.u2 = u[l:]
+    want_u1 = _vsum([(-1, run.u0_shift), (-k, run.v[:l])], l, p)
+    id_u1 = _identity("u1_=_-u0-kv", u[:l], want_u1)
+    return {
+        "stage": "fill_selection",
+        "sizes": _labelled({label: len(elems) for label, elems in run.fill.items()}),
+        "u": list(u),
+        "identities": [id_u1],
+    }, None
+
+
+def _assembly_stage(run: _Run):
+    """Final selector call, assembly of B and its pullback to X."""
+    p, d, cover = run.p, run.d, run.cover
+    target = tuple((-c) % p for c in run.u2)
     sel = cover.select(target)
-    sel_total = [0] * d
-    sel_count = 0
-    for label, elems in sel.items():
-        sel_count += len(elems)
-        for x in elems:
-            for kk, c in enumerate(x):
-                sel_total[kk] += c
-    sel_total = tuple(t % p for t in sel_total)
-    id_sel = _identity(
-        "selector_sum", sel_total, tuple(cover.u0) + tuple(target)
-    )
-    _require(id_sel["holds"], "final selector sum mismatch")
-    _require(sel_count == k, "final selector cardinality mismatch")
+    sel_total = _vsum(((1, x) for elems in sel.values() for x in elems), d, p)
+    id_sel = _identity("selector_sum", sel_total, tuple(cover.u0) + target)
+    _check("selector_cardinality", sum(len(elems) for elems in sel.values()), "==", cover.k)
 
     b_elements: List[Vec] = []
-    for label in sorted(fibers):
-        b_elements.extend(fill[label])
+    for label in sorted(run.fibers):
+        b_elements.extend(run.fill[label])
         b_elements.extend(sel.get(label, []))
-    _require(len(set(b_elements)) == len(b_elements), "assembled B has collisions")
-    total = [0] * d
-    for x in b_elements:
-        for kk, c in enumerate(x):
-            total[kk] += c
-    id_b = _identity("sum_B_tilde", tuple(t % p for t in total), zero)
-    _require(id_b["holds"], "assembled B does not vanish in tube coordinates")
+    _check("B_distinct", len(set(b_elements)), "==", len(b_elements))
+    id_b = _identity("sum_B_tilde", _vsum(((1, x) for x in b_elements), d, p), run.params.zero())
 
-    size_ledger = sum(a_y[lab] - k_y[lab] for lab in a_y) + k
-    _require(size_ledger == len(b_elements), "cardinality ledger mismatch")
-    _require(size_ledger == sum(a[i] for i in S), "ledger disagrees with sum a_i")
+    size_ledger = sum(run.a_y[lab] - run.k_y[lab] for lab in run.a_y) + cover.k
+    _check("ledger_is_B_size", size_ledger, "==", len(b_elements))
+    _check("ledger_is_sum_a_i", size_ledger, "==", sum(run.a[i] for i in run.S))
+    subset = GroupMultiset.from_points(run.params, [run.back_map[x] for x in b_elements])
+    _check("pullback_injective", len(subset), "==", len(b_elements))
+    run.cert = ZeroSumCertificate(run.params, subset)
+    return {
+        "stage": "assembly",
+        "target": list(target),
+        "B_size": len(b_elements),
+        "identities": [id_sel, id_b],
+    }, None
 
-    original = [back_map[x] for x in b_elements]
-    subset = GroupMultiset.from_points(params, original)
-    _require(len(subset) == len(b_elements), "pullback collapsed elements")
-    cert = ZeroSumCertificate(params, subset)
-    stages.append(
-        {
-            "stage": "assembly",
-            "target": list(target),
-            "B_size": len(b_elements),
-            "identities": [id_sel, id_b],
-        }
-    )
-    return success(cert)
+
+_STAGES = (
+    _strong_decompose_stage,
+    _hyperplane_stage,
+    _weighted_zero_sum_stage,
+    _tube_projection_stage,
+    _thinning_stage,
+    _expansion_stage,
+    _fill_selection_stage,
+    _assembly_stage,
+)
+
+
+def find_zero_sum(X: GroupMultiset, config: Optional[PipelineConfig] = None) -> PipelineResult:
+    """Find a nonempty subset of X with vanishing sum, or fail with a named,
+    re-checkable inequality."""
+    run = _Run(X, config if config is not None else PipelineConfig())
+    if run.d < 2:
+        raise ValueError("the pipeline needs d >= 2; use the subset-sum oracle for d = 1")
+    if not X.is_set():
+        raise ValueError("the pipeline takes a set (all multiplicities 1)")
+    if len(X) == 0:
+        raise ValueError("empty input")
+    trace: dict = {
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "rng": RNG_ALGORITHM,
+        "seed": run.config.seed,
+        "config": run.config.as_dict(),
+        "p": run.p,
+        "d": run.d,
+        "input_size": len(X),
+        "stages": [],
+    }
+    zero = run.params.zero()
+    if zero in X:
+        trace["stages"].append({"stage": "short_circuit", "outcome": "zero element present"})
+        run.cert = ZeroSumCertificate(run.params, GroupMultiset(run.params, {zero: 1}))
+    else:
+        for stage in _STAGES:
+            record, failure = stage(run)
+            if failure is not None:
+                trace["stages"].append({"stage": failure.stage, "outcome": "failure", **failure.as_dict()})
+                trace["result"] = {"status": "failure"}
+                return PipelineResult(None, failure, trace)
+            trace["stages"].append(record)
+    _check("certificate_verifies", verify_certificate(X, run.cert), "==", True)
+    trace["result"] = {
+        "status": "certificate",
+        "subset": [[list(e), m] for e, m in run.cert.subset.items()],
+        "size": len(run.cert.subset),
+    }
+    return PipelineResult(run.cert, None, trace)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .group import GroupParams, Vec
+from .group import GroupParams, Vec, _check
 from .multiset import GroupMultiset
 
 
@@ -148,7 +148,7 @@ def find_zero_sum_subset(A: GroupMultiset) -> Optional[ZeroSumCertificate]:
     if witness is None:
         return None
     cert = ZeroSumCertificate(A.params, witness)
-    assert cert.verify(A), "internal: witness failed verification"
+    _check("witness_verifies", cert.verify(A), "==", True)
     return cert
 
 
@@ -161,9 +161,6 @@ def find_zero_sum_subset(A: GroupMultiset) -> Optional[ZeroSumCertificate]:
 class SearchBudget:
     max_nodes: int = 20_000_000
     max_ms: Optional[int] = None
-
-    def timer(self):
-        return time.monotonic()
 
 
 @dataclass
@@ -281,7 +278,7 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     exact = not exhausted
     if exact:
         check = GroupMultiset.from_points(params, best_witness)
-        assert find_zero_sum_subset(check) is None, "internal: witness not zero-sum-free"
+        _check("witness_zero_sum_free", find_zero_sum_subset(check) is None, "==", True)
     return FreeSetResult(best_size, best_witness, exact, nodes)
 
 
@@ -318,6 +315,6 @@ def olson_constant(params: GroupParams, budget: Optional[SearchBudget] = None) -
     cap = params.d * (params.p - 1) + 1
     if res.exact:
         value = res.size + 1
-        assert value <= cap, "Olson constant exceeded the d(p-1)+1 bound"
+        _check("olson_within_bound", value, "<=", cap)
         return OlsonResult(params, value, True, res.witness, value, value, res.nodes)
     return OlsonResult(params, None, False, res.witness, res.size + 1, cap, res.nodes)

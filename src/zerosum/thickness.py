@@ -22,7 +22,6 @@ through floating point.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,11 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
+from .group import InvariantError  # re-exported as zerosum.thickness.InvariantError
 from .group import (
     AffineIso,
     GroupParams,
     LinearFunctional,
     Vec,
+    _check,
     affine_hull,
     canonical_linear_parts,
     in_interval,
@@ -48,34 +49,6 @@ from .multiset import GroupMultiset
 class DecompositionBudgetError(RuntimeError):
     """Raised when the iterate exponent outruns its cap (a sign the growth
     function is pathological for this instance)."""
-
-
-class InvariantError(AssertionError):
-    """An inequality the argument guarantees failed to hold: always a bug.
-
-    Carries the inequality with both sides evaluated, like a pipeline
-    StageFailure, and is raised by `_check`, which `python -O` keeps.
-    """
-
-    def __init__(self, name: str, lhs, op: str, rhs, context: str = ""):
-        self.name, self.lhs, self.op, self.rhs = name, lhs, op, rhs
-        detail = f" ({context})" if context else ""
-        super().__init__(f"invariant {name} failed: {lhs} {op} {rhs}{detail}")
-
-
-_OPS = {
-    ">=": operator.ge,
-    "<=": operator.le,
-    ">": operator.gt,
-    "<": operator.lt,
-    "==": operator.eq,
-}
-
-
-def _check(name: str, lhs, op: str, rhs, context: str = "") -> None:
-    """Raise InvariantError unless `lhs op rhs`."""
-    if not _OPS[op](lhs, rhs):
-        raise InvariantError(name, lhs, op, rhs, context)
 
 
 class SubsetSweepBudgetError(RuntimeError):

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .group import GroupParams, Vec
+from .group import GroupParams, Vec, _check
 from .multiset import GroupMultiset
 from .subsums import ZeroSumCertificate, find_zero_sum_subset
 
@@ -148,10 +148,7 @@ def weighted_zero_sum(inst: WeightedInstance) -> Optional[CoefficientSolution]:
     max_support = int(layers[0][0])
     if max_support <= 0:
         if inst.hypothesis_holds():
-            raise AssertionError(
-                "instance satisfies the weighted hypothesis but the exhaustive "
-                "DP found no solution; this is a bug"
-            )
+            _check("hypothesis_instance_solvable", max_support, ">", 0)
         return None
 
     coeffs = []
@@ -165,12 +162,12 @@ def weighted_zero_sum(inst: WeightedInstance) -> Optional[CoefficientSolution]:
             if cost + int(layers[i + 1][nxt_state]) == remaining:
                 chosen = (v, nxt_state, cost)
                 break
-        assert chosen is not None, "DP reconstruction lost its path"
+        _check("dp_path_continues", chosen is not None, "==", True, f"point {i}")
         coeffs.append(chosen[0])
         state = chosen[1]
         remaining -= chosen[2]
     sol = CoefficientSolution(tuple(coeffs))
-    assert verify_coefficients(inst, sol), "DP produced an invalid witness"
+    _check("dp_witness_valid", verify_coefficients(inst, sol), "==", True)
     return sol
 
 
@@ -216,11 +213,11 @@ def zero_sum_sequence(elements, params: GroupParams) -> Optional[ZeroSumCertific
         weights = tuple(A.multiplicity(y) for y in points)
         inst = WeightedInstance(params, points, weights, 0)
         sol = weighted_zero_sum(inst)
-        assert sol is not None, "guaranteed regime returned infeasible"
+        _check("guaranteed_regime_solvable", sol is not None, "==", True)
         subset = GroupMultiset(
             params, {y: a for y, a in zip(points, sol.coefficients) if a > 0}
         )
         cert = ZeroSumCertificate(params, subset)
-        assert cert.verify(A)
+        _check("sequence_certificate_verifies", cert.verify(A), "==", True)
         return cert
     return find_zero_sum_subset(A)

@@ -7,6 +7,7 @@ from zerosum import serialize
 from zerosum.cli import main
 from zerosum.generators import fiber_union, random_cloud
 from zerosum.group import GroupParams
+from zerosum.subsums import ZeroSumCertificate
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +101,24 @@ def test_pipeline_exit_codes(tmp_path, capsys):
 
     code, _ = run_cli(capsys, "pipeline")  # missing required --input
     assert code == 1
+
+
+def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a produced certificate that fails its own check is a bug, not a usage
+    # error: exit 3 with the failed invariant as JSON on stderr
+    X = fiber_union(GroupParams(31, 2), 5, seed=3, offset=2)
+    xpath = write_instance(tmp_path, X)
+    monkeypatch.setattr(ZeroSumCertificate, "verify", lambda self, A: False)
+    code = main(["pipeline", "--input", xpath, "--seed", "11"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "invariant",
+        "name": "certificate_verifies",
+        "lhs": False,
+        "op": "==",
+        "rhs": True,
+    }
 
 
 def test_find_zero_sum_and_subsums(tmp_path, capsys):
@@ -217,12 +236,15 @@ def test_gen_determinism(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_report_embeds_seed_and_version(capsys):
+def test_report_embeds_seed_and_version(capsys, monkeypatch):
+    # the code is single-threaded whatever the environment says
+    monkeypatch.setenv("ZEROSUM_THREADS", "8")
     code, out = run_cli(capsys, "olson", "--p", "3", "--d", "1", "--seed", "17")
     rep = json.loads(out)
     assert rep["seed"] == 17
     assert rep["artifact_version"]
     assert rep["schema_version"] == 1
+    assert rep["threads"] == 1
 
 
 def test_verify_failure_trace_and_tamper(tmp_path, capsys):

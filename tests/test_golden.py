@@ -1,8 +1,10 @@
 """Golden comparison: seeded pipeline traces and strong decompositions.
 
 `tests/data/golden.json` holds the outputs of the instances below as they were
-before the thickness scan was batched over directions.  Every later change
-that claims to keep outputs identical must reproduce them byte for byte.
+before the thickness scan was batched over directions; the two `failure_*`
+traces were added before `find_zero_sum` was split into stage functions.
+Every later change that claims to keep outputs identical must reproduce them
+byte for byte.
 
 Regenerate (only when an output change is intended and recorded in
 CHANGES.md) with
@@ -12,6 +14,7 @@ CHANGES.md) with
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +57,19 @@ def _strong_cases():
     }
 
 
+def _failing_cases():
+    """The instances of tests/test_pipeline.py that fail at the weighted
+    stage (ten random points of F_31^2) and at the strong decomposition
+    (three planes of F_11^3, where the exponent cap fires)."""
+    rng = random.Random(0)
+    pts = sorted({(rng.randrange(31), rng.randrange(31)) for _ in range(12)} - {(0, 0)})[:10]
+    planes = [(c, a, b) for c in (1, 2, 3) for a in range(11) for b in range(11)]
+    return {
+        "failure_weighted": (GroupMultiset.from_points(GroupParams(31, 2), pts), 0),
+        "failure_strong": (GroupMultiset.from_points(GroupParams(11, 3), planes), 1),
+    }
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -85,6 +101,9 @@ def golden_outputs() -> dict:
         X = _favorable(i)
         res = find_zero_sum(X, PipelineConfig(seed=i))
         out[f"pipeline_{i}"] = _dump(trace_to_json(X, res.trace))
+    for name, (X, seed) in _failing_cases().items():
+        res = find_zero_sum(X, PipelineConfig(seed=seed))
+        out[name] = _dump(trace_to_json(X, res.trace))
     g = GrowthFunction("affine", 1, 1)
     for name, X in _strong_cases().items():
         sdec = strong_decompose(X, 0, Fraction(1, 4), g)

@@ -36,7 +36,6 @@ def test_in_tube_examples():
     assert not in_tube_set((3, 0), xi, SymmetricInterval(1), 7)
     # saturated interval covers everything
     assert in_tube_set((3, 0), xi, SymmetricInterval(3), 7)
-    assert SymmetricInterval(3).covers_all(7)
 
 
 def test_params_validation():
