@@ -243,10 +243,24 @@ class AffineIso:
         if linalg.invert_matrix(self.matrix, p) is None:
             raise ValueError("matrix is not invertible mod p")
 
+    def reduced(self, p: int, d: int) -> "AffineIso":
+        """psi with every entry reduced mod p; ValueError unless the matrix
+        is d x d and the shift has length d."""
+        if (
+            len(self.matrix) != d
+            or any(len(row) != d for row in self.matrix)
+            or len(self.shift) != d
+        ):
+            raise ValueError(f"psi must be a {d}x{d} matrix with a length-{d} shift")
+        return AffineIso(
+            tuple(tuple(int(a) % p for a in row) for row in self.matrix),
+            tuple(int(s) % p for s in self.shift),
+        )
+
     def apply(self, x: Vec, p: int) -> Vec:
         return tuple(
-            (sum(m * c for m, c in zip(row, x)) + s) % p
-            for row, s in zip(self.matrix, self.shift)
+            (sum(m * c for m, c in zip(row, x, strict=True)) + s) % p
+            for row, s in zip(self.matrix, self.shift, strict=True)
         )
 
     def inverse(self, p: int) -> "AffineIso":

@@ -3,11 +3,17 @@
 Cardinality always counts multiplicities.  Instances are immutable after
 construction; all operations return new multisets.  Support order is
 lexicographic everywhere, which keeps every downstream search deterministic.
+
+`GroupMultiset(params, entries)` is the one validating door: it sorts,
+reduces and checks whatever it is given.  The operations below build their
+results canonical by construction and go through `_trusted`, which does
+neither; points are mapped as numpy rows of `arrays()`, never one by one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from itertools import compress
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +49,38 @@ class GroupMultiset:
 
     @classmethod
     def empty(cls, params: GroupParams) -> "GroupMultiset":
-        return cls(params, {})
+        return cls._trusted(params, {})
+
+    @classmethod
+    def _trusted(
+        cls, params: GroupParams, entries: Dict[Vec, int], arrays: Optional[tuple] = None
+    ) -> "GroupMultiset":
+        """A multiset over entries the caller guarantees canonical: residue
+        vectors of params as keys in lexicographic order, positive int
+        multiplicities.  `arrays`, when given, must equal what `arrays()`
+        would build from them."""
+        obj = cls.__new__(cls)
+        obj.params = params
+        obj._entries = entries
+        obj._cardinality = sum(entries.values())
+        obj._arrays = arrays
+        return obj
+
+    @classmethod
+    def _from_arrays(cls, params: GroupParams, pts: np.ndarray, mults: np.ndarray):
+        """The multiset of the rows of pts, (n, d) int64 residues in [0, p-1],
+        with multiplicities mults: rows sorted lexicographically, repeated rows
+        merged."""
+        if len(pts) == 0:
+            return cls._trusted(params, {})
+        order = np.lexsort(pts.T[::-1])  # the last key is the primary one
+        pts, mults = pts[order], mults[order]
+        new = (pts[1:] != pts[:-1]).any(axis=1)
+        if not new.all():
+            starts = np.flatnonzero(np.concatenate(([True], new)))
+            pts, mults = pts[starts], np.add.reduceat(mults, starts)
+        entries = dict(zip(map(tuple, pts.tolist()), mults.tolist()))
+        return cls._trusted(params, entries, (pts, mults))
 
     # -- queries ---------------------------------------------------------
 
@@ -113,40 +150,90 @@ class GroupMultiset:
 
     # -- algebra ---------------------------------------------------------
 
+    def _same_params(self, other: "GroupMultiset") -> None:
+        if other.params is not self.params and other.params != self.params:
+            raise ValueError("multisets over different groups")
+
     def union(self, other: "GroupMultiset") -> "GroupMultiset":
-        entries = dict(self._entries)
-        for elem, mult in other.items():
-            entries[elem] = entries.get(elem, 0) + mult
-        return GroupMultiset(self.params, entries)
+        """Multiplicities add; a merge of the two sorted supports."""
+        self._same_params(other)
+        a, b = self._entries, other._entries
+        if not b:
+            return self
+        if not a:
+            return other
+        if next(reversed(a)) < next(iter(b)):
+            entries = {**a, **b}
+        elif next(reversed(b)) < next(iter(a)):
+            entries = {**b, **a}
+        else:
+            merged = {**a, **b}
+            for elem in a.keys() & b.keys():
+                merged[elem] = a[elem] + b[elem]
+            # two sorted runs: the sort is a single merge pass
+            entries = {elem: merged[elem] for elem in sorted(merged)}
+        return GroupMultiset._trusted(self.params, entries)
 
     def minus(self, other: "GroupMultiset") -> "GroupMultiset":
+        self._same_params(other)
+        if not other._entries:
+            return self
         entries = dict(self._entries)
-        for elem, mult in other.items():
+        for elem, mult in other._entries.items():
             have = entries.get(elem, 0)
             if have < mult:
                 raise ValueError(f"cannot remove {mult} copies of {elem}, have {have}")
             entries[elem] = have - mult
-        return GroupMultiset(self.params, entries)
+        return GroupMultiset._trusted(
+            self.params, {elem: mult for elem, mult in entries.items() if mult}
+        )
 
     def contains_submultiset(self, other: "GroupMultiset") -> bool:
         return all(self.multiplicity(e) >= m for e, m in other.items())
 
-    def restrict(self, pred: Callable[[Vec], bool]) -> "GroupMultiset":
-        return GroupMultiset(
-            self.params, {e: m for e, m in self._entries.items() if pred(e)}
-        )
+    def select(self, keep) -> "GroupMultiset":
+        """The support points where the boolean array keep, aligned with
+        `arrays()`, is true, with their full multiplicities."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (len(self._entries),):
+            raise ValueError(f"mask of shape {keep.shape} for {len(self._entries)} points")
+        if keep.all():
+            return self
+        pts, mults = self.arrays()
+        entries = dict(compress(self._entries.items(), keep.tolist()))
+        return GroupMultiset._trusted(self.params, entries, (pts[keep], mults[keep]))
+
+    def split(self, labels: Sequence[Hashable]) -> Dict[Hashable, "GroupMultiset"]:
+        """Sub-multisets by label: labels[i] names the piece of the i-th
+        support point in `items()` order."""
+        if len(labels) != len(self._entries):
+            raise ValueError(f"{len(labels)} labels for {len(self._entries)} points")
+        pieces: Dict[Hashable, Dict[Vec, int]] = {}
+        for (elem, mult), label in zip(self._entries.items(), labels):
+            pieces.setdefault(label, {})[elem] = mult
+        return {
+            label: GroupMultiset._trusted(self.params, entries)
+            for label, entries in pieces.items()
+        }
 
     def translate(self, v: Vec) -> "GroupMultiset":
-        add = self.params.add
-        return GroupMultiset(
-            self.params, {add(e, v): m for e, m in self._entries.items()}
-        )
+        p, d = self.params.p, self.params.d
+        if len(v) != d:
+            raise ValueError(f"expected {d} coordinates, got {len(v)}")
+        shift = np.array([int(c) % p for c in v], dtype=np.int64)
+        pts, mults = self.arrays()
+        return GroupMultiset._from_arrays(self.params, (pts + shift) % p, mults)
 
     def apply_iso(self, psi: AffineIso) -> "GroupMultiset":
-        p = self.params.p
-        return GroupMultiset(
-            self.params, {psi.apply(e, p): m for e, m in self._entries.items()}
-        )
+        """Image under psi, which need not be invertible: colliding images
+        add their multiplicities.  psi's entries are reduced mod p first, so
+        any integers are accepted, and int64 products cannot overflow."""
+        psi = psi.reduced(self.params.p, self.params.d)
+        matrix = np.array(psi.matrix, dtype=np.int64)
+        shift = np.array(psi.shift, dtype=np.int64)
+        pts, mults = self.arrays()
+        img = (pts @ matrix.T + shift) % self.params.p
+        return GroupMultiset._from_arrays(self.params, img, mults)
 
 
 def change_coords(X: GroupMultiset, psi: AffineIso) -> GroupMultiset:

@@ -364,7 +364,7 @@ def _strong_decompose_stage(run: _Run):
             exc.m,
             "<=",
             exc.budget,
-            "raise m_budget or use a larger epsilon",
+            "use a larger epsilon",
             {"error": str(exc)},
         )
     except DecompositionBudgetError as exc:
@@ -374,7 +374,7 @@ def _strong_decompose_stage(run: _Run):
             N_CAP + 1,
             "<=",
             N_CAP,
-            "choose a slower-growing g or raise n_cap",
+            "choose a slower-growing g",
             {"error": str(exc)},
         )
     run.sdec = sdec

@@ -127,19 +127,30 @@ def tubular_to_json(X: GroupMultiset, cert: TubularCertificate) -> dict:
     }
 
 
-def tubular_from_json(obj):
-    params = params_from_json(obj)
-    X = multiset_from_json(params, obj["set"])
-    cert = TubularCertificate(
+def _tubular_cert_from_json(params: GroupParams, obj) -> TubularCertificate:
+    """A tubular certificate's fields; ValueError unless 0 <= l <= d and psi
+    is a d x d matrix with a length-d shift.  Invertibility is left to
+    `TubularCertificate.validate`, which fails a singular psi."""
+    l = int(obj["l"])
+    if not 0 <= l <= params.d:
+        raise ValueError(f"l = {l} outside [0, {params.d}]")
+    psi = iso_from_json(obj["psi"])
+    psi.reduced(params.p, params.d)  # the shape check
+    return TubularCertificate(
         params,
-        int(obj["l"]),
-        iso_from_json(obj["psi"]),
+        l,
+        psi,
         int(obj["K"]),
         int(obj["K_prime"]),
         parse_frac(obj["delta"]),
         tuple(functional_from_json(f) for f in obj["functionals"]),
     )
-    return X, cert
+
+
+def tubular_from_json(obj):
+    params = params_from_json(obj)
+    X = multiset_from_json(params, obj["set"])
+    return X, _tubular_cert_from_json(params, obj)
 
 
 def decomposition_to_json(X: GroupMultiset, dec: Decomposition) -> dict:
@@ -224,15 +235,7 @@ def strong_decomposition_from_json(obj):
     certs: Dict[tuple, SubsetCertificate] = {}
     for item in obj["subset_certs"]:
         subset = tuple(int(i) for i in item["subset"])
-        cert = TubularCertificate(
-            params,
-            int(item["l"]),
-            iso_from_json(item["psi"]),
-            int(item["K"]),
-            int(item["K_prime"]),
-            parse_frac(item["delta"]),
-            tuple(functional_from_json(f) for f in item["functionals"]),
-        )
+        cert = _tubular_cert_from_json(params, item)
         certs[subset] = SubsetCertificate(
             subset, cert, parse_frac(item["delta_schedule"]), parse_frac(item["achieved"])
         )

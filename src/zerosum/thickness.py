@@ -40,7 +40,6 @@ from .group import (
     _check,
     affine_hull,
     canonical_linear_parts,
-    in_interval,
     nonconstant_on_span,
 )
 from .multiset import GroupMultiset
@@ -260,6 +259,23 @@ def _scan(
     return top, scaled, a0
 
 
+def _values(X: GroupMultiset, functionals: Sequence[LinearFunctional]) -> np.ndarray:
+    """(support size, len(functionals)) residues f(x), rows in `items()` order."""
+    p, d = X.params.p, X.params.d
+    linear = np.array(
+        [[a % p for a in f.linear] for f in functionals], dtype=np.int64
+    ).reshape(-1, d)
+    a0 = np.array([f.a0 % p for f in functionals], dtype=np.int64)
+    pts, _ = X.arrays()
+    return (pts @ linear.T + a0) % p
+
+
+def _in_slab(residues: np.ndarray, K: int, p: int) -> np.ndarray:
+    """Elementwise `in_interval` for residues in [0, p-1]."""
+    K = min(K, p)  # K may be a huge growth iterate; beyond p it is all of F_p
+    return (residues <= K) | (residues >= p - K)
+
+
 def inside_count(X: GroupMultiset, xi: LinearFunctional, K: int) -> int:
     p = X.params.p
     table = scaling_window_table(value_histogram(X, [xi.linear]), K, p)
@@ -387,12 +403,18 @@ class TubularCertificate:
     functionals: Tuple[LinearFunctional, ...]
 
     def validate(self, X: GroupMultiset):
-        """(ok, achieved outside-fraction, worst functional) by full rescan."""
+        """(ok, achieved outside-fraction, worst functional) by full rescan.
+
+        A singular psi, or a point mapped outside the box, gives
+        (False, 0, None); a psi of the wrong shape raises ValueError.
+        """
         p = self.params.p
         img = X.apply_iso(self.psi)
-        for x, _m in img.items():
-            if any(not in_interval(c, self.K, p) for c in x[: self.l]):
-                return False, Fraction(0), None
+        if linalg.invert_matrix(self.psi.matrix, p) is None:
+            return False, Fraction(0), None
+        pts, _ = img.arrays()
+        if not _in_slab(pts[:, : self.l], self.K, p).all():
+            return False, Fraction(0), None
         if self.l == self.params.d:
             return True, Fraction(1), None
         parts = candidate_parts(img, fiber_start=self.l)
@@ -435,15 +457,7 @@ def tube_decompose(
 
     l = len(chosen)
     K = g.iterate(l, K0)
-    if chosen:
-        fns = list(chosen)
-
-        def keep(x: Vec) -> bool:
-            return all(in_interval(f.evaluate(x, p), K, p) for f in fns)
-
-        Y = X.restrict(keep)
-    else:
-        Y = X
+    Y = X.select(_in_slab(_values(X, chosen), K, p).all(axis=1)) if chosen else X
 
     lower = (Fraction(1) - Fraction(2 ** (d + 1)) * delta) * len(X)
     _check("tube_mass", Fraction(len(Y)), ">=", lower)
@@ -570,19 +584,20 @@ def decompose(
             return
         exponent += 1
         entry_size = len(P)
-        inside = P.restrict(lambda x: in_interval(thin.evaluate(x, p), K_search, p))
+        values = _values(P, [thin])[:, 0]
+        keep = _in_slab(values, K_search, p)
+        inside = P.select(keep)
         trimmed = P.minus(inside)
         if trimmed:
             removed.append(trimmed)
         # fibers over the signed slab values, smallest label first
-        fibers: Dict[int, Dict[Vec, int]] = {}
-        for elem, mult in inside.items():
-            y = params.signed(thin.evaluate(elem, p))
-            fibers.setdefault(y, {})[elem] = mult
+        values = values[keep]
+        signed = np.where(values > (p - 1) // 2, values - p, values)
+        fibers = inside.split(signed.tolist())
         R = K_search
         eps_next = eps_lvl / (8 * R)
         for y in sorted(fibers):
-            fiber = GroupMultiset(params, fibers[y])
+            fiber = fibers[y]
             if Fraction(len(fiber)) < eps_next * entry_size:
                 removed.append(fiber)
             else:
@@ -649,6 +664,30 @@ def decompose(
 # ---------------------------------------------------------------------------
 
 
+def _union(params: GroupParams, parts: Sequence[GroupMultiset], subset) -> GroupMultiset:
+    out = GroupMultiset.empty(params)
+    for i in subset:
+        out = out.union(parts[i])
+    return out
+
+
+def _subset_unions(parts: Sequence[GroupMultiset]):
+    """(S, X_S) for every nonempty subset S of part indices, in lexicographic
+    order of the sorted tuples S.  Each union is built once, as
+    X_{S minus max S} ∪ part_{max S}, and at most len(parts) are held at a
+    time."""
+
+    def walk(prefix, X_prefix, start):
+        for i in range(start, len(parts)):
+            subset = prefix + (i,)
+            X_S = X_prefix.union(parts[i])
+            yield subset, X_S
+            yield from walk(subset, X_S, i + 1)
+
+    if parts:
+        yield from walk((), GroupMultiset.empty(parts[0].params), 0)
+
+
 @dataclass
 class SubsetCertificate:
     subset: Tuple[int, ...]          # part indices, 0-based
@@ -679,10 +718,7 @@ class StrongDecomposition:
         return len(self.parts)
 
     def union(self, subset: Sequence[int]) -> GroupMultiset:
-        out = GroupMultiset.empty(self.params)
-        for i in subset:
-            out = out.union(self.parts[i])
-        return out
+        return _union(self.params, self.parts, subset)
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
         checks = []
@@ -698,11 +734,15 @@ class StrongDecomposition:
             if frac < self.delta:
                 ok = False
         checks.append(("part_thickness", ok))
-        ok = True
-        for subset, sc in self.subset_certs.items():
-            valid, _frac, _worst = sc.cert.validate(self.union(subset))
-            if not valid:
-                ok = False
+        # every one of the 2^m - 1 unions needs a valid certificate; the
+        # count is checked first, so a forged m cannot start 2^m unions
+        certs = self.subset_certs
+        ok = len(certs) == 2 ** self.m - 1
+        if ok:
+            for subset, X_S in _subset_unions(self.parts):
+                sc = certs.get(subset)
+                if sc is None or not sc.cert.validate(X_S)[0]:
+                    ok = False
         checks.append(("tubular_certs", ok))
         return checks
 
@@ -759,19 +799,15 @@ def strong_decompose(
             * Fraction(1, 2 ** (d + 2 + m))
             * Fraction(1, 2 ** ((d + m + 4) * j))
         )
-        X_S = GroupMultiset.empty(params)
-        for i in subset:
-            X_S = X_S.union(parts[i])
+        X_S = _union(params, parts, subset)
         Y, cert = tube_decompose(X_S, K, delta_j, g, validate=False)
         dropped = X_S.minus(Y)
         if dropped:
             removed_total += len(dropped)
             removed_sets.append(dropped)
-            for elem, mult in dropped.items():
-                i = owner[elem]
-                parts[i] = parts[i].minus(
-                    GroupMultiset(params, {elem: mult})
-                )
+            pieces = dropped.split([owner[elem] for elem in dropped.support()])
+            for i, piece in pieces.items():
+                parts[i] = parts[i].minus(piece)
         sweeps[subset] = (cert, delta_j)
 
     # bullet 1: sweep removals stay below eps|X|/2
@@ -789,20 +825,19 @@ def strong_decompose(
         part_delta = Fraction(1)
 
     # bullet 3: every final union is tubular at half its sweep delta
-    subset_certs: Dict[Tuple[int, ...], SubsetCertificate] = {}
+    rescanned: Dict[Tuple[int, ...], SubsetCertificate] = {}
     tubular_min: Optional[Fraction] = None
-    for subset, (cert, delta_j) in sweeps.items():
-        X_S = GroupMultiset.empty(params)
-        for i in subset:
-            X_S = X_S.union(parts[i])
+    for subset, X_S in _subset_unions(parts):
+        cert, delta_j = sweeps[subset]
         final_cert = TubularCertificate(
             params, cert.l, cert.psi, cert.K, cert.K_prime, delta_j / 2, cert.functionals
         )
         _ok, frac, worst = final_cert.validate(X_S)
         _check("union_tubular", frac, ">=", final_cert.delta, f"union {subset}, worst {worst}")
-        subset_certs[subset] = SubsetCertificate(subset, final_cert, delta_j, frac)
+        rescanned[subset] = SubsetCertificate(subset, final_cert, delta_j, frac)
         if cert.l < d:
             tubular_min = frac if tubular_min is None else min(tubular_min, frac)
+    subset_certs = {subset: rescanned[subset] for subset in sweeps}  # mask order
 
     size_mu = min(Fraction(len(part), len(X)) for part in parts)
     mu = size_mu if tubular_min is None else min(size_mu, tubular_min)

@@ -1,13 +1,16 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from zerosum import serialize
 from zerosum.cli import main
 from zerosum.generators import fiber_union, random_cloud
-from zerosum.group import GroupParams
+from zerosum.group import AffineIso, GroupParams
+from zerosum.multiset import GroupMultiset
 from zerosum.subsums import ZeroSumCertificate
+from zerosum.thickness import GrowthFunction, TubularCertificate, strong_decompose
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +178,73 @@ def test_decompose_tube_artifacts_verify(tmp_path, capsys):
         capsys, "verify", "--input", _write_json(tmp_path, tube_artifact, "tube.json")
     )
     assert code == 0 and json.loads(out)["result"]["all_passed"]
+
+
+def _verify_exit(tmp_path, capsys, artifact):
+    """(exit code, report or None, stderr) of `verify` on an artifact."""
+    code = main(["verify", "--input", _write_json(tmp_path, artifact, "artifact.json")])
+    captured = capsys.readouterr()
+    return code, (json.loads(captured.out) if captured.out else None), captured.err
+
+
+def test_verify_rejects_singular_tubular_psi(tmp_path, capsys):
+    # a zero psi maps every point to 0, which sits in any box: without an
+    # invertibility check this false certificate passed with l = d
+    X = random_cloud(GroupParams(31, 2), 60, seed=0)
+    cert = TubularCertificate(
+        X.params, 2, AffineIso(((0, 0), (0, 0)), (0, 0)), 0, 1, Fraction(1, 16), ()
+    )
+    code, rep, _ = _verify_exit(tmp_path, capsys, serialize.tubular_to_json(X, cert))
+    assert code == 2 and not rep["result"]["all_passed"]
+
+
+def _tube_artifact(tmp_path, capsys):
+    X = fiber_union(GroupParams(31, 2), 2, seed=0, offset=0)
+    code, out = run_cli(capsys, "tube", "--input", write_instance(tmp_path, X), "--growth", "K+1")
+    assert code == 0
+    return json.loads(out)["result"]["certificate"]
+
+
+def test_verify_rejects_misshapen_psi(tmp_path, capsys):
+    artifact = _tube_artifact(tmp_path, capsys)
+    artifact["psi"]["matrix"][0] = artifact["psi"]["matrix"][0] + [0]  # 3 entries in d = 2
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and err.startswith("error:")
+
+
+def test_verify_reduces_huge_psi_entries(tmp_path, capsys):
+    # entries past 2^63 are reduced mod p exactly; the certificate still holds
+    artifact = _tube_artifact(tmp_path, capsys)
+    offset = 31 * 2 ** 70
+    psi = artifact["psi"]
+    psi["matrix"] = [[a + offset for a in row] for row in psi["matrix"]]
+    psi["shift"] = [s + offset for s in psi["shift"]]
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 0 and rep["result"]["all_passed"]
+
+
+def test_verify_strong_decomposition_subset_certificates(tmp_path, capsys):
+    params = GroupParams(31, 2)
+    X = GroupMultiset.from_points(params, [(0, b) for b in range(31)] + [(1, b) for b in range(31)])
+    artifact = serialize.strong_decomposition_to_json(
+        X, strong_decompose(X, 0, Fraction(1, 4), GrowthFunction("affine", 1, 1))
+    )
+    assert len(artifact["subset_certs"]) == 3
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 0 and rep["result"]["all_passed"]
+    for i in range(3):  # the false certificate above fails whichever union it certifies
+        bad = json.loads(json.dumps(artifact))
+        bad["subset_certs"][i].update(
+            l=2, K=0, psi={"matrix": [[0, 0], [0, 0]], "shift": [0, 0]}
+        )
+        code, rep, _ = _verify_exit(tmp_path, capsys, bad)
+        assert code == 2
+        assert dict((c["name"], c["passed"]) for c in rep["result"]["checks"])["tubular_certs"] is False
+    # every one of the 2^m - 1 unions needs a certificate
+    bad = json.loads(json.dumps(artifact))
+    del bad["subset_certs"][0]
+    code, rep, _ = _verify_exit(tmp_path, capsys, bad)
+    assert code == 2 and not rep["result"]["all_passed"]
 
 
 def test_expand_command(tmp_path, capsys):
