@@ -162,16 +162,11 @@ class GroupMultiset:
             return self
         if not a:
             return other
-        if next(reversed(a)) < next(iter(b)):
-            entries = {**a, **b}
-        elif next(reversed(b)) < next(iter(a)):
-            entries = {**b, **a}
-        else:
-            merged = {**a, **b}
-            for elem in a.keys() & b.keys():
-                merged[elem] = a[elem] + b[elem]
-            # two sorted runs: the sort is a single merge pass
-            entries = {elem: merged[elem] for elem in sorted(merged)}
+        merged = {**a, **b}
+        for elem in a.keys() & b.keys():
+            merged[elem] = a[elem] + b[elem]
+        # two sorted runs: the sort is a single merge pass
+        entries = {elem: merged[elem] for elem in sorted(merged)}
         return GroupMultiset._trusted(self.params, entries)
 
     def minus(self, other: "GroupMultiset") -> "GroupMultiset":

@@ -586,14 +586,15 @@ def decompose(
         entry_size = len(P)
         values = _values(P, [thin])[:, 0]
         keep = _in_slab(values, K_search, p)
-        inside = P.select(keep)
-        trimmed = P.minus(inside)
-        if trimmed:
+        # one piece per signed slab value; None collects the trimmed points
+        labels = [
+            params.signed(v) if k else None
+            for v, k in zip(values.tolist(), keep.tolist())
+        ]
+        fibers = P.split(labels)
+        trimmed = fibers.pop(None, None)
+        if trimmed is not None:
             removed.append(trimmed)
-        # fibers over the signed slab values, smallest label first
-        values = values[keep]
-        signed = np.where(values > (p - 1) // 2, values - p, values)
-        fibers = inside.split(signed.tolist())
         R = K_search
         eps_next = eps_lvl / (8 * R)
         for y in sorted(fibers):
