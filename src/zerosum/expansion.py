@@ -82,17 +82,18 @@ class RelationVector:
         return [(lab, -c) for lab, c in self.entries if c < 0]
 
 
-def enumerate_relations(
-    labels: Sequence[Vec],
-    T: int,
-    combo_cap: int = 2_000_000,
-    support_cap: int = 4,
-) -> List[RelationVector]:
+# most coefficient vectors enumerate_relations tries per search, and the
+# largest support its brute-force search covers
+_COMBO_CAP = 2_000_000
+_SUPPORT_CAP = 4
+
+
+def enumerate_relations(labels: Sequence[Vec], T: int) -> List[RelationVector]:
     """Usable relations with infinity norm at most T.
 
     When the kernel lattice of the (l+1) x |Y| label matrix is small enough,
     bounded integer combinations of a kernel basis are enumerated directly;
-    independently, relations of support <= support_cap are found by brute
+    independently, relations of support <= _SUPPORT_CAP are found by brute
     force over label subsets, which also catches small vectors the cleared-
     denominator basis can miss.  Results are deduplicated and sorted.
     """
@@ -120,7 +121,7 @@ def enumerate_relations(
     matrix.append([1] * ny)
     basis = linalg.integer_kernel_basis(matrix)
     rank = len(basis)
-    if rank and (2 * T + 1) ** rank <= combo_cap:
+    if rank and (2 * T + 1) ** rank <= _COMBO_CAP:
         for combo in product(range(-T, T + 1), repeat=rank):
             if all(c == 0 for c in combo):
                 continue
@@ -131,11 +132,11 @@ def enumerate_relations(
                         vec[i] += c * x
             register({labels[i]: vec[i] for i in range(ny)})
 
-    for size in range(3, min(support_cap, ny) + 1):
+    for size in range(3, min(_SUPPORT_CAP, ny) + 1):
         n_subsets = 1
         for k in range(size):
             n_subsets = n_subsets * (ny - k) // (k + 1)
-        if n_subsets * (2 * T + 1) ** size > combo_cap:
+        if n_subsets * (2 * T + 1) ** size > _COMBO_CAP:
             break
         for subset in combinations(range(ny), size):
             subs = [labels[i] for i in subset]
@@ -214,12 +215,29 @@ def _sigma(j1: Iterable[Vec], j2: Iterable[Vec], params: GroupParams) -> Vec:
 # ---------------------------------------------------------------------------
 
 
+def _best_shift(
+    Y: np.ndarray, shifts: Sequence[Vec], costs: Sequence[int]
+) -> Tuple[Optional[int], int, Optional[np.ndarray]]:
+    """The growth step: (i, growth, new) for the shift s = shifts[i] that
+    maximises (|(Y + s) \\ Y|, -costs[i]), the first one on ties, where new
+    marks the states Y + s adds.  (None, 0, None) when there is no shift."""
+    axes = tuple(range(Y.ndim))
+    free = ~Y
+    best, best_key, best_new = None, (0, 0), None
+    for i, (shift, cost) in enumerate(zip(shifts, costs)):
+        new = np.roll(Y, shift=shift, axis=axes) & free
+        key = (int(np.count_nonzero(new)), -cost)
+        if best is None or key > best_key:
+            best, best_key, best_new = i, key, new
+    return best, best_key[0], best_new
+
+
 def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
     """Element of A maximising |(Y + a) \\ Y|, ties broken lexicographically.
 
-    The maximisation is exhaustive.  When A is (K, delta)-thick along every
-    functional with zero constant term, the growth is at least
-    max(|Y|^{(d-1)/d} / 2, K delta |Y| / (c0 p)).
+    The maximisation is exhaustive and is the step expansion_cover repeats.
+    When A is (K, delta)-thick along every functional with zero constant
+    term, the growth is at least max(|Y|^{(d-1)/d} / 2, K delta |Y| / (c0 p)).
     """
     if len(A) == 0:
         raise ValueError("empty difference multiset")
@@ -234,14 +252,9 @@ def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
     Y = np.zeros(shape, dtype=bool)
     for v in yset:
         Y[v] = True
-    axes = tuple(range(d))
-    best, best_growth = None, -1
-    for a in sorted(A.support()):
-        shifted = np.roll(Y, shift=a, axis=axes)
-        growth = int((shifted & ~Y).sum())
-        if growth > best_growth:
-            best, best_growth = a, growth
-    return best, best_growth
+    support = sorted(A.support())
+    i, growth, _new = _best_shift(Y, support, [0] * len(support))
+    return support[i], growth
 
 
 @dataclass(frozen=True)
@@ -385,27 +398,11 @@ class ExpansionCover:
         ]
 
 
-class _FreePool:
-    def __init__(self, fibers: Dict[Vec, GroupMultiset]):
-        self.slots: Dict[Vec, List[Vec]] = {
-            label: sorted(fibers[label].iter_with_multiplicity())
-            for label in sorted(fibers)
-        }
-
-    def count(self, label: Vec) -> int:
-        return len(self.slots[label])
-
-    def consume(self, label: Vec, elems: Iterable[Vec]):
-        for x in elems:
-            self.slots[label].remove(x)
-
-
 @dataclass
 class ExpansionParams:
     T: int = 2
     per_step_samples: int = 8
     seed: int = 0
-    combo_cap: int = 2_000_000
 
 
 def expansion_cover(
@@ -417,7 +414,8 @@ def expansion_cover(
     """Cover of a full coset {u0} x F_p^{d-l} by disjoint pair selections.
 
     Raises ExpansionStagnation when no available pair grows the reachable set
-    (or, past the half-space mark, none lands on the next uncovered target).
+    (or, past the half-space mark, none lands on the next uncovered target);
+    ValueError unless 0 <= l <= d, every label has l coordinates and T >= 0.
     With l = d the target coset is a single point and the empty cover (k = 0)
     is returned.
     """
@@ -429,20 +427,22 @@ def expansion_cover(
         raise ValueError("need at least one fiber")
     gparams = next(iter(fibers.values())).params
     p, d = gparams.p, gparams.d
+    if not 0 <= l <= d:
+        raise ValueError(f"l = {l} outside [0, {d}]")
+    if any(len(label) != l for label in fibers):
+        raise ValueError(f"every fiber label must have l = {l} coordinates")
+    if params.T < 0:
+        raise ValueError(f"relation bound T = {params.T} is negative")
     D = d - l
     _check_fiber_geometry(fibers, l, p)
 
     if D == 0:
         return ExpansionCover(gparams, l, fibers, (), (0,) * d, 0, ())
 
-    label_of: Dict[Vec, Vec] = {}
-    for label in sorted(fibers):
-        for x, _m in fibers[label].items():
-            label_of[x] = label
-
     labels = sorted(fibers)
-    relations = enumerate_relations(labels, params.T, params.combo_cap) if l > 0 else []
-    pool = _FreePool(fibers)
+    relations = enumerate_relations(labels, params.T) if l > 0 else []
+    # per label, the elements no pair has taken yet, sorted with multiplicity
+    free = {label: sorted(fibers[label].iter_with_multiplicity()) for label in labels}
 
     shape = (p,) * D
     Y = np.zeros(shape, dtype=bool)
@@ -450,7 +450,6 @@ def expansion_cover(
     Y[zero_state] = True
     first_step = np.full(shape, -1, dtype=np.int64)
     first_step[zero_state] = 0
-    axes = tuple(range(D))
     total_states = p ** D
 
     pairs: List[CoverPair] = []
@@ -470,24 +469,21 @@ def expansion_cover(
                 cands[sigma_full] = (j1s, j2s, source, rel)
 
         for label in labels:
-            support = sorted(set(pool.slots[label]))
+            support = sorted(set(free[label]))
             for a in support:
                 for b in support:
                     if a != b:
                         offer(gparams.sub(a, b), (a,), (b,), "fiber-pair", None)
         for rel in relations:
-            ok = all(pool.count(lab) >= c for lab, c in rel.positive()) and all(
-                pool.count(lab) >= c for lab, c in rel.negative()
-            )
-            if not ok:
+            if any(len(free[lab]) < abs(c) for lab, c in rel.entries):
                 continue
             for _ in range(params.per_step_samples):
                 j1: List[Vec] = []
                 j2: List[Vec] = []
                 for lab, c in rel.positive():
-                    j1.extend(_sample_distinct(pool.slots[lab], c, rng))
+                    j1.extend(_sample_distinct(free[lab], c, rng))
                 for lab, c in rel.negative():
-                    j2.extend(_sample_distinct(pool.slots[lab], c, rng))
+                    j2.extend(_sample_distinct(free[lab], c, rng))
                 offer(_sigma(j1, j2, gparams), j1, j2, "relation", rel)
         return cands
 
@@ -496,61 +492,43 @@ def expansion_cover(
         cands = available_candidates()
         if not cands:
             raise ExpansionStagnation("no available pairs", covered, total_states, len(pairs))
-        chosen = None  # (growth, -cost, sigma, realization); maximize growth,
-        # then prefer the pair consuming the fewest elements
-        if 2 * covered <= total_states:
-            for sigma in sorted(cands):
-                sp = sigma[l:]
-                shifted = np.roll(Y, shift=sp, axis=axes)
-                growth = int((shifted & ~Y).sum())
-                cost = len(cands[sigma][0]) + len(cands[sigma][1])
-                if chosen is None or (growth, -cost) > (chosen[0], chosen[1]):
-                    chosen = (growth, -cost, sigma, cands[sigma])
-            if chosen is None or chosen[0] < 1:
-                raise ExpansionStagnation("no growth", covered, total_states, len(pairs))
-        else:
+        # maximize growth, then prefer the pair consuming the fewest
+        # elements; past the half-space mark only pairs landing on the first
+        # uncovered target compete
+        sigmas = sorted(cands)
+        growing = 2 * covered <= total_states
+        if not growing:
             target = tuple(int(c) for c in np.argwhere(~Y)[0])
-            for sigma in sorted(cands):
-                sp = sigma[l:]
-                back = tuple((t - s) % p for t, s in zip(target, sp))
-                if not Y[back]:
-                    continue
-                shifted = np.roll(Y, shift=sp, axis=axes)
-                growth = int((shifted & ~Y).sum())
-                cost = len(cands[sigma][0]) + len(cands[sigma][1])
-                if chosen is None or (growth, -cost) > (chosen[0], chosen[1]):
-                    chosen = (growth, -cost, sigma, cands[sigma])
-            if chosen is None:
-                raise ExpansionStagnation(
-                    "completion blocked", covered, total_states, len(pairs)
-                )
-        _growth, _negcost, sigma, (j1, j2, source, rel) = chosen
-        by_label: Dict[Vec, List[Vec]] = {}
+            sigmas = [
+                sigma for sigma in sigmas
+                if Y[tuple((t - s) % p for t, s in zip(target, sigma[l:]))]
+            ]
+        i, growth, new = _best_shift(
+            Y,
+            [sigma[l:] for sigma in sigmas],
+            [len(cands[sigma][0]) + len(cands[sigma][1]) for sigma in sigmas],
+        )
+        if growth < 1:
+            reason = "no growth" if growing else "completion blocked"
+            raise ExpansionStagnation(reason, covered, total_states, len(pairs))
+        sigma = sigmas[i]
+        j1, j2, source, rel = cands[sigma]
         for x in j1 + j2:
-            by_label.setdefault(label_of[x], []).append(x)
-        for lab, elems in by_label.items():
-            pool.consume(lab, elems)
-        t = len(pairs) + 1
-        shifted = np.roll(Y, shift=sigma[l:], axis=axes)
-        new = shifted & ~Y
-        first_step[new] = t
+            # the last fiber holding x, where ExpansionCover.select files it
+            free[next(lab for lab in reversed(labels) if x in fibers[lab])].remove(x)
+        first_step[new] = len(pairs) + 1
         Y |= new
         pairs.append(CoverPair(j1, j2, sigma, source, rel))
         if len(pairs) > hard_cap:
             raise ExpansionStagnation("pair cap", int(Y.sum()), total_states, len(pairs))
 
-    base = [0] * d
-    k = 0
     for pair in pairs:
         s1 = _sigma(pair.j1, (), gparams)
         s2 = _sigma(pair.j2, (), gparams)
         _check("pair_branch_heads_equal", s1[:l], "==", s2[:l])
         _check("pair_branch_sizes_equal", len(pair.j1), "==", len(pair.j2))
-        for kk in range(d):
-            base[kk] += s2[kk]
-        k += len(pair.j1)
-    base = tuple(a % p for a in base)
-
+    base = _sigma([x for pair in pairs for x in pair.j2], (), gparams)
+    k = sum(len(pair.j1) for pair in pairs)
     return ExpansionCover(
         gparams, l, fibers, tuple(pairs), base, k,
         tuple(int(x) for x in first_step.reshape(-1)),

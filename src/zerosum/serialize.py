@@ -300,7 +300,11 @@ def cover_to_json(cover: ExpansionCover) -> dict:
 
 
 def cover_from_json(obj) -> ExpansionCover:
+    """An expansion cover's fields; ValueError unless 0 <= l <= d."""
     params = params_from_json(obj)
+    l = int(obj["l"])
+    if not 0 <= l <= params.d:
+        raise ValueError(f"l = {l} outside [0, {params.d}]")
     fibers = {
         tuple(int(x) for x in item["label"]): multiset_from_json(params, item["entries"])
         for item in obj["fibers"]
@@ -317,7 +321,7 @@ def cover_from_json(obj) -> ExpansionCover:
     )
     return ExpansionCover(
         params,
-        int(obj["l"]),
+        l,
         fibers,
         pairs,
         tuple(int(c) for c in obj["base"]),

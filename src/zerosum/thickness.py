@@ -607,15 +607,13 @@ def decompose(
     slicer(X, eps / 2)
 
     # Re-verification sweeps: every part must end up thick at the final
-    # iterate; failures are re-sliced on a shrinking removal allowance.
+    # iterate; failures are re-sliced on a shrinking removal allowance.  The
+    # last sweep's fractions give delta.
     while True:
         K = g.iterate(exponent, K0)
         Kp = g(K)
-        failing = []
-        for i, part in enumerate(parts):
-            frac, _ = hull_thickness(part, Kp)
-            if frac == 0:
-                failing.append(i)
+        fracs = [hull_thickness(part, Kp)[0] for part in parts]
+        failing = [i for i, frac in enumerate(fracs) if frac == 0]
         if not failing:
             break
         total_removed = sum(len(r) for r in removed)
@@ -628,15 +626,8 @@ def decompose(
             eps_local = allowance / (2 * len(redo) * len(piece))
             slicer(piece, eps_local)
 
-    K = g.iterate(exponent, K0)
-    Kp = g(K)
-    delta = None
-    for part in parts:
-        frac, _ = hull_thickness(part, Kp)
-        if frac < Fraction(1):
-            delta = frac if delta is None else min(delta, frac)
-    if delta is None:
-        delta = Fraction(1)  # every part is a single point: vacuously thick
+    # 1 when every part is a single point: vacuously thick
+    delta = min(fracs, default=Fraction(1))
     mu = min(Fraction(len(part), len(X)) for part in parts)
 
     x0 = GroupMultiset.empty(params)

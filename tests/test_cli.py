@@ -347,6 +347,17 @@ def test_verify_failure_trace_and_tamper(tmp_path, capsys):
         ("pipeline", {"p": 31, "d": 2, "entries": 7}),
         ("verify", [{"kind": "instance"}]),
         ("expand", {"p": 11, "d": 1, "l": 0}),
+        # l outside [0, d], a label without l coordinates, a cover's l outside [0, d]
+        ("expand", {"p": 11, "d": 2, "l": 3, "fibers": [{"label": [0, 0, 0], "entries": [[0, 1]]}]}),
+        ("expand", {"p": 11, "d": 2, "l": -1, "fibers": [{"label": [], "entries": [[0, 1]]}]}),
+        ("expand", {"p": 11, "d": 2, "l": 1, "fibers": [{"label": [0, 0], "entries": [[0, 1], [0, 3]]}]}),
+        (
+            "verify",
+            {
+                "schema_version": 1, "kind": "expansion_cover", "p": 11, "d": 2, "l": -1,
+                "fibers": [], "pairs": [], "base": [0, 0], "k": 0, "first_step": [0],
+            },
+        ),
     ],
 )
 def test_malformed_input_exits_1(tmp_path, capsys, command, payload):

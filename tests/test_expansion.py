@@ -8,8 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zerosum import serialize, verify
+from zerosum import expansion, serialize, verify
 from zerosum.expansion import (
     ExpansionParams,
     ExpansionStagnation,
@@ -109,6 +111,15 @@ def test_fiber_geometry_validation():
     bad = {(0,): ms(params, [(0, 1), (1, 2)])}
     with pytest.raises(ValueError):
         expansion_cover(bad, 1)
+    fiber = {(0,): ms(params, [(0, 1), (0, 2)])}
+    with pytest.raises(ValueError, match="outside"):
+        expansion_cover({(0, 0, 0): fiber[(0,)]}, 3)
+    with pytest.raises(ValueError, match="outside"):
+        expansion_cover({(): fiber[(0,)]}, -1)
+    with pytest.raises(ValueError, match="coordinates"):
+        expansion_cover({(0, 0): fiber[(0,)]}, 1)
+    with pytest.raises(ValueError, match="negative"):
+        expansion_cover(fiber, 1, ExpansionParams(T=-1))
 
 
 # -- thickness of the pair differences ----------------------------------------
@@ -169,6 +180,50 @@ def test_ad_step_d2_exhaustive_bound():
         len({params.add(y, c) for y in Y} - set(Y)) for c in A.support()
     )
     assert growth == best
+
+
+# d = 1-3 with at most 125 states, so Y can fill half the space
+AD_SHAPES = [(3, 1), (11, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+
+
+@st.composite
+def growth_instances(draw):
+    """(params, points of A, Y) with A nonempty and 1 <= |Y| <= p^d / 2."""
+    p, d = draw(st.sampled_from(AD_SHAPES))
+    params = GroupParams(p, d)
+    point = st.tuples(*[st.integers(0, p - 1)] * d)
+    A = draw(st.lists(point, min_size=1, max_size=12))
+    Y = draw(st.lists(point, min_size=1, max_size=params.order // 2, unique=True))
+    return params, A, Y
+
+
+@settings(max_examples=200, deadline=None)
+@given(growth_instances())
+def test_ad_step_matches_set_arithmetic(inst):
+    params, pts, Y = inst
+    growth_of = {a: len({params.add(y, a) for y in Y} - set(Y)) for a in set(pts)}
+    best = max(growth_of.values())
+    a, growth = alon_dubiner_step(ms(params, pts), Y)
+    assert growth == best
+    # the lexicographically first maximiser
+    assert a == min(c for c, g in growth_of.items() if g == best)
+
+
+def test_cover_steps_run_the_growth_step(monkeypatch):
+    # one scorer call per cover step, and one per alon_dubiner_step
+    calls = []
+    scorer = expansion._best_shift
+
+    def counted(*args):
+        calls.append(args[0].ndim)
+        return scorer(*args)
+
+    monkeypatch.setattr(expansion, "_best_shift", counted)
+    X = ms(GroupParams(11, 1), [(i,) for i in range(11)])
+    cover = expansion_cover({(): X}, 0, ExpansionParams(seed=1))
+    assert len(calls) == len(cover.pairs) == 4
+    alon_dubiner_step(ms(GroupParams(5, 2), [(1, 0)]), [(0, 0)])
+    assert calls == [1, 1, 1, 1, 2]
 
 
 def test_ad_step_preconditions():

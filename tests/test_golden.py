@@ -2,7 +2,8 @@
 
 `tests/data/golden.json` holds the outputs of the instances below as they were
 before the thickness scan was batched over directions; the two `failure_*`
-traces were added before `find_zero_sum` was split into stage functions.
+traces were added before `find_zero_sum` was split into stage functions, and
+the `cover_*` summaries before the cover's growth step became one scorer.
 Every later change that claims to keep outputs identical must reproduce them
 byte for byte.
 
@@ -18,7 +19,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from zerosum.generators import box, fiber_union
+from zerosum.expansion import ExpansionParams, ExpansionStagnation, expansion_cover
+from zerosum.generators import box, fiber_union, random_cloud
 from zerosum.group import GroupParams
 from zerosum.multiset import GroupMultiset
 from zerosum.pipeline import PipelineConfig, find_zero_sum
@@ -70,6 +72,73 @@ def _failing_cases():
     }
 
 
+def _cover_cases():
+    """Criterion 5's twenty fiber families (tests/test_acceptance.py) at each
+    rung of its ladder, the collinear fibers that need a relation pair
+    (tests/test_expansion.py) and one stagnation in each phase."""
+    ladder = [
+        ExpansionParams(T=2, per_step_samples=8, seed=0),
+        ExpansionParams(T=4, per_step_samples=16, seed=1),
+        ExpansionParams(T=4, per_step_samples=32, seed=2),
+    ]
+    families = []
+    for i in range(10):  # l = 0
+        p = [11, 13, 31][i % 3]
+        params = GroupParams(p, 2)
+        size = {11: 50, 13: 60, 31: 70}[p]
+        families.append(({(): random_cloud(params, size, seed=100 + i)}, 0))
+    for i in range(10):  # l = 1
+        p = [13, 31][i % 2]
+        params = GroupParams(p, 2)
+        fibers = {}
+        for lab in (-1, 0, 1) if i % 3 else (-2, -1, 0, 1):
+            vals = random.Random(1000 + 10 * i + lab).sample(range(p), 8)
+            fibers[(lab,)] = GroupMultiset.from_points(params, [(lab % p, v) for v in vals])
+        families.append((fibers, 1))
+    out = {}
+    for i, (fibers, l) in enumerate(families):
+        for rung, eparams in enumerate(ladder):
+            out[f"cover_ladder_{i:02d}_{rung}"] = (fibers, l, eparams)
+    p11 = GroupParams(11, 2)
+    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
+    collinear = {
+        (lab,): GroupMultiset.from_points(
+            p11, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)]
+        )
+        for lab, mult in counts.items()
+    }
+    out["cover_collinear"] = (collinear, 1, ExpansionParams(T=2, seed=0))
+    # two fibers of F_7^2 that stall past the half-space mark, and three
+    # whose pairs stop growing the reachable set after one step
+    p7 = GroupParams(7, 2)
+    stalls = {
+        "completion": {(-1,): [(6, 0), (6, 3)], (0,): [(0, 0), (0, 2), (0, 5), (0, 6)]},
+        "growth": {(-1,): [(6, 1), (6, 2), (6, 6)], (0,): [(0, 6), (0, 6)], (1,): [(1, 6)]},
+    }
+    for name, pts in stalls.items():
+        fibers = {lab: GroupMultiset.from_points(p7, xs) for lab, xs in pts.items()}
+        out[f"cover_stagnating_{name}"] = (fibers, 1, ExpansionParams())
+    return out
+
+
+def _cover_summary(fibers, l, eparams) -> dict:
+    """k, base, the pairs (j1, j2, sigma, source) and a SHA-256 prefix of
+    first_step; for a stagnating run its reason, coverage and pair count."""
+    try:
+        cover = expansion_cover(fibers, l, eparams)
+    except ExpansionStagnation as exc:
+        return {"reason": exc.reason, "covered": exc.covered, "pairs": exc.pairs}
+    return {
+        "k": cover.k,
+        "base": list(cover.base),
+        "pairs": [
+            [[list(x) for x in pr.j1], [list(x) for x in pr.j2], list(pr.sigma), pr.source]
+            for pr in cover.pairs
+        ],
+        "first_step": hashlib.sha256(_dump(list(cover.first_step)).encode()).hexdigest()[:16],
+    }
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -108,6 +177,8 @@ def golden_outputs() -> dict:
     for name, X in _strong_cases().items():
         sdec = strong_decompose(X, 0, Fraction(1, 4), g)
         out[f"strong_{name}"] = _dump(_strong_summary(sdec))
+    for name, (fibers, l, eparams) in _cover_cases().items():
+        out[name] = _dump(_cover_summary(fibers, l, eparams))
     return out
 
 
