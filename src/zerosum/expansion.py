@@ -172,10 +172,16 @@ def _sample_distinct(slots: List[Vec], k: int, rng: random.Random) -> List[Vec]:
 
 
 def _check_fiber_geometry(fibers: Dict[Vec, GroupMultiset], l: int, p: int):
-    """Each fiber constant on the first l coordinates, offsets matching labels."""
+    """Each fiber constant on the first l coordinates, offsets matching labels,
+    and no two labels congruent mod p (their fibers would share one slab)."""
     base_label = None
     base_coords = None
+    residues: Dict[Vec, Vec] = {}
     for label in sorted(fibers):
+        key = tuple(c % p for c in label)
+        if key in residues:
+            raise ValueError(f"fiber labels {residues[key]} and {label} are congruent mod {p}")
+        residues[key] = label
         fib = fibers[label]
         if len(fib) == 0:
             raise ValueError(f"fiber {label} is empty")
@@ -415,7 +421,8 @@ def expansion_cover(
 
     Raises ExpansionStagnation when no available pair grows the reachable set
     (or, past the half-space mark, none lands on the next uncovered target);
-    ValueError unless 0 <= l <= d, every label has l coordinates and T >= 0.
+    ValueError unless 0 <= l <= d, every label has l coordinates, no two
+    labels are congruent mod p and T >= 0.
     With l = d the target coset is a single point and the empty cover (k = 0)
     is returned.
     """

@@ -5,22 +5,29 @@ multiset, built by the incremental rule
 
     new = old | (old + x) | {x}
 
-processed one element copy at a time.  Adding x permutes the state space, so
-(old + x) is a d-fold cyclic roll of the table.  A first-reached-round array
-makes witness extraction a straight backtrack.  There is one DP path: a numpy
-boolean table of shape (p,) * d, rolled once per element copy, for every
-group size; it stops early once every state is reachable.
+processed one element copy at a time.  A first-reached-round array makes
+witness extraction a straight backtrack.
 
-On top of the table sit the ground-truth services: zero-sum witnesses,
+There is one reach kernel, shared by the DP and the Olson search: a reach set
+is one Python int whose bit i is the state with C-order index i (the bitset
+`ReachabilityTable.to_bitset_bytes` emits).  Adding x permutes the state
+space, so (old + x) is a d-fold cyclic rotation of that int: along axis i,
+with stride st = p^(d-1-i) and shift s = x_i, the states whose i-th
+coordinate is below p - s move up by s*st and the others down by (p-s)*st,
+one masked pair of shifts.  The DP stops early once every state is reachable.
+
+On top of the kernel sit the ground-truth services: zero-sum witnesses,
 largest zero-sum-free sets (branch and bound), and Olson constants.
 """
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import combinations, islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,24 +39,118 @@ class StateBudgetError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# The packed-integer reach kernel
+# ---------------------------------------------------------------------------
+
+
+def _repunit(p: int, d: int, axis: int) -> int:
+    """p^axis one bits, one every p^(d-axis) bits from bit 0: the lowest
+    state of each run of states that share their first `axis` coordinates.
+
+    Built by doubling, so no big-int division runs.
+    """
+    period = p ** (d - axis)
+    rep, copies = 1, 1
+    for bit in bin(p ** axis)[3:]:
+        rep |= rep << (copies * period)
+        copies *= 2
+        if bit == "1":
+            rep = (rep << period) | 1
+            copies += 1
+    return rep
+
+
+@lru_cache(maxsize=64)
+def _axis_moves(p: int, d: int) -> Tuple[Tuple[Optional[Tuple[int, int, int]], ...], ...]:
+    """Per axis and shift s: (repunit, up shift s*st, down shift (p-s)*st),
+    None for s = 0.  The cache holds one repunit per (p, d, axis)."""
+    out = []
+    for axis in range(d):
+        st = p ** (d - 1 - axis)
+        rep = _repunit(p, d, axis)
+        out.append((None,) + tuple((rep, s * st, (p - s) * st) for s in range(1, p)))
+    return tuple(out)
+
+
+def _moves(p: int, d: int, x: Vec) -> Tuple[Tuple[int, int, int], ...]:
+    """The `_axis_moves` entries of x's nonzero coordinates."""
+    table = _axis_moves(p, d)
+    return tuple(table[axis][s] for axis, s in enumerate(x) if s)
+
+
+def _rotate(reach: int, moves) -> int:
+    """The reach set translated by x, given x's `_moves`.
+
+    Along one axis the mask `lo` marks the states whose coordinate is below
+    p - s: a run of (p-s)*st ones at the start of each period of p*st bits.
+    """
+    for rep, up, down in moves:
+        lo = (rep << down) - rep
+        kept = reach & lo
+        reach = (kept << up) | ((reach ^ kept) >> down)
+    return reach
+
+
+def _bits(n: int, size: int) -> np.ndarray:
+    """Bits 0..size-1 of n as a uint8 array."""
+    raw = np.frombuffer(n.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
 @dataclass
 class ReachabilityTable:
     """All nonempty subsums of a multiset, with witness backtracking data.
 
-    first_round[s] is the index of the element copy whose processing first
-    reached state s (-1 if unreachable); order is the processing sequence.
+    Bit i of `reach` is set when the state with C-order index i is a nonempty
+    subsum.  first_round[s] is the index of the element copy whose processing
+    first reached state s (-1 if unreachable), held bit-sliced: bit i of
+    rounds[b] is bit b of first_round[i] + 1.  order is the processing
+    sequence.  `table` and `first_round` give the same data as numpy arrays
+    of shape (p,) * d, built on first use.
     """
 
     params: GroupParams
-    table: np.ndarray          # boolean, shape (p,) * d
-    first_round: np.ndarray    # int32, same shape
+    reach: int = field(repr=False)
+    rounds: Tuple[int, ...] = field(repr=False)
     order: Tuple[Vec, ...]
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Boolean, shape (p,) * d."""
+        pr = self.params
+        return _bits(self.reach, pr.order).view(bool).reshape((pr.p,) * pr.d)
+
+    @cached_property
+    def first_round(self) -> np.ndarray:
+        """int32, shape (p,) * d."""
+        pr = self.params
+        first = np.zeros(pr.order, dtype=np.int32)
+        for plane in reversed(self.rounds):
+            first <<= 1
+            first += _bits(plane, pr.order)
+        first -= 1
+        return first.reshape((pr.p,) * pr.d)
+
+    @cached_property
+    def _round_bytes(self) -> Tuple[bytes, ...]:
+        """`rounds` as little-endian bytes, which test one bit in O(1)."""
+        n = (self.params.order + 7) // 8
+        return tuple(plane.to_bytes(n, "little") for plane in self.rounds)
+
+    def _round_at(self, i: int) -> int:
+        byte, bit = i >> 3, i & 7
+        r = 0
+        for b, raw in enumerate(self._round_bytes):
+            r |= (raw[byte] >> bit & 1) << b
+        return r - 1
+
     def contains(self, v: Vec) -> bool:
-        return bool(self.table[tuple(v)])
+        pr = self.params
+        return bool(self.reach >> pr.index(pr.reduce(v)) & 1)
 
     def reachable_count(self) -> int:
-        return int(self.table.sum())
+        return self.reach.bit_count()
 
     def reachable_values(self) -> List[Vec]:
         idx = np.argwhere(self.table)
@@ -57,29 +158,42 @@ class ReachabilityTable:
 
     def to_bitset_bytes(self) -> bytes:
         """Raw little-endian bitset over mixed-radix state indices."""
-        flat = self.table.reshape(-1)
-        return np.packbits(flat, bitorder="little").tobytes()
+        return self.reach.to_bytes((self.params.order + 7) // 8, "little")
 
     def witness(self, target: Vec) -> Optional[GroupMultiset]:
-        """A nonempty sub-multiset summing to target, or None."""
+        """A nonempty sub-multiset summing to target, or None.
+
+        Each step backs out the element copy that first reached the current
+        state, whose predecessor was reached strictly earlier; the round thus
+        falls strictly inside [0, len(order)), so the walk takes at most
+        len(order) steps, and a table that breaks this raises InvariantError.
+        """
         pr = self.params
         t = pr.reduce(target)
-        if not self.table[t]:
+        if not self.reach >> pr.index(t) & 1:
             return None
-        picked: List[Vec] = []
+        picked: Dict[Vec, int] = {}
         cur = t
+        last = len(self.order)
         while True:
-            r = int(self.first_round[cur])
+            r = self._round_at(pr.index(cur))
+            _check("witness_round_reached", r, ">=", 0)
+            _check("witness_round_falls", r, "<", last)
             x = self.order[r]
-            picked.append(x)
+            picked[x] = picked.get(x, 0) + 1
             if cur == x:
                 break
             cur = pr.sub(cur, x)
-        return GroupMultiset.from_points(pr, picked)
+            last = r
+        return GroupMultiset(pr, picked)
 
 
 def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
-    """Reachability table of all nonempty subsums of A."""
+    """Reachability table of all nonempty subsums of A.
+
+    A growing step ORs its new states into the bit planes of its round
+    number plus one (`ReachabilityTable.rounds`).
+    """
     if len(A) == 0:
         raise ValueError("subsum enumeration needs at least one element")
     params = A.params
@@ -87,23 +201,21 @@ def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
         raise StateBudgetError("state space exceeds budget")
     seq = list(A.iter_with_multiplicity())
     p, d = params.p, params.d
-    shape = (p,) * d
-    reach = np.zeros(shape, dtype=bool)
-    first = np.full(shape, -1, dtype=np.int32)
-    count = 0
-    axes = tuple(range(d))
+    full = (1 << params.order) - 1
+    planes = [0] * len(seq).bit_length()
+    reach = 0
     for r, x in enumerate(seq):
-        if count == params.order:
+        if reach == full:
             break
-        shifted = np.roll(reach, shift=x, axis=axes)
-        shifted[tuple(x)] = True
-        new = shifted & ~reach
-        grown = np.count_nonzero(new)
-        if grown:
-            first[new] = r
-            reach |= new
-            count += grown
-    return ReachabilityTable(params, reach, first, tuple(seq))
+        grown = reach | _rotate(reach, _moves(p, d, x)) | (1 << params.index(x))
+        new = grown ^ reach
+        if new:
+            tag = r + 1
+            for b in range(tag.bit_length()):
+                if tag >> b & 1:
+                    planes[b] |= new
+            reach = grown
+    return ReachabilityTable(params, reach, tuple(planes), tuple(seq))
 
 
 def naive_subsums(A: GroupMultiset) -> set:
@@ -159,8 +271,17 @@ def find_zero_sum_subset(A: GroupMultiset) -> Optional[ZeroSumCertificate]:
 
 @dataclass
 class SearchBudget:
+    """Limits of a branch-and-bound search; passing any one of them ends it
+    with an interval instead of an exact value.
+
+    max_bytes bounds a running estimate of the live search frames: each
+    frame's reach int and its list of addable candidates.  The default
+    bounds them at 1 GiB.
+    """
+
     max_nodes: int = 20_000_000
     max_ms: Optional[int] = None
+    max_bytes: Optional[int] = 1 << 30
 
 
 @dataclass
@@ -217,15 +338,18 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     zero-sum-freeness, so some maximum set contains the lexicographically
     least nonzero vector; the root of the search fixes it.  A candidate x can
     join the current set S exactly when -x is not an attainable subsum, which
-    doubles as the feasibility pruning rule.
+    doubles as the feasibility pruning rule.  Each frame holds the subsums of
+    S as one reach int of the DP's kernel.
     """
     if budget is None:
         budget = SearchBudget()
-    p = params.p
-    zero = params.zero()
-    pts = [v for v in params.elements() if v != zero]
-    v0 = pts[0]  # (0, ..., 0, 1)
-    others = [v for v in pts if v != v0]
+    p, d, size_all = params.p, params.d, params.order
+    # candidates are state indices: index 1 is v0 = (0, ..., 0, 1), and
+    # neg[j] is the index of -x for the x of index j
+    v0 = params.unindex(1)
+    grid = np.arange(size_all).reshape((p,) * d)
+    neg = grid[np.ix_(*[-np.arange(p) % p] * d)].reshape(-1).tolist()
+    moves_of: Dict[int, tuple] = {}
 
     seed = _constructive_free_set(params)
     if not _is_zero_sum_free(list(seed), params):  # pragma: no cover - sanity
@@ -236,44 +360,52 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     deadline = None
     if budget.max_ms is not None:
         deadline = time.monotonic() + budget.max_ms / 1000.0
+    max_bytes = budget.max_bytes
+    # a frame's bytes: a reach int of up to p^d bits and its addable list
+    frame_base = sys.getsizeof((1 << size_all) - 1) + sys.getsizeof([])
     nodes = 0
+    live_bytes = 0
     exhausted = False
 
-    neg = params.neg
-    add = params.add
-
-    def reach_with(reach: frozenset, x: Vec) -> frozenset:
-        return reach | {add(s, x) for s in reach} | {x}
-
-    def dfs(size: int, reach: frozenset, cands: List[Vec]):
-        nonlocal best_size, best_witness, nodes, exhausted
+    def dfs(size: int, reach: int, cands: Sequence[int], start: int):
+        """Extend the current set by candidates cands[start:]."""
+        nonlocal best_size, best_witness, nodes, live_bytes, exhausted
         nodes += 1
         if exhausted:
             return
         if nodes > budget.max_nodes or (deadline is not None and time.monotonic() >= deadline):
             exhausted = True
             return
-        addable = [x for x in cands if neg(x) not in reach]
+        addable = [j for j in islice(cands, start, None) if not reach >> neg[j] & 1]
+        frame = frame_base + 8 * len(addable)
+        if max_bytes is not None and live_bytes + frame > max_bytes:
+            exhausted = True
+            return
         if size + len(addable) <= best_size:
             return
-        stack_path.append(None)
-        for i, x in enumerate(addable):
+        live_bytes += frame
+        stack_path.append(0)
+        for i, j in enumerate(addable):
             if size + (len(addable) - i) <= best_size:
                 break
-            stack_path[-1] = x
+            stack_path[-1] = j
             new_size = size + 1
             if new_size > best_size:
                 best_size = new_size
-                best_witness = tuple(sorted(v for v in stack_path if v is not None))
-            dfs(new_size, reach_with(reach, x), addable[i + 1 :])
+                best_witness = tuple(params.unindex(k) for k in sorted(stack_path))
+            moves = moves_of.get(j)
+            if moves is None:
+                moves = moves_of[j] = _moves(p, d, params.unindex(j))
+            dfs(new_size, reach | _rotate(reach, moves) | (1 << j), addable, i + 1)
             if exhausted:
                 break
         stack_path.pop()
+        live_bytes -= frame
 
-    stack_path: List[Optional[Vec]] = [v0]
+    stack_path: List[int] = [1]
     if 1 > best_size:
         best_size, best_witness = 1, (v0,)
-    dfs(1, frozenset({v0}), others)
+    dfs(1, 1 << 1, range(2, size_all), 0)
 
     exact = not exhausted
     if exact:

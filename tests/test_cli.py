@@ -358,6 +358,17 @@ def test_verify_failure_trace_and_tamper(tmp_path, capsys):
                 "fibers": [], "pairs": [], "base": [0, 0], "k": 0, "first_step": [0],
             },
         ),
+        # labels congruent mod p: two fibers in one slab
+        (
+            "expand",
+            {
+                "p": 11, "d": 2, "l": 1,
+                "fibers": [
+                    {"label": [0], "entries": [[0, 1], [0, 2]]},
+                    {"label": [11], "entries": [[0, 2], [0, 3]]},
+                ],
+            },
+        ),
     ],
 )
 def test_malformed_input_exits_1(tmp_path, capsys, command, payload):

@@ -1,9 +1,12 @@
-"""Golden comparison: seeded pipeline traces and strong decompositions.
+"""Golden comparison: seeded pipeline traces, strong decompositions, covers
+and the exact subset-sum and Olson oracles.
 
 `tests/data/golden.json` holds the outputs of the instances below as they were
 before the thickness scan was batched over directions; the two `failure_*`
-traces were added before `find_zero_sum` was split into stage functions, and
-the `cover_*` summaries before the cover's growth step became one scorer.
+traces were added before `find_zero_sum` was split into stage functions, the
+`cover_*` summaries before the cover's growth step became one scorer, and the
+`subsums_*` and `olson_*` keys before the subset-sum DP and the Olson search
+moved from numpy tables and frozensets onto one packed-integer kernel.
 Every later change that claims to keep outputs identical must reproduce them
 byte for byte.
 
@@ -25,6 +28,7 @@ from zerosum.group import GroupParams
 from zerosum.multiset import GroupMultiset
 from zerosum.pipeline import PipelineConfig, find_zero_sum
 from zerosum.serialize import frac_str, multiset_to_json, trace_to_json
+from zerosum.subsums import SearchBudget, enumerate_subsums, max_zero_sum_free, olson_constant
 from zerosum.thickness import GrowthFunction, strong_decompose
 
 FIXTURE = Path(__file__).parent / "data" / "golden.json"
@@ -121,6 +125,80 @@ def _cover_cases():
     return out
 
 
+# the oracles benchmark's subset-sum groups: d(p-1)+1 distinct random points each
+DP_GROUPS = (
+    (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (19, 2), (23, 2),
+    (11, 3), (17, 3), (19, 3), (23, 3), (31, 2), (31, 3), (101, 3),
+    (5, 2), (7, 2), (13, 2), (19, 2), (23, 2), (17, 3), (19, 3), (23, 3),
+)
+# exact Olson searches: the oracles benchmark's groups, F_3^3 and F_41
+OLSON_GROUPS = (
+    (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (29, 1), (31, 1), (37, 1), (3, 2), (5, 2),
+    (3, 3), (41, 1),
+)
+
+
+def _subsum_cases():
+    """The DP inputs: one random set per DP_GROUPS entry, then for d = 1..3 a
+    lone zero, a repeated element, an early saturation (every state, twice)
+    and a zero-sum-free set."""
+    rng = random.Random("golden/subsums")
+    out = {}
+    for i, (p, d) in enumerate(DP_GROUPS):
+        params = GroupParams(p, d)
+        pts = set()
+        while len(pts) < d * (p - 1) + 1:
+            pts.add(tuple(rng.randrange(p) for _ in range(d)))
+        out[f"subsums_random_{i:02d}"] = GroupMultiset.from_points(params, sorted(pts))
+    for p, d in ((7, 1), (5, 2), (3, 3)):
+        params = GroupParams(p, d)
+        every = list(params.elements())
+        out[f"subsums_zero_{d}"] = GroupMultiset.from_points(params, [params.zero()])
+        out[f"subsums_repeated_{d}"] = GroupMultiset(params, {(1,) * d: p, (2,) + (0,) * (d - 1): 2})
+        out[f"subsums_saturating_{d}"] = GroupMultiset.from_points(params, every + every)
+        basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        out[f"subsums_free_{d}"] = GroupMultiset(params, {e: p - 1 for e in basis})
+    return out
+
+
+def _digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def _subsum_summary(A) -> dict:
+    """SHA-256 prefixes of the table, first_round, order and zero witness."""
+    table = enumerate_subsums(A)
+    witness = table.witness(A.params.zero())
+    return {
+        "shape": list(table.table.shape),
+        "table": _digest(table.table.astype("u1").tobytes()),
+        "first_round": _digest(table.first_round.astype("<i4").tobytes()),
+        "order": _digest(_dump([list(x) for x in table.order]).encode()),
+        "zero_witness": None if witness is None else _digest(_dump(multiset_to_json(witness)).encode()),
+    }
+
+
+def _olson_summaries() -> dict:
+    out = {}
+    for p, d in OLSON_GROUPS:
+        res = max_zero_sum_free(GroupParams(p, d))
+        out[f"olson_free_{p}_{d}"] = {
+            "size": res.size,
+            "witness": [list(v) for v in res.witness],
+            "nodes": res.nodes,
+            "exact": res.exact,
+        }
+    budgeted = olson_constant(GroupParams(13, 2), SearchBudget(max_nodes=50))
+    out["olson_budget_13_2"] = budgeted.as_dict()
+    return out
+
+
+def oracle_outputs() -> dict:
+    out = {name: _dump(_subsum_summary(A)) for name, A in _subsum_cases().items()}
+    out.update((name, _dump(summary)) for name, summary in _olson_summaries().items())
+    return out
+
+
 def _cover_summary(fibers, l, eparams) -> dict:
     """k, base, the pairs (j1, j2, sigma, source) and a SHA-256 prefix of
     first_step; for a stagnating run its reason, coverage and pair count."""
@@ -179,6 +257,7 @@ def golden_outputs() -> dict:
         out[f"strong_{name}"] = _dump(_strong_summary(sdec))
     for name, (fibers, l, eparams) in _cover_cases().items():
         out[name] = _dump(_cover_summary(fibers, l, eparams))
+    out.update(oracle_outputs())
     return out
 
 

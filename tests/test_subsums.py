@@ -1,14 +1,20 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zerosum.group import GroupParams
+from zerosum.group import GroupParams, InvariantError
 from zerosum.multiset import GroupMultiset
 from zerosum.pipeline import verify_certificate
 from zerosum.subsums import (
     SearchBudget,
     StateBudgetError,
     ZeroSumCertificate,
+    _moves,
+    _rotate,
     enumerate_subsums,
     find_zero_sum_subset,
     max_zero_sum_free,
@@ -201,3 +207,91 @@ def test_certificate_rejects_other_group():
     cert = ZeroSumCertificate(p5, ms(p5, [(1,), (4,)]))
     assert not cert.verify(X)
     assert not verify_certificate(X, cert)
+
+
+# ---------------------------------------------------------------------------
+# The packed-integer reach kernel
+# ---------------------------------------------------------------------------
+
+SHAPES = [(3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+
+
+@st.composite
+def reach_and_shift(draw):
+    p, d = draw(st.sampled_from(SHAPES))
+    reach = draw(st.integers(0, (1 << p ** d) - 1))
+    x = draw(st.tuples(*[st.integers(0, p - 1)] * d))
+    return p, d, reach, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(reach_and_shift())
+def test_rotation_matches_np_roll(case):
+    p, d, reach, x = case
+    table = np.array([reach >> i & 1 for i in range(p ** d)], dtype=bool).reshape((p,) * d)
+    rolled = np.roll(table, shift=x, axis=tuple(range(d))).reshape(-1)
+    assert _rotate(reach, _moves(p, d, x)) == sum(1 << int(i) for i in np.flatnonzero(rolled))
+
+
+@st.composite
+def small_multisets(draw):
+    p, d = draw(st.sampled_from(SHAPES))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * d), min_size=1, max_size=10))
+    return ms(GroupParams(p, d), pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multisets())
+def test_kernel_matches_naive_subsums(A):
+    table = enumerate_subsums(A)
+    expected = naive_subsums(A)
+    assert reachable_set(table) == expected
+    assert table.reachable_count() == len(expected)
+    assert (table.first_round >= 0).tolist() == table.table.tolist()
+    assert table.to_bitset_bytes() == np.packbits(table.table.reshape(-1), bitorder="little").tobytes()
+    for target in expected:
+        assert table.contains(target)
+        w = table.witness(target)
+        assert len(w) > 0 and A.contains_submultiset(w) and w.total() == target
+
+
+def _with_round(table, state, r):
+    """table with first_round of `state` set to r (-1: unreached)."""
+    i, tag = table.params.index(state), r + 1
+    planes = table.rounds + (0,) * (tag.bit_length() - len(table.rounds))
+    rounds = tuple((pl & ~(1 << i)) | ((tag >> b & 1) << i) for b, pl in enumerate(planes))
+    return dataclasses.replace(table, rounds=rounds)
+
+
+def test_witness_rejects_corrupt_rounds():
+    # rounds 0, 1, 2 add 1, 2, 4: 3 = 1 + 2 is first reached in round 1, and
+    # 6 = 2 + 4 in round 2
+    params = GroupParams(7, 1)
+    table = enumerate_subsums(ms(params, [(1,), (2,), (4,)]))
+    assert table.first_round.tolist() == [2, 0, 1, 1, 2, 2, 2]
+    with pytest.raises(InvariantError, match="witness_round_reached"):
+        _with_round(table, (3,), -1).witness((3,))
+    # claimed by round 2, 3 backs out 4 to 6, which round 2 reached too
+    with pytest.raises(InvariantError, match="witness_round_falls"):
+        _with_round(table, (3,), 2).witness((3,))
+    # a round past the end of the processing order
+    with pytest.raises(InvariantError, match="witness_round_falls"):
+        _with_round(table, (3,), 3).witness((3,))
+
+
+def test_olson_memory_budget_interval():
+    params = GroupParams(5, 2)
+    exact = olson_constant(params)
+    assert exact.exact and exact.olson == 7
+    # no room for even the root frame: the constructive set is the witness
+    none = olson_constant(params, SearchBudget(max_bytes=0))
+    assert (none.exact, none.olson, none.nodes) == (False, None, 1)
+    assert none.lower <= exact.olson <= none.upper == 2 * 4 + 1
+    # room for a few frames: the search stops part way down
+    tight = olson_constant(params, SearchBudget(max_bytes=1000))
+    assert not tight.exact and 1 < tight.nodes < exact.nodes
+    assert none.lower <= tight.lower <= exact.olson
+    for res in (none, tight):
+        assert find_zero_sum_subset(ms(params, list(res.witness))) is None
+    roomy = olson_constant(params, SearchBudget(max_bytes=1 << 20))
+    assert roomy.as_dict() == exact.as_dict()
