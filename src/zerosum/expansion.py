@@ -18,10 +18,20 @@ step; past the half-space mark each remaining target is finished by an
 exhaustive search for a pair landing on it.  All pairs are disjoint, drawn
 from per-fiber free lists, so the final object selects, for every target u,
 sub-multisets S_y with a fixed total cardinality and prescribed sum.
+
+Each step builds one growth table, |(Y + sigma) \\ Y| for every sigma from a
+single FFT autocorrelation of Y, and scores every candidate by lookup; the
+chosen shift is recounted exactly.  Fiber pairs are built for all free
+supports at once in numpy.  A relation pair uses at least four elements
+against a fiber pair's two, so it wins only with strictly larger growth:
+relations are sampled only on steps where the best fiber pair falls short of
+the table's maximum over admissible sigma.  A step that skips them still
+draws the same random numbers, so every cover is the one full sampling builds.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -88,19 +98,24 @@ _COMBO_CAP = 2_000_000
 _SUPPORT_CAP = 4
 
 
-def enumerate_relations(labels: Sequence[Vec], T: int) -> List[RelationVector]:
+def enumerate_relations(labels: Sequence[Vec], T: int) -> Tuple[RelationVector, ...]:
     """Usable relations with infinity norm at most T.
 
     When the kernel lattice of the (l+1) x |Y| label matrix is small enough,
     bounded integer combinations of a kernel basis are enumerated directly;
     independently, relations of support <= _SUPPORT_CAP are found by brute
     force over label subsets, which also catches small vectors the cleared-
-    denominator basis can miss.  Results are deduplicated and sorted.
+    denominator basis can miss.  Results are deduplicated and sorted, and
+    computed once per sorted label set and T.
     """
-    labels = sorted(labels)
+    return _relations(tuple(sorted(tuple(lab) for lab in labels)), T)
+
+
+@functools.lru_cache(maxsize=64)
+def _relations(labels: Tuple[Vec, ...], T: int) -> Tuple[RelationVector, ...]:
     ny = len(labels)
     if ny == 0:
-        return []
+        return ()
     l = len(labels[0])
     found: Dict[Tuple[Tuple[Vec, int], ...], RelationVector] = {}
 
@@ -152,7 +167,7 @@ def enumerate_relations(labels: Sequence[Vec], T: int) -> List[RelationVector]:
                     continue
                 register(dict(zip(subs, coeffs)))
 
-    return [found[key] for key in sorted(found)]
+    return tuple(found[key] for key in sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +175,74 @@ def enumerate_relations(labels: Sequence[Vec], T: int) -> List[RelationVector]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_distinct(slots: List[Vec], k: int, rng: random.Random) -> List[Vec]:
-    pool = list(slots)
-    n = len(pool)
+def _randbelow(rng: random.Random, widths: Iterable[int]) -> List[int]:
+    """One uniform draw from range(w) per width w, made as CPython 3.11's
+    rng.randrange(i, i + w) makes it: getrandbits(w.bit_length()) until the
+    result is below w.  Sampling and the steps that skip it share this
+    stream."""
+    getrandbits = rng.getrandbits
     out = []
-    for i in range(k):
-        j = rng.randrange(i, n)
-        pool[i], pool[j] = pool[j], pool[i]
-        out.append(pool[i])
+    for w in widths:
+        k = w.bit_length()
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        out.append(r)
     return out
+
+
+def _sample_distinct(slots: Sequence[Vec], k: int, rng: random.Random) -> List[Vec]:
+    """The first k picks of a Fisher-Yates shuffle of slots, which swaps
+    position i with i + randbelow(n - i); only moved positions are stored."""
+    n = len(slots)
+    moved: Dict[int, Vec] = {}
+    out = []
+    for i, r in enumerate(_randbelow(rng, range(n, n - k, -1))):
+        j = i + r
+        out.append(moved.get(j, slots[j]))
+        moved[j] = moved.get(i, slots[i])
+    return out
+
+
+def _relation_candidates(
+    relations: Sequence[RelationVector],
+    free: Dict[Vec, List[Vec]],
+    samples: int,
+    rng: random.Random,
+    params: GroupParams,
+    build: bool,
+) -> Dict[Vec, Tuple]:
+    """sigma -> (j1, j2, rel) from `samples` selections of every relation
+    the free lists can still serve, keeping per sigma the cheapest
+    realization (fewest elements, then least (j1, j2)): pairs eat free
+    elements, and a wasteful one can starve the later completion steps.
+    With build False only the random numbers are drawn and {} is returned."""
+    cands: Dict[Vec, Tuple] = {}
+    for rel in relations:
+        if any(len(free[lab]) < abs(c) for lab, c in rel.entries):
+            continue
+        if not build:
+            widths = [
+                len(free[lab]) - i
+                for lab, c in rel.positive() + rel.negative()
+                for i in range(c)
+            ]
+            _randbelow(rng, widths * samples)
+            continue
+        for _ in range(samples):
+            j1 = tuple(sorted(
+                x for lab, c in rel.positive() for x in _sample_distinct(free[lab], c, rng)
+            ))
+            j2 = tuple(sorted(
+                x for lab, c in rel.negative() for x in _sample_distinct(free[lab], c, rng)
+            ))
+            sigma = _sigma(j1, j2, params)
+            held = cands.get(sigma)
+            if held is None or (len(held[0]) + len(held[1]), held[0], held[1]) > (
+                len(j1) + len(j2), j1, j2,
+            ):
+                cands[sigma] = (j1, j2, rel)
+    return cands
 
 
 def _check_fiber_geometry(fibers: Dict[Vec, GroupMultiset], l: int, p: int):
@@ -221,21 +295,59 @@ def _sigma(j1: Iterable[Vec], j2: Iterable[Vec], params: GroupParams) -> Vec:
 # ---------------------------------------------------------------------------
 
 
+def _growth_table(Y: np.ndarray) -> np.ndarray:
+    """|(Y + s) \\ Y| for every shift s of (p,)^D: |Y| minus the overlap
+    sum_z 1_Y(z) 1_Y(z - s), a cyclic autocorrelation taken with one real
+    FFT and rounded to integers."""
+    axes = tuple(range(Y.ndim))
+    spectrum = np.fft.rfftn(Y, axes=axes)
+    overlap = np.fft.irfftn(spectrum * spectrum.conj(), s=Y.shape, axes=axes)
+    counts = np.rint(overlap)
+    _check("growth_table_rounding", float(np.abs(overlap - counts).max()), "<=", 0.25)
+    return np.count_nonzero(Y) - counts.astype(np.int64)
+
+
 def _best_shift(
-    Y: np.ndarray, shifts: Sequence[Vec], costs: Sequence[int]
+    Y: np.ndarray, table: np.ndarray, shifts: np.ndarray | Sequence[Vec], costs: Sequence[int]
 ) -> Tuple[Optional[int], int, Optional[np.ndarray]]:
     """The growth step: (i, growth, new) for the shift s = shifts[i] that
     maximises (|(Y + s) \\ Y|, -costs[i]), the first one on ties, where new
-    marks the states Y + s adds.  (None, 0, None) when there is no shift."""
-    axes = tuple(range(Y.ndim))
-    free = ~Y
-    best, best_key, best_new = None, (0, 0), None
-    for i, (shift, cost) in enumerate(zip(shifts, costs)):
-        new = np.roll(Y, shift=shift, axis=axes) & free
-        key = (int(np.count_nonzero(new)), -cost)
-        if best is None or key > best_key:
-            best, best_key, best_new = i, key, new
-    return best, best_key[0], best_new
+    marks the states Y + s adds.  Growths are read from table, the
+    _growth_table of Y, and the chosen one is recounted with one roll.
+    (None, 0, None) when there is no shift."""
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, Y.ndim)
+    if not len(shifts):
+        return None, 0, None
+    growth = table[tuple(shifts.T)]
+    tied = np.flatnonzero(growth == growth.max())
+    i = int(tied[np.argmin(np.asarray(costs)[tied])])
+    new = np.roll(Y, shift=tuple(int(c) for c in shifts[i]), axis=tuple(range(Y.ndim))) & ~Y
+    _check("growth_table_recount", int(np.count_nonzero(new)), "==", int(growth[i]))
+    return i, int(growth[i]), new
+
+
+def _fiber_pairs(
+    free: Dict[Vec, List[Vec]], l: int, p: int, d: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b), a != b, of free points inside one fiber,
+    kept per difference sigma = a - b as the lexicographically least (a, b):
+    (C-order codes of sigma's last d - l coordinates, ascending; the a rows;
+    the b rows).  The first l coordinates of sigma are zero."""
+    a_rows, b_rows = [], []
+    for support in free.values():
+        pts = np.array(sorted(set(support)), dtype=np.int64).reshape(-1, d)
+        ia, ib = np.nonzero(~np.eye(len(pts), dtype=bool))
+        a_rows.append(pts[ia])
+        b_rows.append(pts[ib])
+    a, b = np.concatenate(a_rows), np.concatenate(b_rows)
+    if not len(a):
+        return np.zeros(0, dtype=np.int64), a, b
+    full, sub = (p,) * d, (p,) * (d - l)
+    sig = np.ravel_multi_index(((a[:, l:] - b[:, l:]) % p).T, sub)
+    order = np.lexsort((np.ravel_multi_index(b.T, full), np.ravel_multi_index(a.T, full), sig))
+    codes, first = np.unique(sig[order], return_index=True)
+    keep = order[first]
+    return codes, a[keep], b[keep]
 
 
 def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
@@ -259,7 +371,7 @@ def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
     for v in yset:
         Y[v] = True
     support = sorted(A.support())
-    i, growth, _new = _best_shift(Y, support, [0] * len(support))
+    i, growth, _new = _best_shift(Y, _growth_table(Y), support, [0] * len(support))
     return support[i], growth
 
 
@@ -422,7 +534,7 @@ def expansion_cover(
     Raises ExpansionStagnation when no available pair grows the reachable set
     (or, past the half-space mark, none lands on the next uncovered target);
     ValueError unless 0 <= l <= d, every label has l coordinates, no two
-    labels are congruent mod p and T >= 0.
+    labels are congruent mod p, T >= 0 and per_step_samples >= 0.
     With l = d the target coset is a single point and the empty cover (k = 0)
     is returned.
     """
@@ -440,6 +552,8 @@ def expansion_cover(
         raise ValueError(f"every fiber label must have l = {l} coordinates")
     if params.T < 0:
         raise ValueError(f"relation bound T = {params.T} is negative")
+    if params.per_step_samples < 0:
+        raise ValueError(f"per_step_samples = {params.per_step_samples} is negative")
     D = d - l
     _check_fiber_geometry(fibers, l, p)
 
@@ -447,7 +561,7 @@ def expansion_cover(
         return ExpansionCover(gparams, l, fibers, (), (0,) * d, 0, ())
 
     labels = sorted(fibers)
-    relations = enumerate_relations(labels, params.T) if l > 0 else []
+    relations = enumerate_relations(labels, params.T) if l > 0 else ()
     # per label, the elements no pair has taken yet, sorted with multiplicity
     free = {label: sorted(fibers[label].iter_with_multiplicity()) for label in labels}
 
@@ -462,70 +576,59 @@ def expansion_cover(
     pairs: List[CoverPair] = []
     hard_cap = 2 * total_states + 16
 
-    def available_candidates() -> Dict[Vec, Tuple]:
-        cands: Dict[Vec, Tuple] = {}
-
-        def offer(sigma_full, j1, j2, source, rel):
-            j1s, j2s = tuple(sorted(j1)), tuple(sorted(j2))
-            held = cands.get(sigma_full)
-            # cheapest realization first: pairs eat free elements, and a
-            # wasteful one can starve the later completion steps
-            if held is None or (len(held[0]) + len(held[1]), held[0], held[1]) > (
-                len(j1s) + len(j2s), j1s, j2s,
-            ):
-                cands[sigma_full] = (j1s, j2s, source, rel)
-
-        for label in labels:
-            support = sorted(set(free[label]))
-            for a in support:
-                for b in support:
-                    if a != b:
-                        offer(gparams.sub(a, b), (a,), (b,), "fiber-pair", None)
-        for rel in relations:
-            if any(len(free[lab]) < abs(c) for lab, c in rel.entries):
-                continue
-            for _ in range(params.per_step_samples):
-                j1: List[Vec] = []
-                j2: List[Vec] = []
-                for lab, c in rel.positive():
-                    j1.extend(_sample_distinct(free[lab], c, rng))
-                for lab, c in rel.negative():
-                    j2.extend(_sample_distinct(free[lab], c, rng))
-                offer(_sigma(j1, j2, gparams), j1, j2, "relation", rel)
-        return cands
-
     while not Y.all():
         covered = int(Y.sum())
-        cands = available_candidates()
-        if not cands:
+        table = _growth_table(Y)
+        growth_of = table.reshape(-1)
+        # past the half-space mark only sigmas landing on the first uncovered
+        # target compete
+        growing = 2 * covered <= total_states
+        if growing:
+            admissible = np.ones(total_states, dtype=bool)
+        else:
+            target = np.argwhere(~Y)[0]
+            admissible = Y[np.ix_(*[(t - np.arange(p)) % p for t in target])].reshape(-1)
+        bound = int(growth_of[admissible].max())
+        fiber_codes, fa, fb = _fiber_pairs(free, l, p, d)
+        fiber_growth = growth_of[fiber_codes[admissible[fiber_codes]]]
+        # a relation pair uses >= 4 elements against a fiber pair's 2, so it
+        # can win only when no admissible fiber pair reaches the bound
+        rel_cands = _relation_candidates(
+            relations, free, params.per_step_samples, rng, gparams,
+            build=not len(fiber_growth) or int(fiber_growth.max()) < bound,
+        )
+        # a fiber pair beats any relation pair with the same sigma on cost
+        rel_by_code = {int(np.ravel_multi_index(sigma[l:], shape)): sigma for sigma in rel_cands}
+        rel_codes = sorted(rel_by_code.keys() - set(fiber_codes.tolist()))
+        if not len(fiber_codes) and not rel_codes:
             raise ExpansionStagnation("no available pairs", covered, total_states, len(pairs))
         # maximize growth, then prefer the pair consuming the fewest
-        # elements; past the half-space mark only pairs landing on the first
-        # uncovered target compete
-        sigmas = sorted(cands)
-        growing = 2 * covered <= total_states
-        if not growing:
-            target = tuple(int(c) for c in np.argwhere(~Y)[0])
-            sigmas = [
-                sigma for sigma in sigmas
-                if Y[tuple((t - s) % p for t, s in zip(target, sigma[l:]))]
-            ]
-        i, growth, new = _best_shift(
-            Y,
-            [sigma[l:] for sigma in sigmas],
-            [len(cands[sigma][0]) + len(cands[sigma][1]) for sigma in sigmas],
+        # elements (both branches of a pair have the same size), then the
+        # least sigma
+        codes = np.concatenate([fiber_codes, np.array(rel_codes, dtype=np.int64)])
+        costs = np.array(
+            [2] * len(fiber_codes) + [2 * len(rel_cands[rel_by_code[c]][0]) for c in rel_codes]
         )
+        ranks = np.argsort(codes)
+        ranks = ranks[admissible[codes[ranks]]]
+        shifts = np.stack(np.unravel_index(codes[ranks], shape), axis=1)
+        i, growth, new = _best_shift(Y, table, shifts, costs[ranks])
         if growth < 1:
             reason = "no growth" if growing else "completion blocked"
             raise ExpansionStagnation(reason, covered, total_states, len(pairs))
-        sigma = sigmas[i]
-        j1, j2, source, rel = cands[sigma]
+        pick = int(ranks[i])
+        if pick < len(fiber_codes):
+            a, b = (tuple(int(c) for c in pt[pick]) for pt in (fa, fb))
+            j1, j2, rel, sigma = (a,), (b,), None, gparams.sub(a, b)
+        else:
+            sigma = rel_by_code[rel_codes[pick - len(fiber_codes)]]
+            j1, j2, rel = rel_cands[sigma]
         for x in j1 + j2:
             # the last fiber holding x, where ExpansionCover.select files it
             free[next(lab for lab in reversed(labels) if x in fibers[lab])].remove(x)
         first_step[new] = len(pairs) + 1
         Y |= new
-        pairs.append(CoverPair(j1, j2, sigma, source, rel))
+        pairs.append(CoverPair(j1, j2, sigma, "fiber-pair" if rel is None else "relation", rel))
         if len(pairs) > hard_cap:
             raise ExpansionStagnation("pair cap", int(Y.sum()), total_states, len(pairs))
 

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from zerosum.expansion import (
     enumerate_relations,
     expansion_cover,
 )
-from zerosum.group import GroupParams, canonical_linear_parts
+from zerosum.group import GroupParams, InvariantError, canonical_linear_parts
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import min_outside_fraction
 
@@ -59,10 +60,17 @@ def test_enumerate_relations_parallelogram():
     )
 
 
+def test_enumerate_relations_computed_once_per_label_set():
+    rels = enumerate_relations([(1,), (-1,), (0,)], 2)
+    assert isinstance(rels, tuple)
+    assert enumerate_relations([(-1,), (0,), (1,)], 2) is rels
+    assert enumerate_relations([(-1,), (0,), (1,)], 1) is not rels
+
+
 def test_enumerate_relations_no_relation():
-    assert enumerate_relations([(0,)], 4) == []
+    assert enumerate_relations([(0,)], 4) == ()
     # two distinct labels admit no bounded relation
-    assert enumerate_relations([(0,), (1,)], 4) == []
+    assert enumerate_relations([(0,), (1,)], 4) == ()
 
 
 # -- pair provenance ---------------------------------------------------------
@@ -120,6 +128,8 @@ def test_fiber_geometry_validation():
         expansion_cover({(0, 0): fiber[(0,)]}, 1)
     with pytest.raises(ValueError, match="negative"):
         expansion_cover(fiber, 1, ExpansionParams(T=-1))
+    with pytest.raises(ValueError, match="per_step_samples"):
+        expansion_cover(fiber, 1, ExpansionParams(per_step_samples=-1))
 
 
 # -- thickness of the pair differences ----------------------------------------
@@ -207,6 +217,180 @@ def test_ad_step_matches_set_arithmetic(inst):
     assert growth == best
     # the lexicographically first maximiser
     assert a == min(c for c, g in growth_of.items() if g == best)
+
+
+@st.composite
+def grids(draw):
+    """Boolean (p,)^d arrays, d = 1-3: empty, full or random."""
+    p, d = draw(st.sampled_from([(2, 1), (3, 1), (11, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]))
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=p ** d, max_size=p ** d))
+    else:
+        bits = [kind == "full"] * p ** d
+    return np.array(bits, dtype=bool).reshape((p,) * d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+def test_growth_table_matches_roll_counts(Y):
+    table = expansion._growth_table(Y)
+    assert table.shape == Y.shape
+    axes = tuple(range(Y.ndim))
+    for shift in np.ndindex(Y.shape):
+        assert table[shift] == np.count_nonzero(np.roll(Y, shift, axis=axes) & ~Y)
+
+
+def test_growth_table_recount_survives_optimize_flag():
+    # a table entry that overstates one shift's growth makes the scorer pick
+    # that shift; its recount must raise under python -O too
+    script = (
+        "from zerosum import expansion\n"
+        "from zerosum.group import GroupParams, InvariantError\n"
+        "from zerosum.multiset import GroupMultiset\n"
+        "table = expansion._growth_table\n"
+        "def wrong(Y):\n"
+        "    out = table(Y)\n"
+        "    out[(5,) * Y.ndim] += 3\n"
+        "    return out\n"
+        "expansion._growth_table = wrong\n"
+        "for call in (\n"
+        "    lambda: expansion.expansion_cover(\n"
+        "        {(): GroupMultiset.from_points(GroupParams(11, 1), [(i,) for i in range(11)])}, 0),\n"
+        "    lambda: expansion.alon_dubiner_step(\n"
+        "        GroupMultiset.from_points(GroupParams(11, 2), [(1, 0), (5, 5)]), [(0, 0)]),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantError as exc:\n"
+        "        print(exc.name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["growth_table_recount"] * 2
+
+
+def naive_fiber_pairs(free, l, p):
+    """sigma tail -> the least (a, b) over ordered pairs of distinct free
+    points inside one fiber, by dictionary."""
+    best = {}
+    for support in free.values():
+        pts = sorted(set(support))
+        for a in pts:
+            for b in pts:
+                if a != b:
+                    tail = tuple((x - y) % p for x, y in zip(a[l:], b[l:]))
+                    best[tail] = min(best.get(tail, (a, b)), (a, b))
+    return best
+
+
+@st.composite
+def free_lists(draw):
+    """Free lists of one to four fibers of F_p^d, l = d - 1 or l = 0."""
+    p, d = draw(st.sampled_from([(3, 1), (5, 2), (7, 2), (3, 3)]))
+    l = draw(st.sampled_from([0, d - 1]))
+    labels = [()] if l == 0 else [(i,) * l for i in range(draw(st.integers(1, min(4, p))))]
+    free = {}
+    for label in labels:
+        tail = st.tuples(*[st.integers(0, p - 1)] * (d - l))
+        tails = draw(st.lists(tail, max_size=8))
+        free[label] = sorted(tuple(c % p for c in label) + t for t in tails)
+    return free, l, p, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_lists())
+def test_fiber_pairs_match_pairwise_offers(inst):
+    free, l, p, d = inst
+    codes, a, b = expansion._fiber_pairs(free, l, p, d)
+    want = naive_fiber_pairs(free, l, p)
+    tails = [tuple(int(c) for c in np.unravel_index(code, (p,) * (d - l))) for code in codes]
+    assert tails == sorted(want)
+    got = [(tuple(map(int, x)), tuple(map(int, y))) for x, y in zip(a, b)]
+    assert got == [want[t] for t in tails]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2026])
+def test_randbelow_matches_randrange(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 71):
+        for i in (0, n // 2, n - 1):
+            assert i + expansion._randbelow(ours, [n - i])[0] == ref.randrange(i, n)
+    assert ours.getstate() == ref.getstate()
+    # one call over many widths draws the same stream
+    widths = list(range(1, 71)) * 3
+    assert expansion._randbelow(ours, widths) == [ref.randrange(w) for w in widths]
+    assert ours.getstate() == ref.getstate()
+
+
+def test_sample_distinct_matches_partial_shuffle():
+    # the list-copying shuffle it replaces: swap i with randrange(i, n)
+    def copying(slots, k, rng):
+        pool, out = list(slots), []
+        for i in range(k):
+            j = rng.randrange(i, len(pool))
+            pool[i], pool[j] = pool[j], pool[i]
+            out.append(pool[i])
+        return out
+
+    ours, ref = random.Random(5), random.Random(5)
+    for n in range(1, 12):
+        slots = [(n, v % 4) for v in range(n)]  # with repeats
+        for k in range(n + 1):
+            assert expansion._sample_distinct(slots, k, ours) == copying(slots, k, ref)
+    assert ours.getstate() == ref.getstate()
+
+
+def test_skipped_sampling_draws_what_sampling_draws():
+    # labels -1..2 admit several relations; the fiber (2,) holds one element,
+    # so relations with |lambda_2| >= 2 are unusable and draw nothing
+    params = GroupParams(11, 2)
+    free = {
+        (-1,): [(10, 0), (10, 1), (10, 1), (10, 4)],
+        (0,): [(0, 2), (0, 3), (0, 3)],
+        (1,): [(1, 0), (1, 5), (1, 6), (1, 7), (1, 9)],
+        (2,): [(2, 8)],
+    }
+    relations = enumerate_relations(sorted(free), 2)
+    assert any(abs(c) >= 2 for rel in relations for lab, c in rel.entries if lab == (2,))
+    built_rng, skipped_rng = random.Random(11), random.Random(11)
+    built = expansion._relation_candidates(relations, free, 8, built_rng, params, build=True)
+    skipped = expansion._relation_candidates(relations, free, 8, skipped_rng, params, build=False)
+    assert built and skipped == {}
+    assert skipped_rng.getstate() == built_rng.getstate()
+
+
+def test_relations_sampled_only_where_they_can_win(monkeypatch):
+    # the fiber pairs of three 6-element fibers of F_13^2 reach the table's
+    # bound at every step, so no relation selection is built; the collinear
+    # fibers need one
+    calls = []
+    sample = expansion._sample_distinct
+    monkeypatch.setattr(
+        expansion, "_sample_distinct", lambda *args: calls.append(1) or sample(*args)
+    )
+    params = GroupParams(13, 2)
+    rng = random.Random(7)
+    fibers = {
+        (lab,): ms(params, [(lab % 13, v) for v in rng.sample(range(13), 6)])
+        for lab in (-1, 0, 1)
+    }
+    expansion_cover(fibers, 1, ExpansionParams(seed=3))
+    assert not calls
+    p11 = GroupParams(11, 2)
+    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
+    collinear = {
+        (lab,): ms(p11, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)])
+        for lab, mult in counts.items()
+    }
+    cover = expansion_cover(collinear, 1, ExpansionParams(T=2, seed=0))
+    assert calls and any(pair.source == "relation" for pair in cover.pairs)
 
 
 def test_cover_steps_run_the_growth_step(monkeypatch):

@@ -4,9 +4,11 @@ and the exact subset-sum and Olson oracles.
 `tests/data/golden.json` holds the outputs of the instances below as they were
 before the thickness scan was batched over directions; the two `failure_*`
 traces were added before `find_zero_sum` was split into stage functions, the
-`cover_*` summaries before the cover's growth step became one scorer, and the
+`cover_*` summaries before the cover's growth step became one scorer, the
 `subsums_*` and `olson_*` keys before the subset-sum DP and the Olson search
-moved from numpy tables and frozensets onto one packed-integer kernel.
+moved from numpy tables and frozensets onto one packed-integer kernel, and the
+`cover_relation_*` and `pipeline_relation_*` keys before each cover step was
+rebuilt around one growth table.
 Every later change that claims to keep outputs identical must reproduce them
 byte for byte.
 
@@ -63,6 +65,15 @@ def _strong_cases():
     }
 
 
+# fiber_union arguments and pipeline seed of two criterion-7-style instances
+# whose cover takes a relation pair: the tenth operation of the benchmark's
+# seed-7 pipeline_favorable round, and one skewed union
+RELATION_PIPELINES = (
+    (dict(n_fibers=5, fiber_size=None, seed=246438873, skew=False, offset=2), 1597832986),
+    (dict(n_fibers=5, fiber_size=None, seed=360, skew=True, offset=1), 360),
+)
+
+
 def _failing_cases():
     """The instances of tests/test_pipeline.py that fail at the weighted
     stage (ten random points of F_31^2) and at the strong decomposition
@@ -76,10 +87,32 @@ def _failing_cases():
     }
 
 
+# _relation_family seeds whose cover takes a relation pair after at least one
+# fiber pair, while growing, past the half-space mark, or both
+RELATION_FAMILIES = (1, 2, 10, 18, 25, 32, 107, 109)
+
+
+def _relation_family(i: int):
+    """Three or four fibers of F_11^2 or F_13^2 whose second coordinates lie
+    in a window of width 3 or 4, with multiplicities 1-3: pairs inside one
+    fiber shift by less than the window, so relations reach further."""
+    rng = random.Random(f"golden/relation/{i}")
+    p = rng.choice([11, 13])
+    params = GroupParams(p, 2)
+    labels = rng.choice([(-1, 0, 1), (-2, -1, 0, 1), (-1, 0, 1, 2), (-2, 0, 2)])
+    width = rng.choice([3, 4])
+    fibers = {}
+    for lab in labels:
+        pts = [(lab % p, v) for v in range(width) for _ in range(rng.randrange(1, 4))]
+        fibers[(lab,)] = GroupMultiset.from_points(params, pts)
+    return fibers
+
+
 def _cover_cases():
     """Criterion 5's twenty fiber families (tests/test_acceptance.py) at each
     rung of its ladder, the collinear fibers that need a relation pair
-    (tests/test_expansion.py) and one stagnation in each phase."""
+    (tests/test_expansion.py), the relation families above and one stagnation
+    in each phase."""
     ladder = [
         ExpansionParams(T=2, per_step_samples=8, seed=0),
         ExpansionParams(T=4, per_step_samples=16, seed=1),
@@ -112,6 +145,8 @@ def _cover_cases():
         for lab, mult in counts.items()
     }
     out["cover_collinear"] = (collinear, 1, ExpansionParams(T=2, seed=0))
+    for i in RELATION_FAMILIES:
+        out[f"cover_relation_{i:03d}"] = (_relation_family(i), 1, ExpansionParams(T=2, seed=i))
     # two fibers of F_7^2 that stall past the half-space mark, and three
     # whose pairs stop growing the reachable set after one step
     p7 = GroupParams(7, 2)
@@ -248,6 +283,10 @@ def golden_outputs() -> dict:
         X = _favorable(i)
         res = find_zero_sum(X, PipelineConfig(seed=i))
         out[f"pipeline_{i}"] = _dump(trace_to_json(X, res.trace))
+    for i, (args, seed) in enumerate(RELATION_PIPELINES):
+        X = fiber_union(GroupParams(31, 2), **args)
+        res = find_zero_sum(X, PipelineConfig(seed=seed))
+        out[f"pipeline_relation_{i}"] = _dump(trace_to_json(X, res.trace))
     for name, (X, seed) in _failing_cases().items():
         res = find_zero_sum(X, PipelineConfig(seed=seed))
         out[name] = _dump(trace_to_json(X, res.trace))
