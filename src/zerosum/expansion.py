@@ -21,12 +21,13 @@ sub-multisets S_y with a fixed total cardinality and prescribed sum.
 
 Each step builds one growth table, |(Y + sigma) \\ Y| for every sigma from a
 single FFT autocorrelation of Y, and scores every candidate by lookup; the
-chosen shift is recounted exactly.  Fiber pairs are built for all free
-supports at once in numpy.  A relation pair uses at least four elements
-against a fiber pair's two, so it wins only with strictly larger growth:
-relations are sampled only on steps where the best fiber pair falls short of
-the table's maximum over admissible sigma.  A step that skips them still
-draws the same random numbers, so every cover is the one full sampling builds.
+chosen shift is recounted exactly.  Fiber pairs are built in numpy, in
+blocks of bounded size whatever the fibers hold.  A relation pair uses at
+least four elements against a fiber pair's two, so it wins only with
+strictly larger growth: relations are sampled only on steps where the best
+fiber pair falls short of the table's maximum over admissible sigma.  Every step draws the random
+numbers of its samples, built or not, so every cover is the one full
+sampling builds.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def enumerate_relations(labels: Sequence[Vec], T: int) -> Tuple[RelationVector, 
     return _relations(tuple(sorted(tuple(lab) for lab in labels)), T)
 
 
+# fiber unions with the same number of fibers share one label set, so a few
+# sets recur over a whole run of covers
 @functools.lru_cache(maxsize=64)
 def _relations(labels: Tuple[Vec, ...], T: int) -> Tuple[RelationVector, ...]:
     ny = len(labels)
@@ -191,13 +194,13 @@ def _randbelow(rng: random.Random, widths: Iterable[int]) -> List[int]:
     return out
 
 
-def _sample_distinct(slots: Sequence[Vec], k: int, rng: random.Random) -> List[Vec]:
-    """The first k picks of a Fisher-Yates shuffle of slots, which swaps
-    position i with i + randbelow(n - i); only moved positions are stored."""
-    n = len(slots)
+def _sample_distinct(slots: Sequence[Vec], draws: Sequence[int]) -> List[Vec]:
+    """The first len(draws) picks of a Fisher-Yates shuffle of slots, which
+    swaps position i with i + draws[i], draws[i] drawn below len(slots) - i;
+    only moved positions are stored."""
     moved: Dict[int, Vec] = {}
     out = []
-    for i, r in enumerate(_randbelow(rng, range(n, n - k, -1))):
+    for i, r in enumerate(draws):
         j = i + r
         out.append(moved.get(j, slots[j]))
         moved[j] = moved.get(i, slots[i])
@@ -216,26 +219,26 @@ def _relation_candidates(
     the free lists can still serve, keeping per sigma the cheapest
     realization (fewest elements, then least (j1, j2)): pairs eat free
     elements, and a wasteful one can starve the later completion steps.
-    With build False only the random numbers are drawn and {} is returned."""
+    Every selection's random numbers are drawn either way; with build False
+    none is built and {} is returned."""
     cands: Dict[Vec, Tuple] = {}
     for rel in relations:
         if any(len(free[lab]) < abs(c) for lab, c in rel.entries):
             continue
+        # one selection picks c elements of each label, positive side first
+        sides = rel.positive() + rel.negative()
+        widths = [len(free[lab]) - i for lab, c in sides for i in range(c)]
+        draws = _randbelow(rng, widths * samples)
         if not build:
-            widths = [
-                len(free[lab]) - i
-                for lab, c in rel.positive() + rel.negative()
-                for i in range(c)
-            ]
-            _randbelow(rng, widths * samples)
             continue
+        half = len(widths) // 2
+        pos = 0
         for _ in range(samples):
-            j1 = tuple(sorted(
-                x for lab, c in rel.positive() for x in _sample_distinct(free[lab], c, rng)
-            ))
-            j2 = tuple(sorted(
-                x for lab, c in rel.negative() for x in _sample_distinct(free[lab], c, rng)
-            ))
+            picked = []
+            for lab, c in sides:
+                picked += _sample_distinct(free[lab], draws[pos : pos + c])
+                pos += c
+            j1, j2 = tuple(sorted(picked[:half])), tuple(sorted(picked[half:]))
             sigma = _sigma(j1, j2, params)
             held = cands.get(sigma)
             if held is None or (len(held[0]) + len(held[1]), held[0], held[1]) > (
@@ -326,28 +329,59 @@ def _best_shift(
     return i, int(growth[i]), new
 
 
+# most ordered pairs _fiber_pairs holds at once (one a point's pairs at least)
+_PAIR_ROWS = 1 << 16
+
+
 def _fiber_pairs(
     free: Dict[Vec, List[Vec]], l: int, p: int, d: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every ordered pair (a, b), a != b, of free points inside one fiber,
     kept per difference sigma = a - b as the lexicographically least (a, b):
     (C-order codes of sigma's last d - l coordinates, ascending; the a rows;
-    the b rows).  The first l coordinates of sigma are zero."""
-    a_rows, b_rows = [], []
-    for support in free.values():
-        pts = np.array(sorted(set(support)), dtype=np.int64).reshape(-1, d)
-        ia, ib = np.nonzero(~np.eye(len(pts), dtype=bool))
-        a_rows.append(pts[ia])
-        b_rows.append(pts[ib])
-    a, b = np.concatenate(a_rows), np.concatenate(b_rows)
-    if not len(a):
-        return np.zeros(0, dtype=np.int64), a, b
+    the b rows).  The first l coordinates of sigma are zero.  Pairs are
+    built in blocks of about _PAIR_ROWS, each block's least (a, b) per sigma
+    merged into one table over sigma."""
     full, sub = (p,) * d, (p,) * (d - l)
-    sig = np.ravel_multi_index(((a[:, l:] - b[:, l:]) % p).T, sub)
-    order = np.lexsort((np.ravel_multi_index(b.T, full), np.ravel_multi_index(a.T, full), sig))
-    codes, first = np.unique(sig[order], return_index=True)
-    keep = order[first]
-    return codes, a[keep], b[keep]
+    unset = np.iinfo(np.int64).max
+    least_a = np.full(p ** (d - l), unset, dtype=np.int64)
+    least_b = least_a.copy()
+    fibers = [
+        np.array(sorted(set(support)), dtype=np.int64).reshape(-1, d) for support in free.values()
+    ]
+    pts = np.concatenate(fibers) if fibers else np.zeros((0, d), dtype=np.int64)
+    codes = np.ravel_multi_index(pts.T, full)
+
+    def merge(blocks):
+        ia, ib = (np.concatenate(side) for side in zip(*blocks))
+        ac, bc = codes[ia], codes[ib]
+        sig = np.ravel_multi_index(((pts[ia, l:] - pts[ib, l:]) % p).T, sub)
+        order = np.lexsort((bc, ac, sig))
+        s, first = np.unique(sig[order], return_index=True)
+        ac, bc = ac[order[first]], bc[order[first]]
+        better = (ac < least_a[s]) | ((ac == least_a[s]) & (bc < least_b[s]))
+        least_a[s[better]], least_b[s[better]] = ac[better], bc[better]
+
+    blocks, rows, lo = [], 0, 0
+    for fiber in fibers:
+        n = len(fiber)
+        idx = np.arange(lo, lo + n)
+        per = max(1, _PAIR_ROWS // max(n, 1))  # a points per block
+        for start in range(0, n, per):
+            ia = np.repeat(idx[start : start + per], n)
+            ib = np.tile(idx, len(ia) // n)
+            blocks.append((ia[ia != ib], ib[ia != ib]))
+            rows += len(ia)
+            if rows >= _PAIR_ROWS:
+                merge(blocks)
+                blocks, rows = [], 0
+        lo += n
+    if rows:
+        merge(blocks)
+    found = np.flatnonzero(least_a != unset)
+    a = np.stack(np.unravel_index(least_a[found], full), axis=-1)
+    b = np.stack(np.unravel_index(least_b[found], full), axis=-1)
+    return found, a, b
 
 
 def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:

@@ -1,6 +1,10 @@
 import json
 import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +295,45 @@ def test_expand_verify_rejects_corrupt_first_step(tmp_path, capsys):
     )
     checks = {c["name"]: c["passed"] for c in json.loads(out)["result"]["checks"]}
     assert code == 2 and checks["covers_all_targets"] is False
+
+
+def test_expand_large_fiber_memory_bounded(tmp_path):
+    # one fiber of 1000 points of F_53^2 has 999,000 ordered pairs: about
+    # 110 MB of arrays when built at once, a few MB when built in blocks
+    script = (
+        "import contextlib, io, resource, sys\n"
+        "from zerosum.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['expand', '--input', sys.argv[1], '--seed', '1'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    grid = [(x, y) for x in range(53) for y in range(53)]
+
+    def peak_kb(n):
+        points = random.Random(0).sample(grid, n)
+        payload = {
+            "p": 53,
+            "d": 2,
+            "l": 0,
+            "fibers": [
+                {"label": [], "entries": [{"element": list(x), "multiplicity": 1} for x in points]}
+            ],
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script, _write_json(tmp_path, payload, f"fiber{n}.json")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return tuple(map(int, proc.stdout.split()))
+
+    # ten points stagnate (exit 2) after the same imports and a small cover
+    (small_code, small), (code, large) = peak_kb(10), peak_kb(1000)
+    assert small_code == 2 and code == 0
+    assert large - small < 40 * 1024, f"peak RSS grew by {(large - small) // 1024} MB"
 
 
 def test_bench_empty_suite(capsys):

@@ -305,10 +305,17 @@ def free_lists(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(free_lists())
-def test_fiber_pairs_match_pairwise_offers(inst):
+@given(free_lists(), st.sampled_from([1, 5, 1 << 16]))
+def test_fiber_pairs_match_pairwise_offers(inst, block_rows):
+    # block_rows = 1 merges every a point's pairs on its own; 5 splits fibers
+    # and joins fibers in blocks; the default builds each instance in one block
     free, l, p, d = inst
-    codes, a, b = expansion._fiber_pairs(free, l, p, d)
+    saved = expansion._PAIR_ROWS
+    expansion._PAIR_ROWS = block_rows
+    try:
+        codes, a, b = expansion._fiber_pairs(free, l, p, d)
+    finally:
+        expansion._PAIR_ROWS = saved
     want = naive_fiber_pairs(free, l, p)
     tails = [tuple(int(c) for c in np.unravel_index(code, (p,) * (d - l))) for code in codes]
     assert tails == sorted(want)
@@ -343,7 +350,8 @@ def test_sample_distinct_matches_partial_shuffle():
     for n in range(1, 12):
         slots = [(n, v % 4) for v in range(n)]  # with repeats
         for k in range(n + 1):
-            assert expansion._sample_distinct(slots, k, ours) == copying(slots, k, ref)
+            draws = expansion._randbelow(ours, range(n, n - k, -1))
+            assert expansion._sample_distinct(slots, draws) == copying(slots, k, ref)
     assert ours.getstate() == ref.getstate()
 
 
