@@ -19,15 +19,19 @@ exhaustive search for a pair landing on it.  All pairs are disjoint, drawn
 from per-fiber free lists, so the final object selects, for every target u,
 sub-multisets S_y with a fixed total cardinality and prescribed sum.
 
-Each step builds one growth table, |(Y + sigma) \\ Y| for every sigma from a
-single FFT autocorrelation of Y, and scores every candidate by lookup; the
-chosen shift is recounted exactly.  Fiber pairs are built in numpy, in
+Each step builds two tables over the same (p,)^(d-l) grid of sigma: the
+growth table, |(Y + sigma) \\ Y| for every sigma from a single FFT
+autocorrelation of Y, and the offer table, the number of elements the
+cheapest pair with difference sigma consumes (inf where none is offered or
+sigma is not admissible).  The step is one masked argmax over the two, and
+the chosen shift is recounted exactly.  A fiber pair is stored as its least
+free point a, which fixes b = a - sigma; fiber pairs are built in numpy, in
 blocks of bounded size whatever the fibers hold.  A relation pair uses at
 least four elements against a fiber pair's two, so it wins only with
 strictly larger growth: relations are sampled only on steps where the best
-fiber pair falls short of the table's maximum over admissible sigma.  Every step draws the random
-numbers of its samples, built or not, so every cover is the one full
-sampling builds.
+fiber pair falls short of the table's maximum over admissible sigma.  Every
+step draws the random numbers of its samples, built or not, so every cover
+is the one full sampling builds.
 """
 
 from __future__ import annotations
@@ -311,77 +315,48 @@ def _growth_table(Y: np.ndarray) -> np.ndarray:
 
 
 def _best_shift(
-    Y: np.ndarray, table: np.ndarray, shifts: np.ndarray | Sequence[Vec], costs: Sequence[int]
-) -> Tuple[Optional[int], int, Optional[np.ndarray]]:
-    """The growth step: (i, growth, new) for the shift s = shifts[i] that
-    maximises (|(Y + s) \\ Y|, -costs[i]), the first one on ties, where new
-    marks the states Y + s adds.  Growths are read from table, the
-    _growth_table of Y, and the chosen one is recounted with one roll.
-    (None, 0, None) when there is no shift."""
-    shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, Y.ndim)
-    if not len(shifts):
+    Y: np.ndarray, table: np.ndarray, cost: np.ndarray
+) -> Tuple[Optional[Vec], int, Optional[np.ndarray]]:
+    """The growth step: (s, growth, new) for the shift s that maximises
+    |(Y + s) \\ Y|, then minimises cost[s], the least in C order on ties,
+    where new marks the states Y + s adds.  cost has Y's shape, inf where no
+    shift is offered.  Growths are read from table, the _growth_table of Y,
+    and the chosen one is recounted with one roll.  (None, 0, None) when no
+    shift is offered."""
+    offered = np.isfinite(cost)
+    if not offered.any():
         return None, 0, None
-    growth = table[tuple(shifts.T)]
-    tied = np.flatnonzero(growth == growth.max())
-    i = int(tied[np.argmin(np.asarray(costs)[tied])])
-    new = np.roll(Y, shift=tuple(int(c) for c in shifts[i]), axis=tuple(range(Y.ndim))) & ~Y
-    _check("growth_table_recount", int(np.count_nonzero(new)), "==", int(growth[i]))
-    return i, int(growth[i]), new
+    top = table[offered].max()
+    s = np.unravel_index(np.argmin(np.where(offered & (table == top), cost, np.inf)), Y.shape)
+    s = tuple(int(c) for c in s)
+    new = np.roll(Y, shift=s, axis=tuple(range(Y.ndim))) & ~Y
+    _check("growth_table_recount", int(np.count_nonzero(new)), "==", int(top))
+    return s, int(top), new
 
 
 # most ordered pairs _fiber_pairs holds at once (one a point's pairs at least)
 _PAIR_ROWS = 1 << 16
 
 
-def _fiber_pairs(
-    free: Dict[Vec, List[Vec]], l: int, p: int, d: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered pair (a, b), a != b, of free points inside one fiber,
-    kept per difference sigma = a - b as the lexicographically least (a, b):
-    (C-order codes of sigma's last d - l coordinates, ascending; the a rows;
-    the b rows).  The first l coordinates of sigma are zero.  Pairs are
-    built in blocks of about _PAIR_ROWS, each block's least (a, b) per sigma
-    merged into one table over sigma."""
-    full, sub = (p,) * d, (p,) * (d - l)
-    unset = np.iinfo(np.int64).max
-    least_a = np.full(p ** (d - l), unset, dtype=np.int64)
-    least_b = least_a.copy()
-    fibers = [
-        np.array(sorted(set(support)), dtype=np.int64).reshape(-1, d) for support in free.values()
-    ]
-    pts = np.concatenate(fibers) if fibers else np.zeros((0, d), dtype=np.int64)
-    codes = np.ravel_multi_index(pts.T, full)
-
-    def merge(blocks):
-        ia, ib = (np.concatenate(side) for side in zip(*blocks))
-        ac, bc = codes[ia], codes[ib]
-        sig = np.ravel_multi_index(((pts[ia, l:] - pts[ib, l:]) % p).T, sub)
-        order = np.lexsort((bc, ac, sig))
-        s, first = np.unique(sig[order], return_index=True)
-        ac, bc = ac[order[first]], bc[order[first]]
-        better = (ac < least_a[s]) | ((ac == least_a[s]) & (bc < least_b[s]))
-        least_a[s[better]], least_b[s[better]] = ac[better], bc[better]
-
-    blocks, rows, lo = [], 0, 0
-    for fiber in fibers:
-        n = len(fiber)
-        idx = np.arange(lo, lo + n)
+def _fiber_pairs(free: Dict[Vec, List[Vec]], l: int, p: int, d: int) -> np.ndarray:
+    """The table over sigma in (p,)^(d-l) of the C-order code in (p,)^d of
+    the least free point a with a partner b = a - sigma, b != a, in its own
+    fiber; p^d where there is none.  The first l coordinates of sigma are
+    zero, so a fixes its fiber and with it b.  Pairs are built in blocks of
+    about _PAIR_ROWS, each reduced into the table with np.minimum.at."""
+    least_a = np.full((p,) * (d - l), p ** d, dtype=np.int64)
+    for support in free.values():
+        pts = np.array(sorted(set(support)), dtype=np.int64).reshape(-1, d)
+        n = len(pts)
+        codes = np.ravel_multi_index(pts.T, (p,) * d)
         per = max(1, _PAIR_ROWS // max(n, 1))  # a points per block
         for start in range(0, n, per):
-            ia = np.repeat(idx[start : start + per], n)
-            ib = np.tile(idx, len(ia) // n)
-            blocks.append((ia[ia != ib], ib[ia != ib]))
-            rows += len(ia)
-            if rows >= _PAIR_ROWS:
-                merge(blocks)
-                blocks, rows = [], 0
-        lo += n
-    if rows:
-        merge(blocks)
-    found = np.flatnonzero(least_a != unset)
-    a = np.stack(np.unravel_index(least_a[found], full), axis=-1)
-    b = np.stack(np.unravel_index(least_b[found], full), axis=-1)
-    return found, a, b
+            ia = np.repeat(np.arange(start, min(start + per, n)), n)
+            ib = np.tile(np.arange(n), len(ia) // n)
+            ia, ib = ia[ia != ib], ib[ia != ib]
+            sigma = tuple(((pts[ia, l:] - pts[ib, l:]) % p).T)
+            np.minimum.at(least_a, sigma, codes[ia])
+    return least_a
 
 
 def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
@@ -404,9 +379,10 @@ def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
     Y = np.zeros(shape, dtype=bool)
     for v in yset:
         Y[v] = True
-    support = sorted(A.support())
-    i, growth, _new = _best_shift(Y, _growth_table(Y), support, [0] * len(support))
-    return support[i], growth
+    cost = np.full(shape, np.inf)
+    cost[tuple(np.array(A.support(), dtype=np.int64).T)] = 0
+    sigma, growth, _new = _best_shift(Y, _growth_table(Y), cost)
+    return sigma, growth
 
 
 @dataclass(frozen=True)
@@ -414,8 +390,11 @@ class CoverPair:
     j1: Tuple[Vec, ...]
     j2: Tuple[Vec, ...]
     sigma: Vec
-    source: str                     # "relation" | "fiber-pair"
     relation: Optional[RelationVector] = None
+
+    @property
+    def source(self) -> str:
+        return "fiber-pair" if self.relation is None else "relation"
 
 
 class ExpansionCover:
@@ -598,6 +577,7 @@ def expansion_cover(
     relations = enumerate_relations(labels, params.T) if l > 0 else ()
     # per label, the elements no pair has taken yet, sorted with multiplicity
     free = {label: sorted(fibers[label].iter_with_multiplicity()) for label in labels}
+    label_of = {x: label for label in labels for x in fibers[label].support()}
 
     shape = (p,) * D
     Y = np.zeros(shape, dtype=bool)
@@ -613,56 +593,46 @@ def expansion_cover(
     while not Y.all():
         covered = int(Y.sum())
         table = _growth_table(Y)
-        growth_of = table.reshape(-1)
         # past the half-space mark only sigmas landing on the first uncovered
         # target compete
         growing = 2 * covered <= total_states
         if growing:
-            admissible = np.ones(total_states, dtype=bool)
+            admissible = np.ones(shape, dtype=bool)
         else:
             target = np.argwhere(~Y)[0]
-            admissible = Y[np.ix_(*[(t - np.arange(p)) % p for t in target])].reshape(-1)
-        bound = int(growth_of[admissible].max())
-        fiber_codes, fa, fb = _fiber_pairs(free, l, p, d)
-        fiber_growth = growth_of[fiber_codes[admissible[fiber_codes]]]
+            admissible = Y[np.ix_(*[(t - np.arange(p)) % p for t in target])]
+        bound = table[admissible].max()
+        least_a = _fiber_pairs(free, l, p, d)
+        fiber = least_a < p ** d
         # a relation pair uses >= 4 elements against a fiber pair's 2, so it
         # can win only when no admissible fiber pair reaches the bound
         rel_cands = _relation_candidates(
             relations, free, params.per_step_samples, rng, gparams,
-            build=not len(fiber_growth) or int(fiber_growth.max()) < bound,
+            build=not (fiber & admissible & (table == bound)).any(),
         )
-        # a fiber pair beats any relation pair with the same sigma on cost
-        rel_by_code = {int(np.ravel_multi_index(sigma[l:], shape)): sigma for sigma in rel_cands}
-        rel_codes = sorted(rel_by_code.keys() - set(fiber_codes.tolist()))
-        if not len(fiber_codes) and not rel_codes:
+        # the elements an offer consumes (both branches of a pair have the
+        # same size): maximise growth, then spend the fewest, then least sigma
+        cost = np.where(fiber, 2.0, np.inf)
+        for sigma, (j1, _j2, _rel) in rel_cands.items():
+            cost[sigma[l:]] = min(cost[sigma[l:]], 2 * len(j1))
+        if np.isinf(cost).all():
             raise ExpansionStagnation("no available pairs", covered, total_states, len(pairs))
-        # maximize growth, then prefer the pair consuming the fewest
-        # elements (both branches of a pair have the same size), then the
-        # least sigma
-        codes = np.concatenate([fiber_codes, np.array(rel_codes, dtype=np.int64)])
-        costs = np.array(
-            [2] * len(fiber_codes) + [2 * len(rel_cands[rel_by_code[c]][0]) for c in rel_codes]
-        )
-        ranks = np.argsort(codes)
-        ranks = ranks[admissible[codes[ranks]]]
-        shifts = np.stack(np.unravel_index(codes[ranks], shape), axis=1)
-        i, growth, new = _best_shift(Y, table, shifts, costs[ranks])
+        cost[~admissible] = np.inf
+        s, growth, new = _best_shift(Y, table, cost)
         if growth < 1:
             reason = "no growth" if growing else "completion blocked"
             raise ExpansionStagnation(reason, covered, total_states, len(pairs))
-        pick = int(ranks[i])
-        if pick < len(fiber_codes):
-            a, b = (tuple(int(c) for c in pt[pick]) for pt in (fa, fb))
-            j1, j2, rel, sigma = (a,), (b,), None, gparams.sub(a, b)
+        sigma = (0,) * l + s
+        if fiber[s]:
+            a = tuple(int(c) for c in np.unravel_index(least_a[s], (p,) * d))
+            j1, j2, rel = (a,), (gparams.sub(a, sigma),), None
         else:
-            sigma = rel_by_code[rel_codes[pick - len(fiber_codes)]]
             j1, j2, rel = rel_cands[sigma]
         for x in j1 + j2:
-            # the last fiber holding x, where ExpansionCover.select files it
-            free[next(lab for lab in reversed(labels) if x in fibers[lab])].remove(x)
+            free[label_of[x]].remove(x)
         first_step[new] = len(pairs) + 1
         Y |= new
-        pairs.append(CoverPair(j1, j2, sigma, "fiber-pair" if rel is None else "relation", rel))
+        pairs.append(CoverPair(j1, j2, sigma, rel))
         if len(pairs) > hard_cap:
             raise ExpansionStagnation("pair cap", int(Y.sum()), total_states, len(pairs))
 

@@ -163,35 +163,31 @@ class HyperplaneError(RuntimeError):
 
 
 def _hull_hyperplane_point(base: Vec, basis: Sequence[Vec], normal: Vec, p: int) -> Optional[Vec]:
-    """Lexicographically smallest point of (base + span basis) ∩ {<normal, .> = 0}."""
+    """Lexicographically smallest point of (base + span basis) ∩ {<normal, .> = 0}.
+
+    The intersection is one point x plus the span of some directions.  With
+    the directions in reduced row echelon form, each pivot coordinate ranges
+    freely over F_p and every other coordinate is fixed by the ones before
+    it, so x with its pivot coordinates cleared is the least point.
+    """
     c0 = sum(n * b for n, b in zip(normal, base)) % p
     w = [sum(n * b for n, b in zip(normal, row)) % p for row in basis]
-    h = len(basis)
-    if all(x == 0 for x in w):
-        if c0 != 0:
+    pivot = next((i for i, x in enumerate(w) if x), None)
+    if pivot is None:
+        if c0:
             return None
-        free = h
-        pivot = None
+        x, directions = _vsum([(1, base)], len(base), p), basis
     else:
-        pivot = next(i for i, x in enumerate(w) if x != 0)
-        free = h - 1
-    if p ** free > 200_000:
-        raise ValueError("hull too large for exhaustive hyperplane intersection")
-    best = None
-    for idx in range(p ** free):
-        t = [0] * h
-        rem = idx
-        slots = [i for i in range(h) if i != pivot]
-        for pos in reversed(slots):
-            rem, r = divmod(rem, p)
-            t[pos] = r
-        if pivot is not None:
-            acc = (-c0 - sum(w[i] * t[i] for i in slots)) % p
-            t[pivot] = (acc * linalg.inv_mod(w[pivot], p)) % p
-        x = _vsum([(1, base), *zip(t, basis)], len(base), p)
-        if best is None or x < best:
-            best = x
-    return best
+        inv = linalg.inv_mod(w[pivot], p)
+        x = _vsum([(1, base), (-c0 * inv, basis[pivot])], len(base), p)
+        directions = [
+            _vsum([(1, row), (-wi * inv, basis[pivot])], len(base), p)
+            for i, (wi, row) in enumerate(zip(w, basis))
+            if i != pivot
+        ]
+    for row, c in zip(*linalg.rref(directions, p)):
+        x = _vsum([(1, x), (-x[c], row)], len(x), p)
+    return x
 
 
 def sample_hyperplane(
@@ -200,13 +196,13 @@ def sample_hyperplane(
     d: int,
     rng: random.Random,
     budget: int = 1000,
-    require_distinct_points: bool = False,
 ) -> Tuple[LinearFunctional, List[Vec]]:
-    """Uniform nonzero normals until the kernel hyperplane meets every hull.
+    """Uniform nonzero normals until the kernel hyperplane meets every hull
+    at pairwise distinct lexicographically smallest points.
 
-    Returns the functional (zero constant term) and one lexicographically
-    smallest intersection point per hull.  Raises HyperplaneError when the
-    budget runs out, the signal that p is too small for this many hulls.
+    Returns the functional (zero constant term) and those points, one per
+    hull.  Raises HyperplaneError when the budget runs out, the signal that
+    p is too small for this many hulls.
     """
     if not hulls:
         raise ValueError("need at least one hull")
@@ -221,7 +217,7 @@ def sample_hyperplane(
                 break
             points.append(pt)
         else:
-            if require_distinct_points and len(set(points)) != len(points):
+            if len(set(points)) != len(points):
                 continue
             return LinearFunctional(0, normal), points
     raise HyperplaneError(budget)
@@ -250,22 +246,22 @@ def random_thinning(
     g: GrowthFunction,
     seed: int,
     budget: int = 100,
-    l: Optional[int] = None,
-    upper_cap: Optional[int] = None,
+    *,
+    l: int,
+    upper_cap: int,
 ) -> Dict[Vec, GroupMultiset]:
     """Binomial subsets Z_y with per-fiber size windows and a joint
     (g(K_S), delta/4)-thickness requirement on the union.
 
-    The lower window edge is ceil(mu |X_y| / 20); the upper edge is
-    ceil(mu |X_y| / 10) or, when upper_cap is given (the pipeline passes its
-    margin r), anything up to min(upper_cap, |X_y| - 1), which keeps the
-    later cardinality chain k_y <= |Z_y| <= a_y intact at small p.  Draws are
-    rejected until every window and the thickness scan pass; deterministic
-    given the seed.
+    The lower window edge is ceil(mu |X_y| / 20), and 2 where the window
+    reaches that high; the upper edge is anything up to the larger of
+    ceil(mu |X_y| / 10) and upper_cap (the pipeline passes its margin r),
+    but at most |X_y| - 1, which keeps the later cardinality chain
+    k_y <= |Z_y| <= a_y intact at small p.  The thickness scan runs over the
+    functionals non-constant on {0}^l x F_p^(d-l).  Draws are rejected until
+    every window and the thickness scan pass; deterministic given the seed.
     """
     rng = random.Random(seed)
-    if l is None:
-        l = len(next(iter(fibers)))
     params = next(iter(fibers.values())).params
     Kp = g(K_S)
     windows = {}
@@ -275,12 +271,10 @@ def random_thinning(
         lo = max(1, int(lo))
         hi = -((-mu * n) // 10)
         hi = max(lo, int(hi))
-        if upper_cap is not None:
-            hi = min(max(hi, upper_cap), n - 1) if n > 1 else 0
-            hi = max(hi, 0)
-            # one element makes no pair; insist on two whenever the window
-            # reaches that high, so the expansion stage has raw material
-            lo = min(max(lo, 2), hi) if hi >= 1 else lo
+        hi = min(max(hi, upper_cap), n - 1) if n > 1 else 0
+        # one element makes no pair; insist on two whenever the window
+        # reaches that high, so the expansion stage has raw material
+        lo = min(max(lo, 2), hi) if hi >= 1 else lo
         if hi < lo:
             raise ThinningError(0, None, None, None, (label, lo, hi))
         windows[label] = (lo, hi)
@@ -409,7 +403,7 @@ def _hyperplane_stage(run: _Run):
         )
     try:
         run.normal, run.points = sample_hyperplane(
-            run.hulls, run.p, run.d, run.rng, HYPERPLANE_BUDGET, require_distinct_points=True
+            run.hulls, run.p, run.d, run.rng, HYPERPLANE_BUDGET
         )
     except HyperplaneError as exc:
         return None, StageFailure(

@@ -300,7 +300,8 @@ def cover_to_json(cover: ExpansionCover) -> dict:
 
 
 def cover_from_json(obj) -> ExpansionCover:
-    """An expansion cover's fields; ValueError unless 0 <= l <= d."""
+    """An expansion cover's fields; ValueError unless 0 <= l <= d and each
+    pair's stored source is the one its relation gives."""
     params = params_from_json(obj)
     l = int(obj["l"])
     if not 0 <= l <= params.d:
@@ -314,11 +315,13 @@ def cover_from_json(obj) -> ExpansionCover:
             tuple(tuple(int(c) for c in x) for x in item["j1"]),
             tuple(tuple(int(c) for c in x) for x in item["j2"]),
             tuple(int(c) for c in item["sigma"]),
-            item["source"],
             relation_from_json(item.get("relation")),
         )
         for item in obj["pairs"]
     )
+    for item, pair in zip(obj["pairs"], pairs):
+        if item["source"] != pair.source:
+            raise ValueError(f"pair source {item['source']!r} disagrees with its relation")
     return ExpansionCover(
         params,
         l,

@@ -211,8 +211,8 @@ def scaling_window_table(
     """
     w = min(2 * K + 1, p)
     # column j lists the value K - j of c * linear, so the w columns from a0
-    # on are exactly {v : a0 + v in [-K, K]}
-    idx = _scaling_index(p)[:, (K - np.arange(p + w - 1)) % p]
+    # on are exactly {v : a0 + v in [-K, K]}; K % p keeps any K within int64
+    idx = _scaling_index(p)[:, (K % p - np.arange(p + w - 1)) % p]
     if zero_constant_term:
         return hists[:, idx[:, :w]].sum(axis=2, keepdims=True)
     csum = np.cumsum(hists[:, idx], axis=2)

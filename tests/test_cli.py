@@ -110,6 +110,21 @@ def test_pipeline_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_pipeline_huge_iterated_growth_fails_by_name(tmp_path, capsys):
+    # 4K+4 iterated over the 90 parts of this cloud passes 2^63; the run must
+    # end in the named budget failure, not an overflow traceback
+    xpath = str(tmp_path / "X.json")
+    code, _ = run_cli(
+        capsys, "gen", "--kind", "random-cloud", "--p", "31", "--d", "2",
+        "--size", "90", "--seed", "3", "--output", xpath,
+    )
+    assert code == 0
+    code, out = run_cli(capsys, "pipeline", "--input", xpath, "--growth", "4K+4", "--seed", "1")
+    assert code == 2
+    failure = json.loads(out)["result"]["failure"]
+    assert failure["inequality"]["name"] == "part_count_within_budget"
+
+
 def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a produced certificate that fails its own check is a bug, not a usage
     # error: exit 3 with the failed invariant as JSON on stderr
@@ -295,6 +310,20 @@ def test_expand_verify_rejects_corrupt_first_step(tmp_path, capsys):
     )
     checks = {c["name"]: c["passed"] for c in json.loads(out)["result"]["checks"]}
     assert code == 2 and checks["covers_all_targets"] is False
+
+
+def test_verify_rejects_source_disagreeing_with_relation(tmp_path, capsys):
+    # a pair's source is read off its relation; a stored source that says
+    # otherwise makes the artifact malformed
+    X = {"label": [], "entries": [{"element": [i], "multiplicity": 1} for i in range(11)]}
+    fpath = _write_json(tmp_path, {"p": 11, "d": 1, "l": 0, "fibers": [X]}, "fibers.json")
+    code, out = run_cli(capsys, "expand", "--input", fpath, "--seed", "1")
+    assert code == 0
+    cover_artifact = json.loads(out)["result"]["cover"]
+    assert {pair["source"] for pair in cover_artifact["pairs"]} == {"fiber-pair"}
+    cover_artifact["pairs"][0]["source"] = "relation"
+    code, rep, err = _verify_exit(tmp_path, capsys, cover_artifact)
+    assert code == 1 and rep is None and "disagrees with its relation" in err
 
 
 def test_expand_large_fiber_memory_bounded(tmp_path):

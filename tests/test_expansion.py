@@ -307,20 +307,59 @@ def free_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(free_lists(), st.sampled_from([1, 5, 1 << 16]))
 def test_fiber_pairs_match_pairwise_offers(inst, block_rows):
-    # block_rows = 1 merges every a point's pairs on its own; 5 splits fibers
-    # and joins fibers in blocks; the default builds each instance in one block
+    # block_rows = 1 reduces every a point's pairs on its own; 5 splits
+    # fibers into blocks; the default builds each fiber in one block
     free, l, p, d = inst
     saved = expansion._PAIR_ROWS
     expansion._PAIR_ROWS = block_rows
     try:
-        codes, a, b = expansion._fiber_pairs(free, l, p, d)
+        least_a = expansion._fiber_pairs(free, l, p, d)
     finally:
         expansion._PAIR_ROWS = saved
     want = naive_fiber_pairs(free, l, p)
-    tails = [tuple(int(c) for c in np.unravel_index(code, (p,) * (d - l))) for code in codes]
-    assert tails == sorted(want)
-    got = [(tuple(map(int, x)), tuple(map(int, y))) for x, y in zip(a, b)]
-    assert got == [want[t] for t in tails]
+    assert least_a.shape == (p,) * (d - l)
+    for tail in np.ndindex(least_a.shape):
+        if tail not in want:
+            assert least_a[tail] == p ** d
+            continue
+        a = tuple(int(c) for c in np.unravel_index(least_a[tail], (p,) * d))
+        b = tuple((x - y) % p for x, y in zip(a, (0,) * l + tail))
+        assert (a, b) == want[tail]
+
+
+@st.composite
+def offer_grids(draw):
+    """(Y, cost) on (p,)^D, p <= 7, D = 1-2: Y nonempty, cost in {0, 2, 4,
+    inf}, with no offer at all in some draws."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    D = draw(st.integers(1, 2))
+    bits = draw(st.lists(st.booleans(), min_size=p ** D, max_size=p ** D))
+    Y = np.array(bits, dtype=bool).reshape((p,) * D)
+    Y[(0,) * D] = True
+    costs = st.sampled_from([0.0, 2.0, 4.0, np.inf])
+    if draw(st.booleans()):
+        costs = st.just(np.inf)
+    cost = np.array(draw(st.lists(costs, min_size=p ** D, max_size=p ** D))).reshape(Y.shape)
+    return Y, cost
+
+
+@settings(max_examples=300, deadline=None)
+@given(offer_grids())
+def test_best_shift_matches_roll_counts(inst):
+    Y, cost = inst
+    axes = tuple(range(Y.ndim))
+    ranked = sorted(
+        (-np.count_nonzero(np.roll(Y, s, axis=axes) & ~Y), cost[s], s)
+        for s in np.ndindex(Y.shape)
+        if np.isfinite(cost[s])
+    )
+    s, growth, new = expansion._best_shift(Y, expansion._growth_table(Y), cost)
+    if not ranked:
+        assert (s, growth, new) == (None, 0, None)
+        return
+    neg_growth, _cost, want = ranked[0]
+    assert (s, growth) == (want, -neg_growth)
+    assert np.array_equal(new, np.roll(Y, want, axis=axes) & ~Y)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2026])

@@ -1,9 +1,13 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zerosum import pipeline
 from zerosum.generators import fiber_union, random_cloud
 from zerosum.group import GroupParams, affine_hull
 from zerosum.multiset import GroupMultiset
@@ -116,10 +120,42 @@ def test_hyperplane_two_lines():
     h1 = affine_hull([(1, t % 31) for t in range(31)], 31)
     h2 = affine_hull([((t + 2) % 31, t % 31) for t in range(31)], 31)
     rng = random.Random(1)
-    xi, pts = sample_hyperplane([h1, h2], 31, 2, rng, require_distinct_points=True)
+    xi, pts = sample_hyperplane([h1, h2], 31, 2, rng)
     for x, hull in zip(pts, (h1, h2)):
         assert sum(a * b for a, b in zip(xi.linear, x)) % 31 == 0
     assert pts[0] != pts[1]
+
+
+def enumerated_hyperplane_point(base, basis, normal, p):
+    """The least point of (base + span basis) ∩ {<normal, .> = 0}, by
+    enumerating every coefficient vector of the basis."""
+    best = None
+    for t in itertools.product(range(p), repeat=len(basis)):
+        x = tuple(
+            (b + sum(c * row[k] for c, row in zip(t, basis))) % p for k, b in enumerate(base)
+        )
+        if sum(n * c for n, c in zip(normal, x)) % p == 0 and (best is None or x < best):
+            best = x
+    return best
+
+
+@st.composite
+def hull_cuts(draw):
+    """(base, basis, normal, p) in F_p^d, p <= 7, d = 1-3, with up to d basis
+    rows (dependent ones too) and a nonzero normal."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, p - 1)] * d)
+    base = draw(vec)
+    basis = tuple(draw(st.lists(vec, max_size=d)))
+    normal = draw(vec.filter(any))
+    return base, basis, normal, p
+
+
+@settings(max_examples=500, deadline=None)
+@given(hull_cuts())
+def test_hyperplane_point_matches_enumeration(inst):
+    assert pipeline._hull_hyperplane_point(*inst) == enumerated_hyperplane_point(*inst)
 
 
 def test_hyperplane_adversarial_points_exhaust_budget():
@@ -130,6 +166,10 @@ def test_hyperplane_adversarial_points_exhaust_budget():
     rng = random.Random(0)
     with pytest.raises(HyperplaneError):
         sample_hyperplane(hulls, 3, 2, rng, budget=200)
+    # two copies of one point-hull: every kernel through it meets both at the
+    # same point, and coinciding points are never accepted
+    with pytest.raises(HyperplaneError):
+        sample_hyperplane([(0, (1, 1), ())] * 2, 3, 2, rng, budget=200)
 
 
 # -- random_thinning -----------------------------------------------------------

@@ -12,6 +12,7 @@ from zerosum.thickness import (
     decompose,
     find_thin_functional,
     hull_thickness,
+    inside_count,
     is_thick,
     strong_decompose,
     tube_decompose,
@@ -80,6 +81,15 @@ def test_is_thick_matches_naive_recount():
             if not in_interval(xi.evaluate(x, 11), 2, 11)
         )
         assert outside == naive
+
+
+def test_inside_count_past_int64():
+    # iterated growth functions pass 2^63 quickly; a window that wide holds
+    # every point
+    rng = random.Random(3)
+    X = ms(GroupParams(31, 2), [(rng.randrange(31), rng.randrange(31)) for _ in range(50)])
+    for K in (2 ** 70, 2 ** 70 + 5):
+        assert inside_count(X, LinearFunctional(7, (1, 3)), K) == len(X)
 
 
 def test_find_thin_box_and_thick_line():
