@@ -19,6 +19,7 @@ from zerosum import (
     decompose,
     find_thin_functional,
     is_thick,
+    nonconstant_directions,
     strong_decompose,
     tube_decompose,
 )
@@ -33,11 +34,19 @@ line = GroupMultiset.from_points(GroupParams(7, 1), [(i,) for i in range(7)])
 thick, outside = is_thick(line, LinearFunctional(0, (1,)), ThicknessParams(1, Fraction(1, 2)))
 print("full line F_7 thick at (K=1, delta=1/2)?", thick, "| outside mass:", outside)
 
+# Scans run over a family of canonical directions (leading coefficient 1):
+# those non-constant on the span of a basis.  Spanning the whole plane keeps
+# all 12 directions of F_11^2; spanning the line through (1, 1) drops the one
+# direction (1, 10) that is constant along it.
+everywhere = nonconstant_directions(11, 2, [(1, 0), (0, 1)])
+print("directions of F_11^2:", len(everywhere),
+      "| non-constant along (1, 1):", len(nonconstant_directions(11, 2, [(1, 1)])))
+
 # A box is thin in every coordinate direction: the whole set fits in a slab.
 p11 = GroupParams(11, 2)
 boxpts = [(a % 11, b % 11) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 box = GroupMultiset.from_points(p11, boxpts)
-xi = find_thin_functional(box, 1, Fraction(1, 10))
+xi = find_thin_functional(box, 1, Fraction(1, 10), everywhere)
 print("\nbox [-1,1]^2: thin along", xi)
 
 # Scalar multiples matter.  Two clusters at x1 in {0,1,2} and {15,16,17} of
@@ -50,7 +59,9 @@ rng = random.Random(1)
 p31 = GroupParams(31, 2)
 pts = {(c % 31, rng.randrange(31)) for c in (0, 1, 2, 15, 16, 17) for _ in range(12)}
 clusters = GroupMultiset.from_points(p31, sorted(pts))
-xi = find_thin_functional(clusters, 3, Fraction(1, 100))
+xi = find_thin_functional(
+    clusters, 3, Fraction(1, 100), nonconstant_directions(31, 2, [(1, 0), (0, 1)])
+)
 print("two clusters: thin along", xi.linear, "(a scaled multiple of x1)")
 
 # tube_decompose implements the greedy reduction: pick independent thin

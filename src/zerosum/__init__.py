@@ -33,6 +33,7 @@ from .thickness import (
     decompose,
     find_thin_functional,
     is_thick,
+    nonconstant_directions,
     strong_decompose,
     tube_decompose,
 )

@@ -27,7 +27,14 @@ from .expansion import ExpansionParams, ExpansionStagnation, expansion_cover
 from .group import GroupParams, InvariantError
 from .multiset import GroupMultiset
 from .pipeline import PipelineConfig, find_zero_sum
-from .subsums import SearchBudget, enumerate_subsums, find_zero_sum_subset, olson_constant
+from .subsums import (
+    OlsonResult,
+    SearchBudget,
+    enumerate_subsums,
+    find_zero_sum_subset,
+    naive_max_zero_sum_free,
+    olson_constant,
+)
 from .thickness import GrowthFunction, decompose, tube_decompose
 from .weighted import WeightedInstance, weighted_zero_sum
 
@@ -95,10 +102,6 @@ def _parse_points(text: str):
     return [tuple(int(c) for c in chunk.split(",")) for chunk in text.split(";") if chunk]
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(max_ms=getattr(args, "budget_ms", None))
-
-
 def _budget_ms(text: str) -> int:
     ms = int(text)
     if ms < 0:
@@ -108,7 +111,6 @@ def _budget_ms(text: str) -> int:
 
 def _common(sub, p_d=True):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget-ms", dest="budget_ms", type=_budget_ms, default=None)
     sub.add_argument("--output", default=None)
     sub.add_argument("--timings", action="store_true")
     if p_d:
@@ -122,6 +124,7 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("olson", help="Olson constant by exact search")
     _common(s)
+    s.add_argument("--budget-ms", dest="budget_ms", type=_budget_ms, default=None)
     s.add_argument("--naive", action="store_true", help="force the 2^(p^d) oracle")
 
     s = subs.add_parser("subsums", help="reachability table of nonempty subsums")
@@ -170,6 +173,7 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("bench", help="timing harness (CSV)")
     _common(s, p_d=False)
+    s.add_argument("--budget-ms", dest="budget_ms", type=_budget_ms, default=None)
     s.add_argument("--suite", default="dp", choices=["dp", "pipeline", "all", "none"])
 
     s = subs.add_parser("gen", help="generate an instance")
@@ -189,21 +193,11 @@ def build_parser() -> _Parser:
 def cmd_olson(args, started) -> int:
     params = GroupParams(args.p, args.d)
     if args.naive:
-        from .subsums import naive_max_zero_sum_free
-
         res = naive_max_zero_sum_free(params)
-        result = {
-            "p": args.p,
-            "d": args.d,
-            "olson": res.size + 1,
-            "exact": True,
-            "witness": [list(v) for v in res.witness],
-            "lower": res.size + 1,
-            "upper": res.size + 1,
-            "nodes": res.nodes,
-        }
+        value = res.size + 1
+        result = OlsonResult(params, value, True, res.witness, value, value, res.nodes).as_dict()
     else:
-        result = olson_constant(params, _budget(args)).as_dict()
+        result = olson_constant(params, SearchBudget(max_ms=args.budget_ms)).as_dict()
     _emit(serialize.dumps(_report("olson", args, result, started)), args)
     return 0
 

@@ -540,7 +540,6 @@ def expansion_cover(
     fibers: Dict[Vec, GroupMultiset],
     l: int,
     params: Optional[ExpansionParams] = None,
-    rng: Optional[random.Random] = None,
 ) -> ExpansionCover:
     """Cover of a full coset {u0} x F_p^{d-l} by disjoint pair selections.
 
@@ -553,8 +552,7 @@ def expansion_cover(
     """
     if params is None:
         params = ExpansionParams()
-    if rng is None:
-        rng = random.Random(params.seed)
+    rng = random.Random(params.seed)
     if not fibers:
         raise ValueError("need at least one fiber")
     gparams = next(iter(fibers.values())).params

@@ -293,9 +293,3 @@ def affine_hull(points: Iterable[Vec], p: int):
     diffs = [tuple((x - b) % p for x, b in zip(q, base)) for q in pts[1:]]
     basis, _ = linalg.rref(diffs, p)
     return len(basis), base, tuple(basis)
-
-
-def nonconstant_on_span(linear: Vec, basis: Sequence[Vec], p: int) -> bool:
-    """True iff a functional with this linear part is non-constant on an
-    affine subspace with the given direction basis."""
-    return any(sum(a * b for a, b in zip(linear, row)) % p != 0 for row in basis)

@@ -40,8 +40,8 @@ from .thickness import (
     DecompositionBudgetError,
     GrowthFunction,
     SubsetSweepBudgetError,
-    candidate_parts,
     min_outside_fraction,
+    nonconstant_directions,
     strong_decompose,
 )
 from .weighted import WeightedInstance, weighted_zero_sum
@@ -264,6 +264,7 @@ def random_thinning(
     rng = random.Random(seed)
     params = next(iter(fibers.values())).params
     Kp = g(K_S)
+    fiber_dirs = nonconstant_directions(params.p, params.d, linalg.identity(params.d)[l:])
     windows = {}
     for label in sorted(fibers):
         n = len(fibers[label])
@@ -300,8 +301,7 @@ def random_thinning(
         union = GroupMultiset.empty(params)
         for z in draw.values():
             union = union.union(z)
-        parts = candidate_parts(union, fiber_start=l)
-        frac, worst = min_outside_fraction(union, Kp, parts)
+        frac, worst = min_outside_fraction(union, Kp, fiber_dirs)
         if frac >= delta / 4:
             return draw
         worst_info = (attempt + 1, worst, frac, len(union))

@@ -2,13 +2,20 @@
 
 A multiset X is (K, delta)-thick along a functional xi when at least a
 delta-fraction of X (with multiplicity) lies outside the slab H(xi, K).
-Everything below is built from exhaustive scans over all directions at once,
-in blocks: one bincount gives the value histograms of a block of canonical
-directions (leading coefficient 1), one gather through a cached index table
-expands them to the scalar multiples c <= (p-1)/2 -- scaling is not a
-symmetry here, since [-K, K] pulls back along c to an arithmetic
+Everything below is built from exhaustive scans over a family of directions
+at once, in blocks: one bincount gives the value histograms of a block of
+canonical directions (leading coefficient 1), one gather through a cached
+index table expands them to the scalar multiples c <= (p-1)/2 -- scaling is
+not a symmetry here, since [-K, K] pulls back along c to an arithmetic
 progression, while -c gives the same counts as c -- and cumulative sums give
 the in-tube count for every constant term.
+
+Every family comes from one rule, `nonconstant_directions`: the canonical
+directions non-constant on the span of a basis, picked by one array mask
+over a cached array of all of them.  The basis is a part's affine hull
+(decompositions), the fiber axes of a tube (tubular certificates), or the
+kernel of the directions a tube reduction has already chosen, whose
+non-constant directions are exactly those outside their span.
 
 Three operations mirror the structural reductions used by the search
 pipeline: a single tube reduction, a recursive decomposition into parts that
@@ -40,7 +47,6 @@ from .group import (
     _check,
     affine_hull,
     canonical_linear_parts,
-    nonconstant_on_span,
 )
 from .multiset import GroupMultiset
 
@@ -103,6 +109,18 @@ class GrowthFunction:
             v = self(v)
         return v
 
+    def capped(self, K: int, cap: int) -> int:
+        """min(g(K), cap) without building an integer much past the cap: as
+        g(K) > K, any K >= cap is at the cap, and so is a power whose base is
+        at least 2 and whose exponent passes cap.bit_length()."""
+        if K >= cap:
+            return cap
+        if self.kind == "polynomial" and K + self.b >= 2 and self.a > cap.bit_length():
+            return cap
+        if self.kind == "exponential" and K > cap.bit_length():
+            return cap
+        return min(self(K), cap)
+
     def describe(self) -> str:
         if self.kind == "affine":
             if self.a == 1:
@@ -141,6 +159,11 @@ class IteratedGrowth:
 
     def iterate(self, times: int, K: int) -> int:
         return self.base.iterate(self.times * times, K)
+
+    def capped(self, K: int, cap: int) -> int:
+        for _ in range(self.times):
+            K = self.base.capped(K, cap)
+        return K
 
     def describe(self) -> str:
         return f"({self.base.describe()})^{self.times}"
@@ -292,58 +315,45 @@ def is_thick(X: GroupMultiset, xi: LinearFunctional, params: ThicknessParams):
     return Fraction(outside) >= params.delta * len(X), outside
 
 
-def _span_filter(parts: Sequence[Vec], excluded: Sequence[Vec], p: int) -> List[Vec]:
-    if not excluded:
-        return list(parts)
-    reduced, pivots = linalg.rref(excluded, p)
-    out = []
-    for lam in parts:
-        v = list(lam)
-        for row, c in zip(reduced, pivots):
-            if v[c] % p:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        if any(x % p for x in v):
-            out.append(lam)
-    return out
+@lru_cache(maxsize=64)
+def _canonical_directions(p: int, d: int) -> np.ndarray:
+    """canonical_linear_parts(p, d) as one read-only (L, d) int64 array."""
+    dirs = np.array(canonical_linear_parts(p, d), dtype=np.int64).reshape(-1, d)
+    dirs.setflags(write=False)
+    return dirs
 
 
-def candidate_parts(
-    X: GroupMultiset,
-    excluded: Sequence[Vec] = (),
-    hull_basis: Optional[Sequence[Vec]] = None,
-    fiber_start: Optional[int] = None,
-) -> List[Vec]:
-    """Canonical linear parts, optionally filtered to those independent from
-    `excluded`, non-constant on a hull with direction basis `hull_basis`, or
-    non-constant on the fiber subspace {0}^l x F_p^{d-l} (fiber_start = l)."""
-    p, d = X.params.p, X.params.d
-    parts: Sequence[Vec] = canonical_linear_parts(p, d)
-    if fiber_start is not None:
-        parts = [lam for lam in parts if any(lam[fiber_start:])]
-    if hull_basis is not None:
-        parts = [lam for lam in parts if nonconstant_on_span(lam, hull_basis, p)]
-    return _span_filter(parts, excluded, p)
+def nonconstant_directions(p: int, d: int, basis) -> np.ndarray:
+    """The canonical directions non-constant on the span of `basis` (rows
+    reduced mod p), in canonical order: lam is kept when lam . b != 0 for
+    some row b.
+
+    One rule serves every family the structural steps scan.  A hull basis
+    gives the directions non-constant on an affine hull; the fiber axes
+    e_l..e_{d-1} give those non-constant on {0}^l x F_p^{d-l}; a kernel
+    basis of E gives those outside span(E), since span(E) is the
+    annihilator of ker(E).  An empty basis gives an empty family.
+    """
+    dirs = _canonical_directions(p, d)
+    B = np.asarray(basis, dtype=np.int64).reshape(-1, d)
+    return dirs[((dirs @ B.T) % p).any(axis=1)]
 
 
 def find_thin_functional(
-    X: GroupMultiset,
-    K: int,
-    delta: Fraction,
-    excluded: Sequence[Vec] = (),
-    hull_basis: Optional[Sequence[Vec]] = None,
+    X: GroupMultiset, K: int, delta: Fraction, linear_parts: Sequence[Vec]
 ) -> Optional[LinearFunctional]:
-    """A functional along which X fails to be (K, delta)-thick.
+    """A functional along which X fails to be (K, delta)-thick, over a family
+    of canonical directions (as from `nonconstant_directions`) and all their
+    scalar multiples.
 
-    All directions are scanned in blocks through their canonical
-    representatives and expanded to all scalar multiples through histogram
-    permutations; the constant term is chosen to maximise |X ∩ H(xi, K)|.
-    Among thin functionals the largest in-tube count wins, ties broken by the
-    lexicographic encoding.  Returns None when X is thick along every
-    admissible functional.
+    The directions are scanned in blocks and expanded to all scalar multiples
+    through histogram permutations; the constant term is chosen to maximise
+    |X ∩ H(xi, K)|.  Among thin functionals the largest in-tube count wins,
+    ties broken by the lexicographic encoding.  Returns None when X is thick
+    along every functional of the family, or the family is empty.
     """
     n = len(X)
-    found = _scan(X, K, candidate_parts(X, excluded=excluded, hull_basis=hull_basis), False)
+    found = _scan(X, K, linear_parts, False)
     # thinness only grows with the in-tube count, so the best is thin or none is
     if found is None or not Fraction(n - found[0]) < delta * n:
         return None
@@ -356,8 +366,8 @@ def min_outside_fraction(
     linear_parts: Sequence[Vec],
     zero_constant_term: bool = False,
 ) -> Tuple[Fraction, Optional[LinearFunctional]]:
-    """Worst-case thickness over a family of directions and all their scalar
-    multiples.
+    """Worst-case thickness over a family of canonical directions (as from
+    `nonconstant_directions`) and all their scalar multiples.
 
     For each functional the binding constant term maximises the in-tube count
     (fixed to a0 = 0 when zero_constant_term is set).  Returns the minimum
@@ -375,12 +385,10 @@ def min_outside_fraction(
 
 def hull_thickness(X: GroupMultiset, K: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
     """Worst outside-fraction at radius K over directions non-constant on the
-    affine hull of X.  dim-0 hulls have no such direction: vacuously (1, None)."""
-    dim, _base, basis = affine_hull(X.support(), X.params.p)
-    if dim == 0:
-        return Fraction(1), None
-    parts = candidate_parts(X, hull_basis=basis)
-    return min_outside_fraction(X, K, parts)
+    affine hull of X; a single point's hull has none, so it gives (1, None)."""
+    p, d = X.params.p, X.params.d
+    _dim, _base, basis = affine_hull(X.support(), p)
+    return min_outside_fraction(X, K, nonconstant_directions(p, d, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +425,10 @@ class TubularCertificate:
             return False, Fraction(0), None
         if self.l == self.params.d:
             return True, Fraction(1), None
-        parts = candidate_parts(img, fiber_start=self.l)
-        frac, worst = min_outside_fraction(img, self.K_prime, parts)
+        fiber_axes = linalg.identity(self.params.d)[self.l :]
+        frac, worst = min_outside_fraction(
+            img, self.K_prime, nonconstant_directions(p, self.params.d, fiber_axes)
+        )
         return frac >= self.delta, frac, worst
 
 
@@ -446,14 +456,15 @@ def tube_decompose(
         raise ValueError("empty multiset")
 
     chosen: List[LinearFunctional] = []
+    # the directions outside span(chosen) are those non-constant on its kernel
+    kernel = linalg.identity(d)
     for i in range(1, d + 1):
         Ki = g.iterate(i, K0)
-        thin = find_thin_functional(
-            X, Ki, (2 ** i) * delta, excluded=[f.linear for f in chosen]
-        )
+        thin = find_thin_functional(X, Ki, (2 ** i) * delta, nonconstant_directions(p, d, kernel))
         if thin is None:
             break
         chosen.append(thin)
+        kernel = linalg.kernel_basis([f.linear for f in chosen], p)
 
     l = len(chosen)
     K = g.iterate(l, K0)
@@ -513,29 +524,31 @@ class Decomposition:
         return [affine_hull(part.support(), self.params.p) for part in self.parts]
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
-        checks = []
-        rebuilt = self.x0
-        for part in self.parts:
-            rebuilt = rebuilt.union(part)
-        checks.append(("partition", rebuilt == X))
-        checks.append(
-            ("x0_bound", Fraction(len(self.x0)) <= self.epsilon * self.input_size)
-        )
-        checks.append(
-            (
-                "part_sizes",
-                all(Fraction(len(pt)) >= self.mu * self.input_size for pt in self.parts),
-            )
-        )
-        Kp = self.growth(self.K)
-        ok = True
-        for part in self.parts:
-            frac, _worst = hull_thickness(part, Kp)
-            if frac < self.delta:
-                ok = False
-                break
-        checks.append(("hull_thickness", ok))
-        return checks
+        sizes = all(Fraction(len(pt)) >= self.mu * self.input_size for pt in self.parts)
+        return _partition_checks(self, X, self.growth, [("part_sizes", sizes)], "hull_thickness")
+
+
+def _partition_checks(dec, X: GroupMultiset, g, middle, thickness_name) -> List[Tuple[str, bool]]:
+    """The checks both decompositions share, in order: x0 and the parts
+    rebuild X, x0 is within its epsilon share, the `middle` checks, and every
+    part is delta-thick in its hull at g(K).
+
+    The scans read a radius only through min(radius, p), so g(K) is evaluated
+    capped at p: a forged K or growth in an artifact cannot make the check
+    build an arbitrarily large integer.
+    """
+    rebuilt = dec.x0
+    for part in dec.parts:
+        rebuilt = rebuilt.union(part)
+    checks = [
+        ("partition", rebuilt == X),
+        ("x0_bound", Fraction(len(dec.x0)) <= dec.epsilon * dec.input_size),
+        *middle,
+    ]
+    Kp = g.capped(dec.K, dec.params.p)
+    thick = all(hull_thickness(part, Kp)[0] >= dec.delta for part in dec.parts)
+    checks.append((thickness_name, thick))
+    return checks
 
 
 def decompose(
@@ -561,7 +574,7 @@ def decompose(
     if len(X) == 0:
         raise ValueError("cannot decompose an empty multiset")
     params = X.params
-    p = params.p
+    p, d = params.p, params.d
 
     exponent = 0
     parts: List[GroupMultiset] = []
@@ -578,7 +591,7 @@ def decompose(
             parts.append(P)
             return
         K_search = g.iterate(exponent + 1, K0)
-        thin = find_thin_functional(P, K_search, eps_lvl / 2, hull_basis=basis)
+        thin = find_thin_functional(P, K_search, eps_lvl / 2, nonconstant_directions(p, d, basis))
         if thin is None:
             parts.append(P)
             return
@@ -713,19 +726,8 @@ class StrongDecomposition:
         return _union(self.params, self.parts, subset)
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
-        checks = []
-        rebuilt = self.x0
-        for part in self.parts:
-            rebuilt = rebuilt.union(part)
-        checks.append(("partition", rebuilt == X))
-        checks.append(("x0_bound", Fraction(len(self.x0)) <= self.epsilon * self.input_size))
         gp = IteratedGrowth(self.growth, self.params.d + 1)
-        ok = True
-        for part in self.parts:
-            frac, _ = hull_thickness(part, gp(self.K))
-            if frac < self.delta:
-                ok = False
-        checks.append(("part_thickness", ok))
+        checks = _partition_checks(self, X, gp, [], "part_thickness")
         # every one of the 2^m - 1 unions needs a valid certificate; the
         # count is checked first, so a forged m cannot start 2^m unions
         certs = self.subset_certs

@@ -65,6 +65,22 @@ def test_olson_negative_budget_rejected(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_budget_ms_only_on_olson_and_bench(capsys):
+    assert main(["bench", "--suite", "none", "--budget-ms", "10"]) == 0
+    code = main(["gen", "--p", "5", "--d", "1", "--budget-ms", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.startswith("error:")
+
+
+def test_olson_naive_report(capsys):
+    code, out = run_cli(capsys, "olson", "--p", "3", "--d", "2", "--naive")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "p": 3, "d": 2, "olson": 4, "exact": True, "witness": [[0, 1], [1, 0], [1, 1]],
+        "lower": 4, "upper": 4, "nodes": 512,
+    }
+
+
 def test_gen_pipeline_verify_roundtrip(tmp_path, capsys):
     xpath = str(tmp_path / "X.json")
     code, _ = run_cli(
@@ -204,6 +220,35 @@ def _verify_exit(tmp_path, capsys, artifact):
     code = main(["verify", "--input", _write_json(tmp_path, artifact, "artifact.json")])
     captured = capsys.readouterr()
     return code, (json.loads(captured.out) if captured.out else None), captured.err
+
+
+def test_verify_caps_forged_growth(tmp_path, capsys):
+    # "2^K" at K = 10^12 is a 10^12-bit integer; the scans read a radius only
+    # up to p, so verify evaluates the growth capped at p and stays quick
+    xpath = str(tmp_path / "X.json")
+    gen = ["gen", "--kind", "random-cloud", "--p", "11", "--d", "2", "--seed", "3"]
+    assert main(gen + ["--output", xpath]) == 0
+    code, out = run_cli(capsys, "decompose", "--input", xpath)
+    assert code == 0
+    artifact = json.loads(out)["result"]
+    _code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    names = [c["name"] for c in rep["result"]["checks"]]
+    artifact.update(growth="2^K", K=10 ** 12)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))\n"
+        "from zerosum.cli import main\n"
+        "raise SystemExit(main(['verify', '--input', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _write_json(tmp_path, artifact, "forged.json")],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert [c["name"] for c in json.loads(proc.stdout)["result"]["checks"]] == names
 
 
 def test_verify_rejects_singular_tubular_psi(tmp_path, capsys):

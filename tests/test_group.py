@@ -12,7 +12,6 @@ from zerosum.group import (
     count_canonical_functionals,
     eval_functional,
     in_tube_set,
-    nonconstant_on_span,
 )
 from zerosum.multiset import GroupMultiset, change_coords
 from zerosum import linalg
@@ -152,11 +151,6 @@ def test_hull_dimension_invariant_under_iso():
         image = [psi.apply(x, p) for x in pts]
         dim2, _, _ = affine_hull(image, p)
         assert dim == dim2
-
-
-def test_nonconstant_on_span():
-    assert nonconstant_on_span((1, 0), [(1, 1)], 5)
-    assert not nonconstant_on_span((1, 4), [(1, 1)], 5)  # 1 + 4 = 0 mod 5
 
 
 def test_multiset_bookkeeping():

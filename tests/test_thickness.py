@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zerosum.group import GroupParams, LinearFunctional, in_interval
+from zerosum.group import GroupParams, LinearFunctional, canonical_linear_parts, in_interval
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import (
     GrowthFunction,
@@ -44,6 +44,20 @@ def test_growth_function_parse_and_iterate():
         GrowthFunction("affine", 1, 0)  # g(K) = K is not allowed
     with pytest.raises(ValueError):
         GrowthFunction.parse("K^2")
+
+
+def test_growth_capped_matches_min():
+    cap = 31
+    for g in (G1, G44, GrowthFunction("polynomial", 3, 1), GrowthFunction("exponential", 2)):
+        for K in range(40):
+            assert g.capped(K, cap) == min(g(K), cap)
+        for K in range(5):  # 2^2^2^K stays computable only this far
+            assert IteratedGrowth(g, 3).capped(K, cap) == min(IteratedGrowth(g, 3)(K), cap)
+    # never built: 2^(10^12) and (10^12 + 1)^(10^6)
+    assert GrowthFunction("exponential", 2).capped(10 ** 12, cap) == cap
+    assert GrowthFunction("exponential", 2).capped(30, cap) == cap
+    assert GrowthFunction("polynomial", 10 ** 6, 1).capped(1, cap) == cap
+    assert GrowthFunction("polynomial", 10 ** 6, 1).capped(0, cap) == 1
 
 
 def test_is_thick_full_line():
@@ -95,12 +109,12 @@ def test_inside_count_past_int64():
 def test_find_thin_box_and_thick_line():
     params = GroupParams(11, 2)
     box = ms(params, [(a % 11, b % 11) for a in (-1, 0, 1) for b in (-1, 0, 1)])
-    thin = find_thin_functional(box, 1, Fraction(1, 10))
+    thin = find_thin_functional(box, 1, Fraction(1, 10), canonical_linear_parts(11, 2))
     assert thin is not None and thin.linear in ((0, 1), (1, 0))
 
     line = full_line(11)
     # 2K+1 < p and delta <= (p - 2K - 1)/p: the full line is thick everywhere
-    assert find_thin_functional(line, 2, Fraction(6, 11)) is None
+    assert find_thin_functional(line, 2, Fraction(6, 11), canonical_linear_parts(11, 1)) is None
 
 
 def test_find_thin_two_clusters():
@@ -114,7 +128,7 @@ def test_find_thin_two_clusters():
     X = ms(params, sorted(pts))
     # clusters sit at x_1 in {0,1,2} u {15,16,17}; the doubling map sends the
     # labels to {30,0,1,2,3,4}, so a K=3 window along 2*x_1 swallows all of X
-    found = find_thin_functional(X, 3, Fraction(1, 100))
+    found = find_thin_functional(X, 3, Fraction(1, 100), canonical_linear_parts(31, 2))
     assert found is not None
     assert found.linear[1] == 0 and found.linear[0] != 0
     n_inside = sum(
@@ -123,7 +137,7 @@ def test_find_thin_two_clusters():
     )
     assert n_inside == len(X)
     # at K = 1 no scaling fits six label values into a width-3 window
-    assert find_thin_functional(X, 1, Fraction(1, 100)) is None
+    assert find_thin_functional(X, 1, Fraction(1, 100), canonical_linear_parts(31, 2)) is None
 
 
 def test_tube_box_keeps_everything():

@@ -1,9 +1,12 @@
 """The blocked all-directions thickness scan against a brute-force oracle.
 
 The oracle enumerates every nonzero linear part of F_p^d and every constant
-term, decides admissibility from the definitions (span membership by
-enumerating the span, non-constancy on the hull by dot products), and picks
-the largest in-tube count with the lexicographically smallest (linear, a0).
+term, decides admissibility from the definitions (span membership and
+non-constancy on a span by enumerating the span, non-constancy on the fiber
+factor by its coordinates), and picks the largest in-tube count with the
+lexicographically smallest (linear, a0).  The direction families themselves
+come from one rule, `nonconstant_directions`, checked against the same
+admissibility oracle.
 """
 
 import itertools
@@ -17,10 +20,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zerosum import thickness
+from zerosum import linalg, thickness
 from zerosum.group import GroupParams, LinearFunctional, canonical_linear_parts
 from zerosum.multiset import GroupMultiset
-from zerosum.thickness import find_thin_functional, min_outside_fraction
+from zerosum.thickness import (
+    find_thin_functional,
+    hull_thickness,
+    min_outside_fraction,
+    nonconstant_directions,
+)
 
 SHAPES = [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (11, 3)]
 
@@ -30,6 +38,27 @@ def _span(vectors, p, d):
     for coeffs in itertools.product(range(p), repeat=len(vectors)):
         out.add(tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % p for k in range(d)))
     return out
+
+
+def _family(mode, vectors, l, p, d):
+    """(basis handed to nonconstant_directions, admissibility of a nonzero
+    linear part decided from the definitions) for one family.
+
+    hull: non-constant on the span of `vectors`; fiber: non-constant on
+    {0}^l x F_p^(d-l); excluded: outside the span of `vectors`, whose
+    annihilator (the kernel, or all of F_p^d when nothing is excluded) is the
+    basis.
+    """
+    vectors = [tuple(c % p for c in v[:d]) for v in vectors]
+    if mode == "hull":
+        span = _span(vectors, p, d)
+        return vectors, lambda v: any(sum(a * b for a, b in zip(v, s)) % p for s in span)
+    if mode == "fiber":
+        l = min(l, d)
+        return linalg.identity(d)[l:], lambda v: any(v[l:])
+    span = _span(vectors, p, d)
+    kernel = linalg.kernel_basis(vectors, p) if vectors else linalg.identity(d)
+    return kernel, lambda v: v not in span
 
 
 def _brute_best(X, K, admissible, zero_constant_term):
@@ -83,32 +112,36 @@ def block_cells(request, monkeypatch):
         monkeypatch.setattr(thickness, "_BLOCK_CELLS", request.param)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    instances,
-    st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=2),
-    st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=2),
-    st.booleans(),
-    st.booleans(),
-    st.fractions(min_value=Fraction(1, 50), max_value=1),
+families = st.tuples(
+    st.sampled_from(["hull", "fiber", "excluded"]),
+    st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=3),
+    st.integers(0, 3),
 )
-def test_find_thin_functional_matches_brute_force(
-    block_cells, inst, excluded, hull, use_excluded, use_hull, delta
-):
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SHAPES), families)
+def test_nonconstant_directions_match_definitions(shape, family):
+    p, d = shape
+    basis, admissible = _family(*family, p, d)
+    expected = [list(v) for v in canonical_linear_parts(p, d) if admissible(v)]
+    dirs = nonconstant_directions(p, d, basis)
+    assert dirs.shape == (len(expected), d) and dirs.tolist() == expected
+
+
+def test_nonconstant_on_span():
+    # (1, 0) . (1, 1) = 1 but (1, 4) . (1, 1) = 0 mod 5
+    dirs = nonconstant_directions(5, 2, [(1, 1)]).tolist()
+    assert [1, 0] in dirs and [1, 4] not in dirs
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instances, families, st.fractions(min_value=Fraction(1, 50), max_value=1))
+def test_find_thin_functional_matches_brute_force(block_cells, inst, family, delta):
     (p, d), raw, K = inst
     X = _multiset(p, d, raw)
-    excluded = [tuple(c % p for c in v[:d]) for v in excluded] if use_excluded else []
-    hull_basis = [tuple(c % p for c in v[:d]) for v in hull] if use_hull else None
-    span = _span(excluded, p, d)
-
-    def admissible(v):
-        if v in span:
-            return False
-        return hull_basis is None or any(
-            sum(a * b for a, b in zip(v, row)) % p for row in hull_basis
-        )
-
-    found = find_thin_functional(X, K, delta, excluded=excluded, hull_basis=hull_basis)
+    basis, admissible = _family(*family, p, d)
+    found = find_thin_functional(X, K, delta, nonconstant_directions(p, d, basis))
     best = _brute_best(X, K, admissible, False)
     n = len(X)
     if best is None or not Fraction(n - best[0]) < delta * n:
@@ -150,8 +183,12 @@ def test_empty_direction_family():
     X = _multiset(7, 2, [((1, 2), 1), ((3, 4), 2)])
     assert min_outside_fraction(X, 1, []) == (Fraction(1), None)
     assert min_outside_fraction(X, 1, [], zero_constant_term=True) == (Fraction(1), None)
-    # excluding a basis leaves no admissible direction
-    assert find_thin_functional(X, 1, Fraction(1), excluded=[(1, 0), (0, 1)]) is None
+    # excluding a basis leaves an empty kernel, hence no direction
+    no_dirs = nonconstant_directions(7, 2, linalg.kernel_basis([(1, 0), (0, 1)], 7))
+    assert no_dirs.shape == (0, 2)
+    assert find_thin_functional(X, 1, Fraction(1), no_dirs) is None
+    # a single point's hull has an empty basis: vacuously thick
+    assert hull_thickness(_multiset(7, 2, [((1, 2), 3)]), 1) == (Fraction(1), None)
 
 
 def test_invariant_check_survives_optimize_flag():
