@@ -30,7 +30,7 @@ through floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -167,9 +167,6 @@ class IteratedGrowth:
 
     def describe(self) -> str:
         return f"({self.base.describe()})^{self.times}"
-
-
-DEFAULT_GROWTH = GrowthFunction("affine", 4, 4)
 
 
 @dataclass(frozen=True)
@@ -520,35 +517,49 @@ class Decomposition:
     def m(self) -> int:
         return len(self.parts)
 
-    def hulls(self):
-        return [affine_hull(part.support(), self.params.p) for part in self.parts]
-
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
+        scans, delta = _part_scan(self.parts, self.growth.capped(self.K, self.params.p))
         sizes = all(Fraction(len(pt)) >= self.mu * self.input_size for pt in self.parts)
-        return _partition_checks(self, X, self.growth, [("part_sizes", sizes)], "hull_thickness")
+        return _partition_checks(self, X) + [
+            ("part_sizes", sizes),
+            ("hull_thickness", all(frac >= self.delta for frac, _ in scans)),
+            ("delta", self.delta == delta),
+            ("mu", self.mu == _least_share(self.parts, self.input_size)),
+        ]
 
 
-def _partition_checks(dec, X: GroupMultiset, g, middle, thickness_name) -> List[Tuple[str, bool]]:
-    """The checks both decompositions share, in order: x0 and the parts
-    rebuild X, x0 is within its epsilon share, the `middle` checks, and every
-    part is delta-thick in its hull at g(K).
-
-    The scans read a radius only through min(radius, p), so g(K) is evaluated
-    capped at p: a forged K or growth in an artifact cannot make the check
-    build an arbitrarily large integer.
-    """
+def _partition_checks(dec, X: GroupMultiset) -> List[Tuple[str, bool]]:
+    """The checks both decompositions open with: x0 and the parts rebuild X,
+    and x0 is within its epsilon share."""
     rebuilt = dec.x0
     for part in dec.parts:
         rebuilt = rebuilt.union(part)
-    checks = [
+    return [
         ("partition", rebuilt == X),
         ("x0_bound", Fraction(len(dec.x0)) <= dec.epsilon * dec.input_size),
-        *middle,
     ]
-    Kp = g.capped(dec.K, dec.params.p)
-    thick = all(hull_thickness(part, Kp)[0] >= dec.delta for part in dec.parts)
-    checks.append((thickness_name, thick))
-    return checks
+
+
+def _part_scan(parts: Sequence[GroupMultiset], Kp: int):
+    """(each part's (outside fraction, worst functional) in its affine hull
+    at radius Kp, and delta: their least fraction, 1 when every part is a
+    single point and so vacuously thick).
+
+    The validators pass g(K) capped at p: the scans read a radius only
+    through min(radius, p), so a forged K or growth in an artifact cannot
+    make a check build an arbitrarily large integer.
+    """
+    scans = [hull_thickness(part, Kp) for part in parts]
+    return scans, min((frac for frac, _ in scans), default=Fraction(1))
+
+
+def _least_share(parts: Sequence[GroupMultiset], n: int, fractions=()) -> Optional[Fraction]:
+    """mu as the decompositions record it: the least share of the n input
+    points held by one part, or one of `fractions` if smaller; None for an
+    empty input or no parts, which no decomposition produces."""
+    if n == 0 or not parts:
+        return None
+    return min([Fraction(len(part), n) for part in parts] + list(fractions))
 
 
 def decompose(
@@ -624,9 +635,8 @@ def decompose(
     # last sweep's fractions give delta.
     while True:
         K = g.iterate(exponent, K0)
-        Kp = g(K)
-        fracs = [hull_thickness(part, Kp)[0] for part in parts]
-        failing = [i for i, frac in enumerate(fracs) if frac == 0]
+        scans, delta = _part_scan(parts, g(K))
+        failing = [i for i, (frac, _) in enumerate(scans) if frac == 0]
         if not failing:
             break
         total_removed = sum(len(r) for r in removed)
@@ -639,8 +649,6 @@ def decompose(
             eps_local = allowance / (2 * len(redo) * len(piece))
             slicer(piece, eps_local)
 
-    # 1 when every part is a single point: vacuously thick
-    delta = min(fracs, default=Fraction(1))
     mu = min(Fraction(len(part), len(X)) for part in parts)
 
     x0 = GroupMultiset.empty(params)
@@ -669,28 +677,58 @@ def decompose(
 # ---------------------------------------------------------------------------
 
 
-def _union(params: GroupParams, parts: Sequence[GroupMultiset], subset) -> GroupMultiset:
-    out = GroupMultiset.empty(params)
-    for i in subset:
-        out = out.union(parts[i])
-    return out
+def _mask_unions(parts: Sequence[GroupMultiset], start: int = 1):
+    """(mask, X_S) for every mask from `start` to 2^m - 1 in increasing
+    order, X_S the union of the parts whose bits are set in mask.
 
+    The walk splits on the top bit first, so each union is built as its
+    higher bits' union plus the part of its lowest bit: one merge per mask,
+    and at most m unions held at a time.  Masks below `start` are skipped
+    with every merge that only they need.  The parts must not change during
+    a walk; a caller that shrinks one starts a new walk.
+    """
 
-def _subset_unions(parts: Sequence[GroupMultiset]):
-    """(S, X_S) for every nonempty subset S of part indices, in lexicographic
-    order of the sorted tuples S.  Each union is built once, as
-    X_{S minus max S} ∪ part_{max S}, and at most len(parts) are held at a
-    time."""
-
-    def walk(prefix, X_prefix, start):
-        for i in range(start, len(parts)):
-            subset = prefix + (i,)
-            X_S = X_prefix.union(parts[i])
-            yield subset, X_S
-            yield from walk(subset, X_S, i + 1)
+    def walk(high: int, X_high: GroupMultiset, bits: int):
+        # the masks high | low for 0 < low < 2^bits, in increasing order
+        if bits == 0:
+            return
+        top = 1 << (bits - 1)
+        if high | (top - 1) >= start:
+            yield from walk(high, X_high, bits - 1)
+        if high | top | (top - 1) >= start:
+            X_top = X_high.union(parts[bits - 1])
+            if high | top >= start:
+                yield high | top, X_top
+            yield from walk(high | top, X_top, bits - 1)
 
     if parts:
-        yield from walk((), GroupMultiset.empty(parts[0].params), 0)
+        yield from walk(0, GroupMultiset.empty(parts[0].params), len(parts))
+
+
+def _subset(mask: int) -> Tuple[int, ...]:
+    """The part indices whose bits are set in mask."""
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def _delta_schedule(eps: Fraction, mu0: Fraction, delta0: Fraction, m: int, d: int, mask: int):
+    """The sweep's delta_j = eps mu0 delta0 2^{-d-2-m} 2^{-(d+m+4) j} for the
+    union of mask j."""
+    return eps * mu0 * delta0 / 2 ** (d + 2 + m + (d + m + 4) * mask)
+
+
+def _rescan(parts: Sequence[GroupMultiset], Kp: int, certs):
+    """Bullets 2 and 3 of a strong decomposition, re-derived from its parts:
+    `_part_scan` at Kp, then for every mask in increasing order
+    (mask, certs[S], certs[S].cert rescanned on X_S) -- or None in place of
+    that list as soon as some union S has no certificate."""
+    scans, delta = _part_scan(parts, Kp)
+    rescans = []
+    for mask, X_S in _mask_unions(parts):
+        sc = certs.get(_subset(mask))
+        if sc is None:
+            return scans, delta, None
+        rescans.append((mask, sc, sc.cert.validate(X_S)))
+    return scans, delta, rescans
 
 
 @dataclass
@@ -723,22 +761,42 @@ class StrongDecomposition:
         return len(self.parts)
 
     def union(self, subset: Sequence[int]) -> GroupMultiset:
-        return _union(self.params, self.parts, subset)
+        out = GroupMultiset.empty(self.params)
+        for i in subset:
+            out = out.union(self.parts[i])
+        return out
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
-        gp = IteratedGrowth(self.growth, self.params.d + 1)
-        checks = _partition_checks(self, X, gp, [], "part_thickness")
-        # every one of the 2^m - 1 unions needs a valid certificate; the
-        # count is checked first, so a forged m cannot start 2^m unions
-        certs = self.subset_certs
-        ok = len(certs) == 2 ** self.m - 1
-        if ok:
-            for subset, X_S in _subset_unions(self.parts):
-                sc = certs.get(subset)
-                if sc is None or not sc.cert.validate(X_S)[0]:
-                    ok = False
-        checks.append(("tubular_certs", ok))
-        return checks
+        """The partition checks, bullets 2 and 3 rescanned, then the recorded
+        numbers re-derived: delta, mu and each union's achieved fraction from
+        the rescans, and each delta_schedule from eps, mu0 delta0, m, d and
+        its mask.  removed_in_sweeps is only bounded, by |x0| and eps|X|/2,
+        and mu0 and delta0 enter only through their product and delta0/2."""
+        p, d, m, n = self.params.p, self.params.d, self.m, self.input_size
+        Kp = IteratedGrowth(self.growth, d + 1).capped(self.K, p)
+        # every one of the 2^m - 1 unions needs a certificate; the count is
+        # checked first, so a forged m cannot start 2^m unions
+        certs = self.subset_certs if len(self.subset_certs) == 2 ** m - 1 else {}
+        scans, delta, rescans = _rescan(self.parts, Kp, certs)
+        whole = rescans is not None
+        rescans = rescans or []
+        schedule = self.mu0 * self.delta0 > 0 and all(
+            sc.delta_schedule == _delta_schedule(self.epsilon, self.mu0, self.delta0, m, d, mask)
+            and sc.cert.delta == sc.delta_schedule / 2
+            for mask, sc, _ in rescans
+        )
+        fracs = [frac for _, _, (_, frac, _) in rescans]
+        removed = self.removed_in_sweeps
+        return _partition_checks(self, X) + [
+            ("part_thickness", all(frac >= self.delta for frac, _ in scans)),
+            ("tubular_certs", whole and all(ok for _, _, (ok, _, _) in rescans)),
+            ("delta", self.delta == delta),
+            ("delta0", self.delta >= self.delta0 / 2),
+            ("mu", whole and self.mu == _least_share(self.parts, n, fracs)),
+            ("achieved", whole and all(sc.achieved == f for (_, sc, _), f in zip(rescans, fracs))),
+            ("delta_schedule", whole and schedule),
+            ("removed_in_sweeps", 0 <= removed <= len(self.x0) and removed < self.epsilon * n / 2),
+        ]
 
 
 def strong_decompose(
@@ -780,61 +838,44 @@ def strong_decompose(
         for elem, _mult in part.items():
             owner[elem] = i
 
-    sweeps: Dict[Tuple[int, ...], Tuple[TubularCertificate, Fraction]] = {}
-    removed_total = 0
+    subset_certs: Dict[Tuple[int, ...], SubsetCertificate] = {}
     removed_sets: List[GroupMultiset] = []
-
-    for j, mask in enumerate(range(1, 2 ** m), start=1):
-        subset = tuple(i for i in range(m) if (mask >> i) & 1)
-        delta_j = (
-            eps
-            * mu0
-            * delta0
-            * Fraction(1, 2 ** (d + 2 + m))
-            * Fraction(1, 2 ** ((d + m + 4) * j))
-        )
-        X_S = _union(params, parts, subset)
-        Y, cert = tube_decompose(X_S, K, delta_j, g, validate=False)
-        dropped = X_S.minus(Y)
-        if dropped:
-            removed_total += len(dropped)
-            removed_sets.append(dropped)
-            pieces = dropped.split([owner[elem] for elem in dropped.support()])
-            for i, piece in pieces.items():
-                parts[i] = parts[i].minus(piece)
-        sweeps[subset] = (cert, delta_j)
+    mask = 1
+    while mask < 2 ** m:
+        # a union that drops points ends the walk; the next one starts at the
+        # following mask, over the shrunken parts
+        for mask, X_S in _mask_unions(parts, mask):
+            delta_j = _delta_schedule(eps, mu0, delta0, m, d, mask)
+            Y, cert = tube_decompose(X_S, K, delta_j, g, validate=False)
+            # the final union is certified at half the sweep delta; the
+            # rescan below records what it achieves
+            subset = _subset(mask)
+            final_cert = replace(cert, delta=delta_j / 2)
+            subset_certs[subset] = SubsetCertificate(subset, final_cert, delta_j, Fraction(0))
+            dropped = X_S.minus(Y)
+            if dropped:
+                removed_sets.append(dropped)
+                pieces = dropped.split([owner[elem] for elem in dropped.support()])
+                for i, piece in pieces.items():
+                    parts[i] = parts[i].minus(piece)
+                break
+        mask += 1
+    removed_total = sum(len(r) for r in removed_sets)
 
     # bullet 1: sweep removals stay below eps|X|/2
     _check("sweep_removals", Fraction(removed_total), "<", eps * len(X) / 2)
 
-    # bullet 2: parts keep half their hull thickness at g^{d+1}(K)
-    part_delta = None
+    # bullet 2: parts keep half their hull thickness at g^{d+1}(K);
+    # bullet 3: every final union is tubular at half its sweep delta
     for part in parts:
         _check("part_nonempty", len(part), ">", 0)
-        frac, worst = hull_thickness(part, gp(K))
+    scans, part_delta, rescans = _rescan(parts, gp(K), subset_certs)
+    for frac, worst in scans:
         _check("part_thickness", frac, ">=", delta0 / 2, f"worst {worst}")
-        if frac < Fraction(1):
-            part_delta = frac if part_delta is None else min(part_delta, frac)
-    if part_delta is None:
-        part_delta = Fraction(1)
-
-    # bullet 3: every final union is tubular at half its sweep delta
-    rescanned: Dict[Tuple[int, ...], SubsetCertificate] = {}
-    tubular_min: Optional[Fraction] = None
-    for subset, X_S in _subset_unions(parts):
-        cert, delta_j = sweeps[subset]
-        final_cert = TubularCertificate(
-            params, cert.l, cert.psi, cert.K, cert.K_prime, delta_j / 2, cert.functionals
-        )
-        _ok, frac, worst = final_cert.validate(X_S)
-        _check("union_tubular", frac, ">=", final_cert.delta, f"union {subset}, worst {worst}")
-        rescanned[subset] = SubsetCertificate(subset, final_cert, delta_j, frac)
-        if cert.l < d:
-            tubular_min = frac if tubular_min is None else min(tubular_min, frac)
-    subset_certs = {subset: rescanned[subset] for subset in sweeps}  # mask order
-
-    size_mu = min(Fraction(len(part), len(X)) for part in parts)
-    mu = size_mu if tubular_min is None else min(size_mu, tubular_min)
+    for _mask, sc, (_ok, frac, worst) in rescans:
+        _check("union_tubular", frac, ">=", sc.cert.delta, f"union {sc.subset}, worst {worst}")
+        sc.achieved = frac
+    mu = _least_share(parts, len(X), [sc.achieved for _, sc, _ in rescans])
 
     x0 = dec.x0
     for r in removed_sets:

@@ -14,7 +14,7 @@ from zerosum.generators import fiber_union, random_cloud
 from zerosum.group import AffineIso, GroupParams
 from zerosum.multiset import GroupMultiset
 from zerosum.subsums import ZeroSumCertificate
-from zerosum.thickness import GrowthFunction, TubularCertificate, strong_decompose
+from zerosum.thickness import GrowthFunction, TubularCertificate, decompose, strong_decompose
 
 
 def run_cli(capsys, *argv):
@@ -287,12 +287,22 @@ def test_verify_reduces_huge_psi_entries(tmp_path, capsys):
     assert code == 0 and rep["result"]["all_passed"]
 
 
-def test_verify_strong_decomposition_subset_certificates(tmp_path, capsys):
+def _two_lines_strong_artifact():
+    """Two lines of F_31^2: delta = delta0 = 18/31, mu = mu0 = 1/2, no sweep
+    removals, three union certificates."""
     params = GroupParams(31, 2)
     X = GroupMultiset.from_points(params, [(0, b) for b in range(31)] + [(1, b) for b in range(31)])
-    artifact = serialize.strong_decomposition_to_json(
+    return serialize.strong_decomposition_to_json(
         X, strong_decompose(X, 0, Fraction(1, 4), GrowthFunction("affine", 1, 1))
     )
+
+
+def _failing(rep):
+    return {c["name"] for c in rep["result"]["checks"] if not c["passed"]}
+
+
+def test_verify_strong_decomposition_subset_certificates(tmp_path, capsys):
+    artifact = _two_lines_strong_artifact()
     assert len(artifact["subset_certs"]) == 3
     code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
     assert code == 0 and rep["result"]["all_passed"]
@@ -309,6 +319,74 @@ def test_verify_strong_decomposition_subset_certificates(tmp_path, capsys):
     del bad["subset_certs"][0]
     code, rep, _ = _verify_exit(tmp_path, capsys, bad)
     assert code == 2 and not rep["result"]["all_passed"]
+
+
+def _halve(text):
+    return str(Fraction(text) / 2)
+
+
+FORGED_STRONG = {
+    "mu": (lambda a: a.update(mu="1"), "mu"),
+    "mu0": (lambda a: a.update(mu0="1"), "delta_schedule"),
+    "delta0": (lambda a: a.update(delta0="1"), "delta_schedule"),
+    "removed_in_sweeps": (lambda a: a.update(removed_in_sweeps=999), "removed_in_sweeps"),
+    "delta": (lambda a: a.update(delta="1/2"), "delta"),
+    # the product mu0 * delta0 = 9/31 is kept, so the schedule still holds
+    # and only delta >= delta0/2 fails
+    "delta0_same_product": (lambda a: a.update(delta0="37/31", mu0="9/37"), "delta0"),
+    "achieved": (lambda a: a["subset_certs"][0].update(achieved="1"), "achieved"),
+    "delta_schedule": (
+        lambda a: a["subset_certs"][1].update(delta_schedule=_halve(a["subset_certs"][1]["delta_schedule"])),
+        "delta_schedule",
+    ),
+    "cert_delta": (
+        lambda a: a["subset_certs"][2].update(delta=_halve(a["subset_certs"][2]["delta"])),
+        "delta_schedule",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FORGED_STRONG))
+def test_verify_rederives_strong_decomposition_numbers(tmp_path, capsys, field):
+    forge, check = FORGED_STRONG[field]
+    artifact = _two_lines_strong_artifact()
+    forge(artifact)
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 2 and _failing(rep) == {check}
+
+
+@pytest.mark.parametrize("field, value", [("delta", "1/2"), ("mu", "1/3")])
+def test_verify_rederives_decomposition_numbers(tmp_path, capsys, field, value):
+    # the real values are delta = 26/31 and mu = 1/2: smaller ones still
+    # bound every part, but they are not what the parts give
+    X = fiber_union(GroupParams(31, 2), 2, seed=0, offset=0)
+    artifact = serialize.decomposition_to_json(X, decompose(X, 0, Fraction(1, 2), GrowthFunction("affine", 1, 1)))
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 0 and rep["result"]["all_passed"]
+    artifact[field] = value
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 2 and _failing(rep) == {field}
+
+
+def test_verify_rejects_forged_numbers_under_optimize_flag(tmp_path):
+    artifact = _two_lines_strong_artifact()
+    artifact.update(mu="1", mu0="1", delta0="1", removed_in_sweeps=999)
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "from zerosum.cli import main\n"
+        "raise SystemExit(main(['verify', '--input', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, _write_json(tmp_path, artifact, "forged.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert _failing(json.loads(proc.stdout)) == {"mu", "delta_schedule", "removed_in_sweeps"}
 
 
 def test_expand_command(tmp_path, capsys):

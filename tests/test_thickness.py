@@ -1,8 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zerosum import thickness
+from zerosum.generators import fiber_union
 from zerosum.group import GroupParams, LinearFunctional, canonical_linear_parts, in_interval
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import (
@@ -290,6 +295,83 @@ def test_strong_decompose_removal_accounting():
     sdec = strong_decompose(X, 0, eps, G1)
     assert Fraction(sdec.removed_in_sweeps) < eps * len(X) / 2
     assert Fraction(len(sdec.x0)) <= eps * len(X)
+    assert all(ok for _, ok in sdec.validate(X))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mask_unions_match_plain_folds(data):
+    """The walk yields every mask from `start` on, in increasing order, each
+    with the multiset of all points of the parts whose bits it sets."""
+    params = GroupParams(5, 2)
+    point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    lists = data.draw(st.lists(st.lists(point, max_size=5), min_size=1, max_size=6))
+    m = len(lists)
+    parts = [ms(params, pts) for pts in lists]
+    start = data.draw(st.integers(1, 2 ** m + 1))
+    walked = list(thickness._mask_unions(parts, start))
+    assert [mask for mask, _ in walked] == list(range(start, 2 ** m))
+    for mask, X_S in walked:
+        assert X_S == ms(params, [pt for i in range(m) if (mask >> i) & 1 for pt in lists[i]])
+
+
+def _naive_sweep(X, eps, g, tube):
+    """The sweep as a plain loop: every union folded afresh from the current
+    parts, in mask order.  Returns (parts, x0, removed, {subset: (cert,
+    delta_j)}, the unions handed to `tube`)."""
+    params, d = X.params, X.params.d
+    dec = decompose(X, 0, eps / 2, IteratedGrowth(g, d + 1))
+    parts, x0, m = list(dec.parts), dec.x0, dec.m
+    removed, certs, seen = 0, {}, []
+    for mask in range(1, 2 ** m):
+        subset = tuple(i for i in range(m) if (mask >> i) & 1)
+        X_S = GroupMultiset.empty(params)
+        for i in subset:
+            X_S = X_S.union(parts[i])
+        seen.append(X_S)
+        delta_j = eps * dec.mu * dec.delta / 2 ** (d + 2 + m + (d + m + 4) * mask)
+        Y, cert = tube(X_S, dec.K, delta_j, g, validate=False)
+        certs[subset] = (cert, delta_j)
+        dropped = X_S.minus(Y)
+        removed += len(dropped)
+        x0 = x0.union(dropped)
+        for i in subset:
+            mine = [e for e in dropped.iter_with_multiplicity() if e in parts[i]]
+            parts[i] = parts[i].minus(ms(params, mine))
+    return parts, x0, removed, certs, seen
+
+
+def test_strong_sweep_restarts_after_a_drop(monkeypatch):
+    """No real instance drops a point in the sweep, so the tube reduction is
+    patched to trim one point z of the second part from every union that
+    holds it.  The first such union is mask 2; mask 3 is built on mask 2's
+    union, so a walk that went on after the drop would hand the reduction a
+    stale union that still holds z."""
+    X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
+    eps = Fraction(1, 4)
+    z = strong_decompose(X, 0, eps, G1).parts[1].support()[-1]
+    real_tube = thickness.tube_decompose
+    seen = []
+
+    def trimming(X_S, K, delta, g, validate=True):
+        seen.append(X_S)
+        Y, cert = real_tube(X_S, K, delta, g, validate=validate)
+        return Y.select([e != z for e in Y.support()]), cert
+
+    parts, x0, removed, certs, naive_seen = _naive_sweep(X, eps, G1, trimming)
+    seen.clear()
+    monkeypatch.setattr(thickness, "tube_decompose", trimming)
+    sdec = strong_decompose(X, 0, eps, G1)
+    assert seen == naive_seen
+    assert sdec.m == 3 and sdec.removed_in_sweeps == removed == 1
+    assert list(sdec.parts) == parts and z not in sdec.union(range(3))
+    assert sdec.x0 == x0 and z in sdec.x0
+    assert list(sdec.subset_certs) == list(certs)  # mask order
+    for subset, (cert, delta_j) in certs.items():
+        sc = sdec.subset_certs[subset]
+        assert sc.cert == replace(cert, delta=delta_j / 2)
+        assert sc.delta_schedule == delta_j
+        assert sc.achieved == cert.validate(sdec.union(subset))[1]
     assert all(ok for _, ok in sdec.validate(X))
 
 
