@@ -40,11 +40,11 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import linalg
 from .group import GroupParams, Vec, _check
 from .multiset import GroupMultiset
 
@@ -87,9 +87,6 @@ class RelationVector:
             if sum(c * lab[k] for lab, c in self.entries) != 0:
                 raise ValueError("relation does not annihilate the labels")
 
-    def norm_inf(self) -> int:
-        return max(abs(c) for _lab, c in self.entries)
-
     def positive(self):
         return [(lab, c) for lab, c in self.entries if c > 0]
 
@@ -97,8 +94,9 @@ class RelationVector:
         return [(lab, -c) for lab, c in self.entries if c < 0]
 
 
-# most coefficient vectors enumerate_relations tries per search, and the
-# largest support its brute-force search covers
+# the most work one support size of enumerate_relations may cost, counted as
+# (2T+1)^size coefficient vectors per label subset, and the least support
+# bound it searches to, whatever the label dimension
 _COMBO_CAP = 2_000_000
 _SUPPORT_CAP = 4
 
@@ -106,12 +104,15 @@ _SUPPORT_CAP = 4
 def enumerate_relations(labels: Sequence[Vec], T: int) -> Tuple[RelationVector, ...]:
     """Usable relations with infinity norm at most T.
 
-    When the kernel lattice of the (l+1) x |Y| label matrix is small enough,
-    bounded integer combinations of a kernel basis are enumerated directly;
-    independently, relations of support <= _SUPPORT_CAP are found by brute
-    force over label subsets, which also catches small vectors the cleared-
-    denominator basis can miss.  Results are deduplicated and sorted, and
-    computed once per sorted label set and T.
+    One search over label subsets: every integer vector with support from 3
+    to max(_SUPPORT_CAP, l + 2), nonzero entries in [-T, T], zero sum and
+    zero label sum.  Distinct labels admit no relation of support 2 or less;
+    any l + 2 labels admit a rational one (l + 2 points of Q^l are affinely
+    dependent), and labels in general position none of smaller support, so
+    tubes of any l get relations.  Support sizes are searched in increasing
+    order until one would cost more than _COMBO_CAP.  Every vector found is
+    a distinct relation; the result is sorted by entries and computed once
+    per sorted label set and T.
     """
     return _relations(tuple(sorted(tuple(lab) for lab in labels)), T)
 
@@ -124,57 +125,19 @@ def _relations(labels: Tuple[Vec, ...], T: int) -> Tuple[RelationVector, ...]:
     if ny == 0:
         return ()
     l = len(labels[0])
-    found: Dict[Tuple[Tuple[Vec, int], ...], RelationVector] = {}
-
-    def register(vec: Dict[Vec, int]):
-        entries = tuple(sorted((lab, c) for lab, c in vec.items() if c != 0))
-        if not entries:
-            return
-        if max(abs(c) for _lab, c in entries) > T:
-            return
-        if entries in found:
-            return
-        try:
-            found[entries] = RelationVector(entries)
-        except ValueError:
-            pass
-
-    matrix = [[lab[k] for lab in labels] for k in range(l)]
-    matrix.append([1] * ny)
-    basis = linalg.integer_kernel_basis(matrix)
-    rank = len(basis)
-    if rank and (2 * T + 1) ** rank <= _COMBO_CAP:
-        for combo in product(range(-T, T + 1), repeat=rank):
-            if all(c == 0 for c in combo):
-                continue
-            vec = [0] * ny
-            for c, b in zip(combo, basis):
-                if c:
-                    for i, x in enumerate(b):
-                        vec[i] += c * x
-            register({labels[i]: vec[i] for i in range(ny)})
-
-    for size in range(3, min(_SUPPORT_CAP, ny) + 1):
-        n_subsets = 1
-        for k in range(size):
-            n_subsets = n_subsets * (ny - k) // (k + 1)
-        if n_subsets * (2 * T + 1) ** size > _COMBO_CAP:
+    nonzero = [c for c in range(-T, T + 1) if c]
+    found = []
+    for size in range(3, min(max(_SUPPORT_CAP, l + 2), ny) + 1):
+        if comb(ny, size) * (2 * T + 1) ** size > _COMBO_CAP:
             break
-        for subset in combinations(range(ny), size):
-            subs = [labels[i] for i in subset]
-            for coeffs in product(range(-T, T + 1), repeat=size):
-                if 0 in coeffs:
-                    continue
-                if sum(coeffs) != 0:
-                    continue
-                if any(
-                    sum(c * lab[k] for c, lab in zip(coeffs, subs)) != 0
-                    for k in range(l)
+        # labels are sorted, so each subset lists its entries in label order
+        for subs in combinations(labels, size):
+            for coeffs in product(nonzero, repeat=size):
+                if sum(coeffs) == 0 and not any(
+                    sum(c * lab[k] for c, lab in zip(coeffs, subs)) for k in range(l)
                 ):
-                    continue
-                register(dict(zip(subs, coeffs)))
-
-    return tuple(found[key] for key in sorted(found))
+                    found.append(RelationVector(tuple(zip(subs, coeffs))))
+    return tuple(sorted(found, key=lambda rel: rel.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,12 @@ class GroupParams:
     p: int
     d: int
     state_budget: int = DEFAULT_STATE_BUDGET
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p == 2:
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if not (1 <= self.d <= self.dim_cap):
-            raise ValueError(f"d must be in [1, {self.dim_cap}], got {self.d}")
+        if not (1 <= self.d <= DEFAULT_DIM_CAP):
+            raise ValueError(f"d must be in [1, {DEFAULT_DIM_CAP}], got {self.d}")
         if self.p ** self.d > self.state_budget:
             raise ValueError(
                 f"p^d = {self.p ** self.d} exceeds the state budget {self.state_budget}"
@@ -107,15 +106,6 @@ class GroupParams:
     def sub(self, a: Vec, b: Vec) -> Vec:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a: Vec) -> Vec:
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def scale(self, c: int, a: Vec) -> Vec:
-        p = self.p
-        c %= p
-        return tuple((c * x) % p for x in a)
 
     def signed(self, r: int) -> int:
         """Symmetric representative of the residue r in [-(p-1)/2, (p-1)/2]."""
@@ -175,25 +165,6 @@ class LinearFunctional:
 
     def is_constant(self) -> bool:
         return all(a == 0 for a in self.linear)
-
-    def reduced(self, p: int) -> "LinearFunctional":
-        return LinearFunctional(self.a0 % p, tuple(a % p for a in self.linear))
-
-    def canonical(self, p: int) -> "LinearFunctional":
-        """Scale so the first nonzero linear coefficient is 1 (constants are
-        returned reduced but otherwise untouched)."""
-        f = self.reduced(p)
-        for a in f.linear:
-            if a != 0:
-                inv = linalg.inv_mod(a, p)
-                return LinearFunctional(
-                    (f.a0 * inv) % p, tuple((x * inv) % p for x in f.linear)
-                )
-        return f
-
-    def encoding(self) -> tuple:
-        """Deterministic sort key: linear part first, then constant term."""
-        return (self.linear, self.a0)
 
 
 def eval_functional(xi: LinearFunctional, x: Vec, p: int) -> int:

@@ -1,15 +1,11 @@
-"""Exact linear algebra over Z/pZ and over the integers.
+"""Exact linear algebra over Z/pZ.
 
 Everything here works on small dense matrices given as sequences of row
-tuples.  Modular routines use explicit inverses mod p (p prime); the integer
-kernel routine goes through Fraction elimination and clears denominators, so
-no floating point is involved anywhere.
+tuples, with explicit inverses mod p (p prime), so no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -135,66 +131,3 @@ def complete_basis(rows, p):
         raise ValueError("failed to complete basis")
     return tuple(out)
 
-
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(vec)
-    out = tuple(x // g for x in vec)
-    # fix sign: first nonzero entry positive
-    for x in out:
-        if x != 0:
-            return out if x > 0 else tuple(-y for y in out)
-    return out
-
-
-def integer_kernel_basis(mat):
-    """Primitive integer vectors spanning (a finite-index sublattice of) the
-    integer kernel of an integer matrix.
-
-    Fraction row reduction gives a rational kernel basis; clearing
-    denominators and dividing by the gcd yields integer vectors.  This spans
-    the rational kernel, which is all that relation enumeration needs; small
-    kernel vectors outside the spanned sublattice are picked up separately by
-    bounded support search.
-    """
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rows = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, c in zip(rows[:r], pivots):
-            vec[c] = -row[f]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in vec]
-        basis.append(_primitive(ints))
-    return basis

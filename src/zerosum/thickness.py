@@ -101,7 +101,7 @@ class GrowthFunction:
             return self.a * K + self.b
         if self.kind == "polynomial":
             return (K + self.b) ** self.a
-        return self.a ** K if self.a ** K > K else K + 1  # exponential; g(K) > K
+        return self.a ** K  # exponential: a^K > K for a >= 2
 
     def iterate(self, times: int, K: int) -> int:
         v = K
@@ -771,9 +771,18 @@ class StrongDecomposition:
         numbers re-derived: delta, mu and each union's achieved fraction from
         the rescans, and each delta_schedule from eps, mu0 delta0, m, d and
         its mask.  removed_in_sweeps is only bounded, by |x0| and eps|X|/2,
-        and mu0 and delta0 enter only through their product and delta0/2."""
-        p, d, m, n = self.params.p, self.params.d, self.m, self.input_size
-        Kp = IteratedGrowth(self.growth, d + 1).capped(self.K, p)
+        and mu0 and delta0 enter only through their product and delta0/2.
+        A union certificate passes only with its radii tied to K, as the
+        sweep's tube reduction sets them: K_cert = g^l(K) and K' = g(K_cert),
+        both compared through min(., p), so a forged radius builds no huge
+        integer."""
+        p, d, m, n, g = self.params.p, self.params.d, self.m, self.input_size, self.growth
+        Kp = IteratedGrowth(g, d + 1).capped(self.K, p)
+
+        def radii(cert: TubularCertificate) -> bool:
+            K = IteratedGrowth(g, cert.l).capped(self.K, p) if cert.l else min(self.K, p)
+            return min(cert.K, p) == K and min(cert.K_prime, p) == g.capped(cert.K, p)
+
         # every one of the 2^m - 1 unions needs a certificate; the count is
         # checked first, so a forged m cannot start 2^m unions
         certs = self.subset_certs if len(self.subset_certs) == 2 ** m - 1 else {}
@@ -785,11 +794,12 @@ class StrongDecomposition:
             and sc.cert.delta == sc.delta_schedule / 2
             for mask, sc, _ in rescans
         )
+        certified = whole and all(ok and radii(sc.cert) for _, sc, (ok, _, _) in rescans)
         fracs = [frac for _, _, (_, frac, _) in rescans]
         removed = self.removed_in_sweeps
         return _partition_checks(self, X) + [
             ("part_thickness", all(frac >= self.delta for frac, _ in scans)),
-            ("tubular_certs", whole and all(ok for _, _, (ok, _, _) in rescans)),
+            ("tubular_certs", certified),
             ("delta", self.delta == delta),
             ("delta0", self.delta >= self.delta0 / 2),
             ("mu", whole and self.mu == _least_share(self.parts, n, fracs)),

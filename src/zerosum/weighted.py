@@ -17,7 +17,7 @@ many points as possible) and is lexicographically minimal among those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class WeightedInstance:
 class CoefficientSolution:
     coefficients: Tuple[int, ...]
 
-    def support(self) -> int:
-        return sum(1 for a in self.coefficients if a > 0)
-
 
 def verify_coefficients(inst: WeightedInstance, sol: CoefficientSolution) -> bool:
     """Membership, non-triviality, and the zero sum, recomputed from scratch."""
@@ -97,27 +94,6 @@ def verify_coefficients(inst: WeightedInstance, sol: CoefficientSolution) -> boo
     return all(t % inst.params.p == 0 for t in total)
 
 
-def _transition_tables(inst: WeightedInstance):
-    """Per point, per candidate residue: the state permutation s -> s + res*y."""
-    params = inst.params
-    p, d, n = params.p, params.d, params.order
-    coords = np.zeros((n, d), dtype=np.int64)
-    idx = np.arange(n)
-    rem = idx.copy()
-    for k in range(d - 1, -1, -1):
-        coords[:, k] = rem % p
-        rem //= p
-    radix = np.array([p ** (d - 1 - k) for k in range(d)], dtype=np.int64)
-    tables = []
-    for i, y in enumerate(inst.points):
-        per_point = {}
-        for _v, res in inst.candidate_values(i):
-            delta = np.array([(res * c) % p for c in y], dtype=np.int64)
-            per_point[res] = (((coords + delta) % p) @ radix)
-        tables.append(per_point)
-    return tables
-
-
 def weighted_zero_sum(inst: WeightedInstance) -> Optional[CoefficientSolution]:
     """Exhaustive DP over partial sums; None means provably no solution.
 
@@ -127,38 +103,44 @@ def weighted_zero_sum(inst: WeightedInstance) -> Optional[CoefficientSolution]:
     solution, i.e. the instance is infeasible.
     """
     params = inst.params
-    n_states = params.order
+    p, d = params.p, params.d
     n = len(inst.points)
-    tables = _transition_tables(inst)
+    shape, axes = (p,) * d, tuple(range(d))
 
+    def step(i: int, res: int) -> Vec:
+        """The state shift res * y_i of choosing residue res at point i."""
+        return tuple((res * c) % p for c in inst.points[i])
+
+    # layers are (p,)^d grids over the partial sum s; taking residue res at
+    # point i moves s to s + res*y_i, read off the next layer by one roll
     NEG = -1_000_000
-    best = np.full(n_states, NEG, dtype=np.int64)
-    best[0] = 0
+    best = np.full(shape, NEG, dtype=np.int64)
+    best[params.zero()] = 0
     layers = [best]
     for i in range(n - 1, -1, -1):
         nxt = layers[-1]
-        cur = np.full(n_states, NEG, dtype=np.int64)
+        cur = np.full(shape, NEG, dtype=np.int64)
         for v, res in inst.candidate_values(i):
             cost = 1 if v > 0 else 0
-            cand = nxt[tables[i][res]] + cost
-            np.maximum(cur, cand, out=cur)
+            shift = tuple(-c for c in step(i, res))
+            np.maximum(cur, np.roll(nxt, shift, axis=axes) + cost, out=cur)
         layers.append(cur)
     layers.reverse()  # layers[i] = best over points i..n-1
 
-    max_support = int(layers[0][0])
+    max_support = int(layers[0][params.zero()])
     if max_support <= 0:
         if inst.hypothesis_holds():
             _check("hypothesis_instance_solvable", max_support, ">", 0)
         return None
 
     coeffs = []
-    state = 0
+    state = params.zero()
     remaining = max_support
     for i in range(n):
         chosen = None
         for v, res in inst.candidate_values(i):
             cost = 1 if v > 0 else 0
-            nxt_state = int(tables[i][res][state])
+            nxt_state = params.add(state, step(i, res))
             if cost + int(layers[i + 1][nxt_state]) == remaining:
                 chosen = (v, nxt_state, cost)
                 break

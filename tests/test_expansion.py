@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -36,8 +37,7 @@ def ms(params, pts):
 
 
 def test_relation_vector_invariants():
-    rel = RelationVector((((-1,), 1), ((0,), -2), ((1,), 1)))
-    assert rel.norm_inf() == 2
+    RelationVector((((-1,), 1), ((0,), -2), ((1,), 1)))
     with pytest.raises(ValueError):
         RelationVector((((-1,), 1), ((0,), -1)))  # coefficients sum to 0 but labels not killed
     with pytest.raises(ValueError):
@@ -71,6 +71,50 @@ def test_enumerate_relations_no_relation():
     assert enumerate_relations([(0,)], 4) == ()
     # two distinct labels admit no bounded relation
     assert enumerate_relations([(0,), (1,)], 4) == ()
+
+
+def naive_relations(labels, T):
+    """Every nonzero coefficient vector on the sorted labels with entries in
+    [-T, T], zero sum, zero label sum and support at most
+    max(_SUPPORT_CAP, l + 2), as relations sorted by entries."""
+    labels = sorted(labels)
+    n, l = len(labels), len(labels[0])
+    vecs = np.array(list(itertools.product(range(-T, T + 1), repeat=n)), dtype=np.int64)
+    rows = np.vstack([np.ones(n, dtype=np.int64), np.array(labels, dtype=np.int64).T])
+    support = np.count_nonzero(vecs, axis=1)
+    keep = (vecs @ rows.T == 0).all(axis=1) & (support > 0)
+    keep &= support <= max(expansion._SUPPORT_CAP, l + 2)
+    rels = [
+        RelationVector(tuple((lab, int(c)) for lab, c in zip(labels, vec) if c))
+        for vec in vecs[keep]
+    ]
+    return tuple(sorted(rels, key=lambda rel: rel.entries))
+
+
+@st.composite
+def label_sets(draw):
+    l = draw(st.integers(1, 3))
+    # narrower boxes in higher l, so that labels often admit short relations
+    r = {1: 3, 2: 2, 3: 1}[l]
+    label = st.tuples(*[st.integers(-r, r)] * l)
+    n = draw(st.integers(2, 6))
+    return draw(st.lists(label, min_size=n, max_size=n, unique=True)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_sets())
+def test_enumerate_relations_matches_naive_search(case):
+    labels, T = case
+    assert enumerate_relations(labels, T) == naive_relations(labels, T)
+
+
+def test_enumerate_relations_reaches_support_l_plus_2():
+    # five labels of Z^3 in general position: no four are affinely
+    # dependent, so the only relations are +-(2, -1, -1, -1, 1)
+    labels = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    assert enumerate_relations(labels, 1) == ()
+    rels = enumerate_relations(labels, 2)
+    assert [[c for _lab, c in rel.entries] for rel in rels] == [[-2, 1, 1, 1, -1], [2, -1, -1, -1, 1]]
 
 
 # -- pair provenance ---------------------------------------------------------

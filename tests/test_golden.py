@@ -7,15 +7,18 @@ traces were added before `find_zero_sum` was split into stage functions, the
 `cover_*` summaries before the cover's growth step became one scorer, the
 `subsums_*` and `olson_*` keys before the subset-sum DP and the Olson search
 moved from numpy tables and frozensets onto one packed-integer kernel, and the
-`cover_relation_*` and `pipeline_relation_*` keys before each cover step was
-rebuilt around one growth table.
+`cover_relation_*` keys before each cover step was rebuilt around one growth
+table.  The `pipeline_relation_*` keys were regenerated when fiber-label
+relations came to be found by the bounded-support search alone.
 Every later change that claims to keep outputs identical must reproduce them
-byte for byte.
+byte for byte; a failure names every key that differs.
 
 Regenerate (only when an output change is intended and recorded in
 CHANGES.md) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the keys it changed.
 """
 
 import hashlib
@@ -300,15 +303,21 @@ def golden_outputs() -> dict:
     return out
 
 
+def _changed_keys(old: dict, new: dict) -> list:
+    """Every key present in only one of the two, or with different values."""
+    return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+
+
 def test_golden_outputs_are_byte_identical():
-    expected = json.loads(FIXTURE.read_text())
-    got = golden_outputs()
-    assert sorted(got) == sorted(expected)
-    for key in sorted(expected):
-        assert got[key] == expected[key], f"{key} differs from the golden fixture"
+    changed = _changed_keys(json.loads(FIXTURE.read_text()), golden_outputs())
+    assert not changed, f"{len(changed)} keys differ from the golden fixture: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(golden_outputs(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    new = golden_outputs()
+    FIXTURE.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
+    for key in _changed_keys(old, new):
+        print(f"changed: {key}")
