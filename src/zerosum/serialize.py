@@ -127,10 +127,19 @@ def tubular_to_json(X: GroupMultiset, cert: TubularCertificate) -> dict:
     }
 
 
+def _radius(obj, name: str) -> int:
+    """obj[name] as a radius; ValueError naming the field when negative."""
+    value = int(obj[name])
+    if value < 0:
+        raise ValueError(f"{name} = {value} is negative")
+    return value
+
+
 def _tubular_cert_from_json(params: GroupParams, obj) -> TubularCertificate:
-    """A tubular certificate's fields; ValueError unless 0 <= l <= d and psi
-    is a d x d matrix with a length-d shift.  Invertibility is left to
-    `TubularCertificate.validate`, which fails a singular psi."""
+    """A tubular certificate's fields; ValueError unless 0 <= l <= d, K and
+    K_prime are nonnegative, and psi is a d x d matrix with a length-d shift.
+    Invertibility is left to `TubularCertificate.validate`, which fails a
+    singular psi."""
     l = int(obj["l"])
     if not 0 <= l <= params.d:
         raise ValueError(f"l = {l} outside [0, {params.d}]")
@@ -140,8 +149,8 @@ def _tubular_cert_from_json(params: GroupParams, obj) -> TubularCertificate:
         params,
         l,
         psi,
-        int(obj["K"]),
-        int(obj["K_prime"]),
+        _radius(obj, "K"),
+        _radius(obj, "K_prime"),
         parse_frac(obj["delta"]),
         tuple(functional_from_json(f) for f in obj["functionals"]),
     )
@@ -181,7 +190,7 @@ def decomposition_from_json(obj):
         x0=multiset_from_json(params, obj["x0"]),
         parts=tuple(multiset_from_json(params, part) for part in obj["parts"]),
         l=int(obj["l"]),
-        K=int(obj["K"]),
+        K=_radius(obj, "K"),
         K0=int(obj["K0"]),
         delta=parse_frac(obj["delta"]),
         mu=parse_frac(obj["mu"]),
@@ -245,7 +254,7 @@ def strong_decomposition_from_json(obj):
         x0=multiset_from_json(params, obj["x0"]),
         parts=tuple(multiset_from_json(params, part) for part in obj["parts"]),
         l=int(obj["l"]),
-        K=int(obj["K"]),
+        K=_radius(obj, "K"),
         delta=parse_frac(obj["delta"]),
         delta0=parse_frac(obj["delta0"]),
         mu0=parse_frac(obj["mu0"]),

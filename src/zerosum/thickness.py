@@ -23,6 +23,21 @@ are thick inside their affine hulls, and a strengthened decomposition whose
 part-unions all carry re-checkable tubular certificates.  The inequalities
 those reductions guarantee are checked explicitly and raise InvariantError.
 
+The strengthened decomposition needs a tube reduction and a rescan for each
+of the 2^m - 1 unions of its parts.  The cumulative counts behind the
+in-tube tables are linear in the multiset and the parts are disjoint, so a
+union's are the sum of its parts': `_UnionTables` builds each part's over
+all canonical directions once, keeps one running sum along the mask walk,
+and derives the in-tube counts at any radius from it, so every scan of a
+union reads its family's rows off the sum.  Rows keep canonical order, so
+the scans pick the same functionals as a scan of the union itself.  A
+certificate's rescan pulls psi back instead of projecting the union
+(`TubularCertificate.validate`), and reports its worst functional in X's
+coordinates.  The tables take about p^(d+1)/2 cells each, m + 3 of them
+at most; past _UNION_TABLE_BYTES each union is scanned on its own, with
+the same results, as is every part of a decomposition artifact whose
+certificate count is wrong.
+
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
 """
@@ -32,7 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -245,14 +260,7 @@ def _scan(
     X: GroupMultiset, K: int, directions, zero_constant_term: bool
 ) -> Optional[Tuple[int, Vec, int]]:
     """(largest in-tube count over all scalings c*lam + a0 of all directions,
-    lex-min c*lam, its a0), or None for an empty family.
-
-    Directions are canonical (leading coefficient 1), so c*lam compares by c
-    alone: the row-major first maximiser of a direction's table is its lex-min
-    maximiser (rows past (p-1)/2 repeat earlier rows' counts, so never come
-    first), and only the directions tied for the overall maximum need their
-    scaled functional built to break the tie.
-    """
+    lex-min c*lam, its a0), or None for an empty family."""
     p, d = X.params.p, X.params.d
     dirs = np.asarray(directions, dtype=np.int64).reshape(-1, d)
     if len(dirs) == 0:
@@ -263,20 +271,64 @@ def _scan(
         table = scaling_window_table(
             value_histogram(X, dirs[start : start + block]), K, p, zero_constant_term
         )
-        flat = table.reshape(len(table), -1)
-        first = flat.argmax(axis=1)
+        count, first = _row_maxima(table)
+        counts.append(count)
         firsts.append(first)
-        counts.append(flat[np.arange(len(flat)), first])
-    count = np.concatenate(counts)
-    first = np.concatenate(firsts)
-    top = int(count.max())
     cols = 1 if zero_constant_term else p
-    tied = []
-    for i in np.flatnonzero(count == top).tolist():
-        row, a0 = divmod(int(first[i]), cols)
-        tied.append((tuple((row + 1) * a % p for a in dirs[i].tolist()), a0))
-    scaled, a0 = min(tied)
-    return top, scaled, a0
+    return _pick(np.concatenate(counts), np.concatenate(firsts), dirs, p, cols)
+
+
+def _row_maxima(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(each direction's largest count, the row-major first (c-1, a0) cell
+    holding it, as a flat index) of an (L, (p-1)/2, cols) in-tube table."""
+    flat = table.reshape(len(table), -1)
+    first = flat.argmax(axis=1)
+    return flat[np.arange(len(flat)), first], first
+
+
+def _pick(count, first, dirs: np.ndarray, p: int, cols: int) -> Tuple[int, Vec, int]:
+    """(top count, lex-min c*lam, its a0) from `_row_maxima` of the tables of
+    a nonempty family of canonical directions, rows in canonical order.
+
+    Directions are canonical (leading coefficient 1), so c*lam compares by c
+    alone: the row-major first maximiser of a direction's table is its lex-min
+    maximiser (rows past (p-1)/2 repeat earlier rows' counts, so never come
+    first), and only the directions tied for the overall maximum need their
+    scaled functional built to break the tie.
+    """
+    top = count.max()
+    tied = np.flatnonzero(count == top)
+    if len(tied) == 1:  # no tie to break
+        row, a0 = divmod(int(first[tied[0]]), cols)
+        return int(top), tuple((row + 1) * a % p for a in dirs[tied[0]].tolist()), a0
+    row, a0 = np.divmod(first[tied], cols)
+    scaled = (row[:, None] + 1) * dirs[tied] % p
+    best = np.lexsort((a0,) + tuple(scaled.T[::-1]))[0]  # the last key is the primary one
+    return int(top), tuple(scaled[best].tolist()), int(a0[best])
+
+
+def _thin(found, n: int, delta: Fraction) -> Optional[LinearFunctional]:
+    """The functional of a `_scan` result when it is (K, delta)-thin on n
+    points, else None: thinness only grows with the in-tube count, so the
+    best functional is thin or none is."""
+    if found is None or not Fraction(n - found[0]) < delta * n:
+        return None
+    return LinearFunctional(found[2], found[1])
+
+
+def _outside(found, n: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
+    """(outside fraction, functional) of a `_scan` result on n points, and
+    (1, None) for an empty family: vacuous thickness."""
+    if found is None:
+        return Fraction(1), None
+    return Fraction(n - found[0], n), LinearFunctional(found[2], found[1])
+
+
+def _plain_scan(X: GroupMultiset):
+    """scan(K, basis): `_scan` of X at radius K over the directions
+    non-constant on span(basis)."""
+    p, d = X.params.p, X.params.d
+    return lambda K, basis: _scan(X, K, nonconstant_directions(p, d, basis), False)
 
 
 def _values(X: GroupMultiset, functionals: Sequence[LinearFunctional]) -> np.ndarray:
@@ -331,9 +383,13 @@ def nonconstant_directions(p: int, d: int, basis) -> np.ndarray:
     basis of E gives those outside span(E), since span(E) is the
     annihilator of ker(E).  An empty basis gives an empty family.
     """
-    dirs = _canonical_directions(p, d)
+    return _canonical_directions(p, d)[_nonconstant_rows(p, d, basis)]
+
+
+def _nonconstant_rows(p: int, d: int, basis) -> np.ndarray:
+    """The mask `nonconstant_directions` picks its rows by."""
     B = np.asarray(basis, dtype=np.int64).reshape(-1, d)
-    return dirs[((dirs @ B.T) % p).any(axis=1)]
+    return ((_canonical_directions(p, d) @ B.T) % p).any(axis=1)
 
 
 def find_thin_functional(
@@ -349,12 +405,7 @@ def find_thin_functional(
     ties broken by the lexicographic encoding.  Returns None when X is thick
     along every functional of the family, or the family is empty.
     """
-    n = len(X)
-    found = _scan(X, K, linear_parts, False)
-    # thinness only grows with the in-tube count, so the best is thin or none is
-    if found is None or not Fraction(n - found[0]) < delta * n:
-        return None
-    return LinearFunctional(found[2], found[1])
+    return _thin(_scan(X, K, linear_parts, False), len(X), delta)
 
 
 def min_outside_fraction(
@@ -374,18 +425,17 @@ def min_outside_fraction(
     n = len(X)
     if n == 0:
         raise ValueError("empty multiset")
-    found = _scan(X, K, linear_parts, zero_constant_term)
-    if found is None:
-        return Fraction(1), None
-    return Fraction(n - found[0], n), LinearFunctional(found[2], found[1])
+    return _outside(_scan(X, K, linear_parts, zero_constant_term), n)
 
 
-def hull_thickness(X: GroupMultiset, K: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
+def hull_thickness(
+    X: GroupMultiset, K: int, scan=None
+) -> Tuple[Fraction, Optional[LinearFunctional]]:
     """Worst outside-fraction at radius K over directions non-constant on the
-    affine hull of X; a single point's hull has none, so it gives (1, None)."""
-    p, d = X.params.p, X.params.d
-    _dim, _base, basis = affine_hull(X.support(), p)
-    return min_outside_fraction(X, K, nonconstant_directions(p, d, basis))
+    affine hull of X; a single point's hull has none, so it gives (1, None).
+    `scan`, when given, stands in for `_plain_scan(X)`."""
+    _dim, _base, basis = affine_hull(X.support(), X.params.p)
+    return _outside((scan or _plain_scan(X))(K, basis), len(X))
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +457,41 @@ class TubularCertificate:
     delta: Fraction
     functionals: Tuple[LinearFunctional, ...]
 
-    def validate(self, X: GroupMultiset):
+    def validate(self, X: GroupMultiset, scan=None):
         """(ok, achieved outside-fraction, worst functional) by full rescan.
 
         A singular psi, or a point mapped outside the box, gives
         (False, 0, None); a psi of the wrong shape raises ValueError.
+
+        By default psi(X) is scanned along the fiber axes and `worst` is in
+        psi's coordinates.  `scan(K, basis)`, when given, must be
+        `_plain_scan(X)` or agree with it (a union's summed tables): the
+        functionals non-constant on the fiber factor pull back through
+        psi = (M, s) to exactly the directions of X outside the span of M's
+        first l rows, and s only moves the constant term, which the scan
+        maximises over.  The fraction is the same; `worst` is then in X's
+        coordinates.
         """
-        p = self.params.p
-        img = X.apply_iso(self.psi)
-        if linalg.invert_matrix(self.psi.matrix, p) is None:
+        p, d, l = self.params.p, self.params.d, self.l
+        psi = self.psi.reduced(p, d)
+        if linalg.invert_matrix(psi.matrix, p) is None:
             return False, Fraction(0), None
-        pts, _ = img.arrays()
-        if not _in_slab(pts[:, : self.l], self.K, p).all():
+        lead = np.array(psi.matrix[:l], dtype=np.int64).reshape(l, d)
+        shift = np.array(psi.shift[:l], dtype=np.int64)
+        pts, _ = X.arrays()
+        if not _in_slab((pts @ lead.T + shift) % p, self.K, p).all():
             return False, Fraction(0), None
-        if self.l == self.params.d:
+        if l == d:
             return True, Fraction(1), None
-        fiber_axes = linalg.identity(self.params.d)[self.l :]
-        frac, worst = min_outside_fraction(
-            img, self.K_prime, nonconstant_directions(p, self.params.d, fiber_axes)
-        )
+        n = len(X)
+        if n == 0:
+            raise ValueError("empty multiset")
+        if scan is None:
+            found = _plain_scan(X.apply_iso(psi))(self.K_prime, linalg.identity(d)[l:])
+        else:
+            kernel = linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
+            found = scan(self.K_prime, kernel)
+        frac, worst = _outside(found, n)
         return frac >= self.delta, frac, worst
 
 
@@ -444,6 +510,20 @@ def tube_decompose(
     is (g(K), delta)-tubular via the coordinate change sending xi_1..xi_l to
     the first l coordinates.
     """
+    Y, cert = _tube_reduce(X, K0, delta, g, _plain_scan(X))
+    if validate:
+        # validate's ok is frac >= delta: it reports 0 when a point leaves
+        # the box, and delta > 0
+        _ok, frac, worst = cert.validate(Y)
+        _check("tube_rescan", frac, ">=", cert.delta, f"worst {worst}")
+    return Y, cert
+
+
+def _tube_reduce(
+    X: GroupMultiset, K0: int, delta: Fraction, g: GrowthFunction, scan
+) -> Tuple[GroupMultiset, TubularCertificate]:
+    """`tube_decompose` without the rescan, its level i reading
+    scan(g^i(K0), basis) as `_plain_scan(X)` would give it."""
     params = X.params
     d, p = params.d, params.p
     delta = Fraction(delta)
@@ -456,8 +536,7 @@ def tube_decompose(
     # the directions outside span(chosen) are those non-constant on its kernel
     kernel = linalg.identity(d)
     for i in range(1, d + 1):
-        Ki = g.iterate(i, K0)
-        thin = find_thin_functional(X, Ki, (2 ** i) * delta, nonconstant_directions(p, d, kernel))
+        thin = _thin(scan(g.iterate(i, K0), kernel), len(X), (2 ** i) * delta)
         if thin is None:
             break
         chosen.append(thin)
@@ -477,13 +556,7 @@ def tube_decompose(
         matrix = linalg.identity(d)
         shift = (0,) * d
     psi = AffineIso(matrix, shift)
-    cert = TubularCertificate(params, l, psi, K, g(K), delta, tuple(chosen))
-    if validate:
-        # validate's ok is frac >= delta: it reports 0 when a point leaves
-        # the box, and delta > 0
-        _ok, frac, worst = cert.validate(Y)
-        _check("tube_rescan", frac, ">=", cert.delta, f"worst {worst}")
-    return Y, cert
+    return Y, TubularCertificate(params, l, psi, K, g(K), delta, tuple(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +591,8 @@ class Decomposition:
         return len(self.parts)
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
-        scans, delta = _part_scan(self.parts, self.growth.capped(self.K, self.params.p))
+        Kp = self.growth.capped(self.K, self.params.p)
+        scans, delta = _part_scan(self.parts, Kp, [_plain_scan(part) for part in self.parts])
         sizes = all(Fraction(len(pt)) >= self.mu * self.input_size for pt in self.parts)
         return _partition_checks(self, X) + [
             ("part_sizes", sizes),
@@ -540,16 +614,17 @@ def _partition_checks(dec, X: GroupMultiset) -> List[Tuple[str, bool]]:
     ]
 
 
-def _part_scan(parts: Sequence[GroupMultiset], Kp: int):
+def _part_scan(parts: Sequence[GroupMultiset], Kp: int, scans):
     """(each part's (outside fraction, worst functional) in its affine hull
     at radius Kp, and delta: their least fraction, 1 when every part is a
-    single point and so vacuously thick).
+    single point and so vacuously thick).  scans[i] is `_plain_scan` of
+    parts[i], or a scan that agrees with it (`_UnionTables.part_scan`).
 
     The validators pass g(K) capped at p: the scans read a radius only
     through min(radius, p), so a forged K or growth in an artifact cannot
     make a check build an arbitrarily large integer.
     """
-    scans = [hull_thickness(part, Kp) for part in parts]
+    scans = [hull_thickness(part, Kp, scan) for part, scan in zip(parts, scans)]
     return scans, min((frac for frac, _ in scans), default=Fraction(1))
 
 
@@ -635,7 +710,7 @@ def decompose(
     # last sweep's fractions give delta.
     while True:
         K = g.iterate(exponent, K0)
-        scans, delta = _part_scan(parts, g(K))
+        scans, delta = _part_scan(parts, g(K), [_plain_scan(part) for part in parts])
         failing = [i for i, (frac, _) in enumerate(scans) if frac == 0]
         if not failing:
             break
@@ -705,6 +780,152 @@ def _mask_unions(parts: Sequence[GroupMultiset], start: int = 1):
         yield from walk(0, GroupMultiset.empty(parts[0].params), len(parts))
 
 
+def _cumulative_table(hists: np.ndarray, p: int) -> np.ndarray:
+    """C[j, i, c-1] = #{x : c * linear_i(x) in {0, -1, ..., -j}} for
+    c <= (p-1)/2, from the (L, p) value histograms; the in-tube counts at
+    every radius are differences of its rows (`_windows`)."""
+    downward = hists[:, _scaling_index(p)[:, (-np.arange(p)) % p]]  # (L, (p-1)/2, p)
+    return np.cumsum(downward, axis=2).transpose(2, 0, 1)
+
+
+def _windows(C: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
+    """out[a0, i, c-1] = #{x : c * linear_i(x) + a0 in [-K, K]} from a
+    cumulative table C (`scaling_window_table` with a0 first).
+
+    a0 + c * linear(x) lies in [-K, K] exactly when -c * linear(x) lies in
+    the cyclic interval [a0-K, a0+K], so the count is C[a0+K] - C[a0-K-1],
+    reading C[j + p] as C[j] + n (n = C[p-1], every row's total).  The
+    arithmetic stays in C's unsigned dtype: differences may wrap around, but
+    every count they end at lies in [0, n].  With a0 first, each step is one
+    contiguous block.
+    """
+    p = len(C)
+    n = C[p - 1]
+    if 2 * K + 1 >= p:
+        out[...] = n
+        return out
+    out[: p - K] = C[K:]
+    out[p - K :] = C[:K]
+    out[p - K :] += n
+    out[K + 1 :] -= C[: p - K - 1]
+    out[: K + 1] -= C[p - K - 1 :]
+    out[: K + 1] += n
+    return out
+
+
+def _window_scan(window, p: int, d: int):
+    """scan(K, basis) as `_plain_scan` gives it, over window(K): the
+    in-tube table of all canonical directions at radius K, a0 first."""
+    dirs = _canonical_directions(p, d)
+
+    def scan(K: int, basis) -> Optional[Tuple[int, Vec, int]]:
+        rows = _nonconstant_rows(p, d, basis)
+        if not rows.any():
+            return None
+        table = window(min(K, p))
+        # each direction's first maximiser in (c, a0) order, as `_row_maxima`
+        best = table.max(axis=0)
+        c = best.argmax(axis=1)
+        at = np.arange(len(c))
+        a0 = table[:, at, c].argmax(axis=0)
+        return _pick(best[at, c][rows], (c * p + a0)[rows], dirs[rows], p, p)
+
+    return scan
+
+
+# The union tables' bytes at most: one table per part, the running sum, its
+# window and one part's window, all counted at the running sum's dtype.
+# Past it each part and union is scanned on its own, in _BLOCK_CELLS blocks.
+# Measured on one strong_decompose call on a 2-core VM, summed against each
+# union on its own (time, VmHWM over the peak before the call): three
+# planes of F_31^3, 0.39 s and 6.1 MB against 1.00 s and 1.4 MB; three of
+# F_41^3, past the bound, 0.85 s and 15.1 MB against 3.14 s and 1.6 MB;
+# two of F_61^3, 2.55 s and 54.9 MB against 5.74 s and 1.9 MB.
+_UNION_TABLE_BYTES = 2 ** 24
+
+
+class _UnionTables:
+    """In-tube tables of the unions of disjoint parts, over all canonical
+    directions, from one table per part.
+
+    Each part keeps its cumulative table (`_cumulative_table`), which serves
+    every radius, in the smallest unsigned dtype that holds its counts.  The
+    table is linear in the multiset and the parts are disjoint, so a union's
+    is the sum of its parts' (`walk`).  `replace` drops a part's table.
+    A part's table is built when a scan first reads it: a single point's
+    hull scan reads none.
+
+    With `summed` false, or when the tables would pass _UNION_TABLE_BYTES,
+    no table is built and every scan is `_plain_scan` of its multiset.
+    """
+
+    def __init__(self, parts: Sequence[GroupMultiset], summed: bool = True):
+        self.parts = list(parts)
+        self._tables: Dict[int, np.ndarray] = {}
+        if summed and self.parts:
+            p, d = self.parts[0].params.p, self.parts[0].params.d
+            cells = p * len(_canonical_directions(p, d)) * ((p - 1) // 2)
+            itemsize = np.min_scalar_type(sum(len(part) for part in self.parts)).itemsize
+            summed = (len(self.parts) + 3) * cells * itemsize <= _UNION_TABLE_BYTES
+        self.summed = summed
+
+    def part_table(self, i: int) -> np.ndarray:
+        table = self._tables.get(i)
+        if table is None:
+            X = self.parts[i]
+            p, d = X.params.p, X.params.d
+            dirs = _canonical_directions(p, d)
+            table = np.empty((p, len(dirs), (p - 1) // 2), dtype=np.min_scalar_type(len(X)))
+            block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
+            for start in range(0, len(dirs), block):
+                hists = value_histogram(X, dirs[start : start + block])
+                table[:, start : start + block] = _cumulative_table(hists, p)
+            self._tables[i] = table
+        return table
+
+    def replace(self, i: int, part: GroupMultiset) -> None:
+        self.parts[i] = part
+        self._tables.pop(i, None)
+
+    def part_scan(self, i: int):
+        """`_plain_scan(parts[i])`, read off the part's own table."""
+        X = self.parts[i]
+        if not self.summed:
+            return _plain_scan(X)
+
+        def window(K: int) -> np.ndarray:
+            table = self.part_table(i)
+            return _windows(table, K, np.empty_like(table))
+
+        return _window_scan(window, X.params.p, X.params.d)
+
+    def walk(self, start: int = 1):
+        """(mask, X_S, scan) for every mask from `start` on, as
+        `_mask_unions` gives (mask, X_S), with scan(K, basis) equal to
+        `_plain_scan(X_S)(K, basis)` and valid until the walk moves on.
+
+        The scans read one running sum, held while the walk runs and moved
+        from mask to mask by adding and subtracting the parts that differ:
+        about two per mask.  Its dtype holds all the parts' counts; the
+        window derived from it at each radius (`_windows`) has the same.
+        """
+        if not self.summed:
+            for mask, X_S in _mask_unions(self.parts, start):
+                yield mask, X_S, _plain_scan(X_S)
+            return
+        total = sum(len(part) for part in self.parts)
+        held, running = 0, None
+        for mask, X_S in _mask_unions(self.parts, start):
+            if running is None:
+                running = np.zeros_like(self.part_table(0), dtype=np.min_scalar_type(total))
+                window = partial(_windows, running, out=np.empty_like(running))
+            for i in _subset(held ^ mask):
+                move = np.add if (mask >> i) & 1 else np.subtract
+                move(running, self.part_table(i), out=running)
+            held = mask
+            yield mask, X_S, _window_scan(window, X_S.params.p, X_S.params.d)
+
+
 def _subset(mask: int) -> Tuple[int, ...]:
     """The part indices whose bits are set in mask."""
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
@@ -716,18 +937,30 @@ def _delta_schedule(eps: Fraction, mu0: Fraction, delta0: Fraction, m: int, d: i
     return eps * mu0 * delta0 / 2 ** (d + 2 + m + (d + m + 4) * mask)
 
 
-def _rescan(parts: Sequence[GroupMultiset], Kp: int, certs):
+def _rescan(tables: _UnionTables, Kp: int, certs):
     """Bullets 2 and 3 of a strong decomposition, re-derived from its parts:
     `_part_scan` at Kp, then for every mask in increasing order
     (mask, certs[S], certs[S].cert rescanned on X_S) -- or None in place of
-    that list as soon as some union S has no certificate."""
-    scans, delta = _part_scan(parts, Kp)
+    that list as soon as some union S has no certificate.
+
+    Each rescan pulls psi back onto X_S (see `TubularCertificate.validate`)
+    and reads the union's summed table, so no union is projected; psi's
+    invertibility and box checks still run on each X_S, and `worst` comes
+    in X's coordinates.  The tables serve every radius, so a certificate's
+    K' costs one window derivation whatever its value.  Tables past
+    _UNION_TABLE_BYTES scan each X_S on its own instead, with the same
+    results.
+    """
+    # before the walk, so the part scans' windows and the running sum are
+    # not held at once
+    parts = tables.parts
+    scans, delta = _part_scan(parts, Kp, [tables.part_scan(i) for i in range(len(parts))])
     rescans = []
-    for mask, X_S in _mask_unions(parts):
+    for mask, X_S, scan in tables.walk():
         sc = certs.get(_subset(mask))
         if sc is None:
             return scans, delta, None
-        rescans.append((mask, sc, sc.cert.validate(X_S)))
+        rescans.append((mask, sc, sc.cert.validate(X_S, scan)))
     return scans, delta, rescans
 
 
@@ -784,9 +1017,11 @@ class StrongDecomposition:
             return min(cert.K, p) == K and min(cert.K_prime, p) == g.capped(cert.K, p)
 
         # every one of the 2^m - 1 unions needs a certificate; the count is
-        # checked first, so a forged m cannot start 2^m unions
-        certs = self.subset_certs if len(self.subset_certs) == 2 ** m - 1 else {}
-        scans, delta, rescans = _rescan(self.parts, Kp, certs)
+        # checked first, so a forged m can neither start 2^m unions nor
+        # build m tables: the count bounds m by the artifact's size
+        counted = len(self.subset_certs) == 2 ** m - 1
+        certs = self.subset_certs if counted else {}
+        scans, delta, rescans = _rescan(_UnionTables(self.parts, counted), Kp, certs)
         whole = rescans is not None
         rescans = rescans or []
         schedule = self.mu0 * self.delta0 > 0 and all(
@@ -807,6 +1042,39 @@ class StrongDecomposition:
             ("delta_schedule", whole and schedule),
             ("removed_in_sweeps", 0 <= removed <= len(self.x0) and removed < self.epsilon * n / 2),
         ]
+
+
+def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
+    """({subset: its certificate}, [the points each dropping union dropped])
+    from a tube reduction of every union X_S in mask order, at delta
+    schedule(mask) from K, each level read off the union's summed tables.
+
+    The union's points outside its tube leave their parts.  A union that
+    drops points ends the walk: the shrunken parts' tables are rebuilt and
+    the next walk starts at the following mask.  Each certificate is
+    recorded at half its sweep delta, with achieved 0 until rescanned.
+    """
+    owner = {elem: i for i, part in enumerate(tables.parts) for elem in part.support()}
+    certs: Dict[Tuple[int, ...], SubsetCertificate] = {}
+    removed: List[GroupMultiset] = []
+    mask = 1
+    while mask < 2 ** len(tables.parts):
+        for mask, X_S, scan in tables.walk(mask):
+            delta_j = schedule(mask)
+            Y, cert = _tube_reduce(X_S, K, delta_j, g, scan)
+            subset = _subset(mask)
+            certs[subset] = SubsetCertificate(
+                subset, replace(cert, delta=delta_j / 2), delta_j, Fraction(0)
+            )
+            if len(Y) < len(X_S):
+                dropped = X_S.minus(Y)
+                removed.append(dropped)
+                pieces = dropped.split([owner[elem] for elem in dropped.support()])
+                for i, piece in pieces.items():
+                    tables.replace(i, tables.parts[i].minus(piece))
+                break
+        mask += 1
+    return certs, removed
 
 
 def strong_decompose(
@@ -842,35 +1110,12 @@ def strong_decompose(
     l_in_g = dec.l * (d + 1)
     delta0, mu0 = dec.delta, dec.mu
 
-    parts = list(dec.parts)
-    owner: Dict[Vec, int] = {}
-    for i, part in enumerate(parts):
-        for elem, _mult in part.items():
-            owner[elem] = i
-
-    subset_certs: Dict[Tuple[int, ...], SubsetCertificate] = {}
-    removed_sets: List[GroupMultiset] = []
-    mask = 1
-    while mask < 2 ** m:
-        # a union that drops points ends the walk; the next one starts at the
-        # following mask, over the shrunken parts
-        for mask, X_S in _mask_unions(parts, mask):
-            delta_j = _delta_schedule(eps, mu0, delta0, m, d, mask)
-            Y, cert = tube_decompose(X_S, K, delta_j, g, validate=False)
-            # the final union is certified at half the sweep delta; the
-            # rescan below records what it achieves
-            subset = _subset(mask)
-            final_cert = replace(cert, delta=delta_j / 2)
-            subset_certs[subset] = SubsetCertificate(subset, final_cert, delta_j, Fraction(0))
-            dropped = X_S.minus(Y)
-            if dropped:
-                removed_sets.append(dropped)
-                pieces = dropped.split([owner[elem] for elem in dropped.support()])
-                for i, piece in pieces.items():
-                    parts[i] = parts[i].minus(piece)
-                break
-        mask += 1
+    tables = _UnionTables(dec.parts)
+    subset_certs, removed_sets = _sweep(
+        tables, K, g, lambda mask: _delta_schedule(eps, mu0, delta0, m, d, mask)
+    )
     removed_total = sum(len(r) for r in removed_sets)
+    parts = tables.parts
 
     # bullet 1: sweep removals stay below eps|X|/2
     _check("sweep_removals", Fraction(removed_total), "<", eps * len(X) / 2)
@@ -879,10 +1124,11 @@ def strong_decompose(
     # bullet 3: every final union is tubular at half its sweep delta
     for part in parts:
         _check("part_nonempty", len(part), ">", 0)
-    scans, part_delta, rescans = _rescan(parts, gp(K), subset_certs)
+    scans, part_delta, rescans = _rescan(tables, gp(K), subset_certs)
     for frac, worst in scans:
         _check("part_thickness", frac, ">=", delta0 / 2, f"worst {worst}")
     for _mask, sc, (_ok, frac, worst) in rescans:
+        # worst is in X's coordinates (see _rescan)
         _check("union_tubular", frac, ">=", sc.cert.delta, f"union {sc.subset}, worst {worst}")
         sc.achieved = frac
     mu = _least_share(parts, len(X), [sc.achieved for _, sc, _ in rescans])

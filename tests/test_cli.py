@@ -287,6 +287,16 @@ def test_verify_reduces_huge_psi_entries(tmp_path, capsys):
     assert code == 0 and rep["result"]["all_passed"]
 
 
+@pytest.mark.parametrize("field", ["K", "K_prime"])
+def test_verify_rejects_negative_tubular_radius(tmp_path, capsys, field):
+    # a negative radius used to reach the scan and fail there with a numpy
+    # broadcast message that named no field
+    artifact = _tube_artifact(tmp_path, capsys)
+    artifact[field] = -3
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and f"{field} = -3 is negative" in err
+
+
 def _two_lines_strong_artifact():
     """Two lines of F_31^2: delta = delta0 = 18/31, mu = mu0 = 1/2, no sweep
     removals, three union certificates."""
@@ -358,6 +368,30 @@ def test_verify_rederives_strong_decomposition_numbers(tmp_path, capsys, field):
     forge(artifact)
     code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
     assert code == 2 and _failing(rep) == {check}
+
+
+@pytest.mark.parametrize(
+    "forge, field",
+    [
+        (lambda a: a["subset_certs"][0].update(K_prime=-3), "K_prime"),
+        (lambda a: a["subset_certs"][1].update(K=-3), "K"),
+        (lambda a: a.update(K=-3), "K"),
+    ],
+    ids=["cert_K_prime", "cert_K", "K"],
+)
+def test_verify_rejects_negative_strong_radius(tmp_path, capsys, forge, field):
+    artifact = _two_lines_strong_artifact()
+    forge(artifact)
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and f"{field} = -3 is negative" in err
+
+
+def test_verify_rejects_negative_decomposition_radius(tmp_path, capsys):
+    X = fiber_union(GroupParams(31, 2), 2, seed=0, offset=0)
+    artifact = serialize.decomposition_to_json(X, decompose(X, 0, Fraction(1, 2), GrowthFunction("affine", 1, 1)))
+    artifact["K"] = -3
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and "K = -3 is negative" in err
 
 
 @pytest.mark.parametrize("field, value", [("delta", "1/2"), ("mu", "1/3")])
@@ -491,6 +525,43 @@ def test_expand_large_fiber_memory_bounded(tmp_path):
     (small_code, small), (code, large) = peak_kb(10), peak_kb(1000)
     assert small_code == 2 and code == 0
     assert large - small < 40 * 1024, f"peak RSS grew by {(large - small) // 1024} MB"
+
+
+def test_verify_many_part_strong_artifact_memory_bounded(tmp_path):
+    # 400 parts of F_61^2 with three union certificates: the count is wrong,
+    # so no union is walked and no part table is built.  One cumulative
+    # table per part would take 113k cells each, about 45 MB in all.
+    script = (
+        "import contextlib, io, sys\n"
+        "from zerosum.cli import main\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM'))\n"
+        "before = peak_kb()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--input', sys.argv[1]])\n"
+        "print(code, peak_kb() - before)\n"
+    )
+    artifact = _two_lines_strong_artifact()
+    points = [(x, y) for x in range(20) for y in range(30)]
+    # 200 single points, then 200 two-point parts: lines, thin in their hulls
+    parts = [[pt] for pt in points[:200]] + [points[k : k + 2] for k in range(200, 600, 2)]
+
+    def entries(pts):
+        return {"entries": [{"element": list(pt), "multiplicity": 1} for pt in pts]}
+
+    artifact.update(p=61, input=entries(points), parts=[entries(part) for part in parts])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _write_json(tmp_path, artifact, "many.json")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, grown_kb = map(int, proc.stdout.split())
+    assert code == 2
+    assert grown_kb < 4 * 1024, f"peak RSS grew by {grown_kb // 1024} MB"
 
 
 def test_bench_empty_suite(capsys):

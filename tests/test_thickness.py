@@ -1,19 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerosum import thickness
+from zerosum import linalg, thickness
 from zerosum.generators import fiber_union
-from zerosum.group import GroupParams, LinearFunctional, canonical_linear_parts, in_interval
+from zerosum.group import AffineIso, GroupParams, LinearFunctional, canonical_linear_parts, in_interval
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import (
     GrowthFunction,
     IteratedGrowth,
     ThicknessParams,
+    TubularCertificate,
     decompose,
     find_thin_functional,
     hull_thickness,
@@ -315,42 +321,57 @@ def test_mask_unions_match_plain_folds(data):
         assert X_S == ms(params, [pt for i in range(m) if (mask >> i) & 1 for pt in lists[i]])
 
 
-def _naive_sweep(X, eps, g, tube):
+def _plain_sweep(params, parts, K, g, schedule, tube):
     """The sweep as a plain loop: every union folded afresh from the current
-    parts, in mask order.  Returns (parts, x0, removed, {subset: (cert,
-    delta_j)}, the unions handed to `tube`)."""
-    params, d = X.params, X.params.d
-    dec = decompose(X, 0, eps / 2, IteratedGrowth(g, d + 1))
-    parts, x0, m = list(dec.parts), dec.x0, dec.m
-    removed, certs, seen = 0, {}, []
+    parts, in mask order, and reduced by `tube` at delta schedule(mask).
+    Returns (parts, [dropped], {subset: (cert, delta_j)}, the unions handed
+    to `tube`)."""
+    parts, m = list(parts), len(parts)
+    dropped_sets, certs, seen = [], {}, []
     for mask in range(1, 2 ** m):
         subset = tuple(i for i in range(m) if (mask >> i) & 1)
         X_S = GroupMultiset.empty(params)
         for i in subset:
             X_S = X_S.union(parts[i])
         seen.append(X_S)
-        delta_j = eps * dec.mu * dec.delta / 2 ** (d + 2 + m + (d + m + 4) * mask)
-        Y, cert = tube(X_S, dec.K, delta_j, g, validate=False)
+        delta_j = schedule(mask)
+        Y, cert = tube(X_S, K, delta_j, g, validate=False)
         certs[subset] = (cert, delta_j)
         dropped = X_S.minus(Y)
-        removed += len(dropped)
-        x0 = x0.union(dropped)
+        if dropped:
+            dropped_sets.append(dropped)
         for i in subset:
             mine = [e for e in dropped.iter_with_multiplicity() if e in parts[i]]
             parts[i] = parts[i].minus(ms(params, mine))
-    return parts, x0, removed, certs, seen
+    return parts, dropped_sets, certs, seen
+
+
+def _naive_sweep(X, eps, g, tube):
+    """`strong_decompose`'s sweep as a plain loop.  Returns (parts, x0,
+    removed, {subset: (cert, delta_j)}, the unions handed to `tube`)."""
+    params, d = X.params, X.params.d
+    dec = decompose(X, 0, eps / 2, IteratedGrowth(g, d + 1))
+    m = dec.m
+    schedule = lambda mask: eps * dec.mu * dec.delta / 2 ** (d + 2 + m + (d + m + 4) * mask)  # noqa: E731
+    parts, dropped, certs, seen = _plain_sweep(params, dec.parts, dec.K, g, schedule, tube)
+    x0 = dec.x0
+    for r in dropped:
+        x0 = x0.union(r)
+    return parts, x0, sum(len(r) for r in dropped), certs, seen
 
 
 def test_strong_sweep_restarts_after_a_drop(monkeypatch):
-    """No real instance drops a point in the sweep, so the tube reduction is
-    patched to trim one point z of the second part from every union that
-    holds it.  The first such union is mask 2; mask 3 is built on mask 2's
-    union, so a walk that went on after the drop would hand the reduction a
-    stale union that still holds z."""
+    """No real instance drops a point in the sweep, so the sweep's tube
+    reduction is patched to trim one point z of the second part from every
+    union that holds it.  The first such union is mask 2; mask 3 is built on
+    mask 2's union, so a walk that went on after the drop would hand the
+    reduction a stale union that still holds z, and tables not rebuilt after
+    it would scan a union that still counts z."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     eps = Fraction(1, 4)
     z = strong_decompose(X, 0, eps, G1).parts[1].support()[-1]
     real_tube = thickness.tube_decompose
+    real_reduce = thickness._tube_reduce
     seen = []
 
     def trimming(X_S, K, delta, g, validate=True):
@@ -358,9 +379,18 @@ def test_strong_sweep_restarts_after_a_drop(monkeypatch):
         Y, cert = real_tube(X_S, K, delta, g, validate=validate)
         return Y.select([e != z for e in Y.support()]), cert
 
+    def trimming_reduce(X_S, K, delta, g, scan):
+        seen.append(X_S)
+        for i in (1, 2):
+            for basis in ([(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 1)]):
+                Ki = g.iterate(i, K)
+                assert scan(Ki, basis) == thickness._plain_scan(X_S)(Ki, basis)
+        Y, cert = real_reduce(X_S, K, delta, g, scan)
+        return Y.select([e != z for e in Y.support()]), cert
+
     parts, x0, removed, certs, naive_seen = _naive_sweep(X, eps, G1, trimming)
     seen.clear()
-    monkeypatch.setattr(thickness, "tube_decompose", trimming)
+    monkeypatch.setattr(thickness, "_tube_reduce", trimming_reduce)
     sdec = strong_decompose(X, 0, eps, G1)
     assert seen == naive_seen
     assert sdec.m == 3 and sdec.removed_in_sweeps == removed == 1
@@ -373,6 +403,105 @@ def test_strong_sweep_restarts_after_a_drop(monkeypatch):
         assert sc.delta_schedule == delta_j
         assert sc.achieved == cert.validate(sdec.union(subset))[1]
     assert all(ok for _, ok in sdec.validate(X))
+
+
+def test_validate_builds_one_table_per_part(monkeypatch):
+    """Forged radii cost no tables: `validate` builds each part's table once,
+    however many distinct K' the union certificates carry, and still
+    re-derives every achieved fraction."""
+    X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
+    sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
+    for k, sc in enumerate(sdec.subset_certs.values()):
+        sc.cert = replace(sc.cert, K_prime=sdec.K + 4 + k)
+        sc.achieved = sc.cert.validate(sdec.union(sc.subset))[1]
+    built = []
+    real = thickness._UnionTables.part_table
+
+    def recording(self, i):
+        if i not in self._tables:
+            built.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(thickness._UnionTables, "part_table", recording)
+    checks = dict(sdec.validate(X))
+    assert not checks["tubular_certs"] and checks["achieved"]
+    assert sorted(built) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p, d, n_fibers", [(31, 2, 3), (61, 2, 6), (31, 3, 2)])
+def test_unions_scanned_alone_match_summed_tables(monkeypatch, p, d, n_fibers):
+    """Past _UNION_TABLE_BYTES each union is scanned on its own: the
+    decomposition, every certificate and every achieved fraction agree with
+    the summed tables', and so does `validate`."""
+    X = fiber_union(GroupParams(p, d), n_fibers, seed=0, offset=1)
+    summed = strong_decompose(X, 0, Fraction(1, 4), G1)
+    assert thickness._UnionTables(summed.parts).summed
+    monkeypatch.setattr(thickness, "_UNION_TABLE_BYTES", 0)
+    assert not thickness._UnionTables(summed.parts).summed
+    alone = strong_decompose(X, 0, Fraction(1, 4), G1)
+    assert alone == summed
+    assert summed.validate(X) == alone.validate(X)
+    assert all(ok for _, ok in alone.validate(X))
+
+
+def test_validate_with_wrong_certificate_count_builds_no_table(monkeypatch):
+    """A certificate count that cannot be 2^m - 1 stops the walk before it
+    starts, and the part scans then build no table either."""
+    X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
+    sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
+    del sdec.subset_certs[(0, 1, 2)]
+    monkeypatch.setattr(
+        thickness._UnionTables, "part_table", lambda self, i: pytest.fail("table built")
+    )
+    checks = dict(sdec.validate(X))
+    assert checks["part_thickness"] and checks["delta"]
+    assert not checks["tubular_certs"] and not checks["achieved"]
+
+
+# The peak is read from VmHWM, not getrusage: a child's ru_maxrss starts at
+# the RSS of the process that forked it, so under pytest it hides the peak.
+STRONG_RSS_SCRIPT = (
+    "import sys\n"
+    "from fractions import Fraction\n"
+    "from zerosum.generators import fiber_union\n"
+    "from zerosum.group import GroupParams\n"
+    "from zerosum.thickness import GrowthFunction, strong_decompose\n"
+    "def peak_kb():\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM'))\n"
+    "p, d, n = map(int, sys.argv[1:])\n"
+    "X = fiber_union(GroupParams(p, d), n, seed=0, offset=1)\n"
+    "before = peak_kb()\n"
+    "sdec = strong_decompose(X, 0, Fraction(1, 4), GrowthFunction('affine', 1, 1))\n"
+    "print(sdec.m, before, peak_kb())\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+@pytest.mark.parametrize(
+    "p, d, n_fibers, bound_mb", [(61, 2, 6, 2), (31, 3, 3, 8), (41, 3, 3, 3)]
+)
+def test_strong_decompose_memory_bounded(p, d, n_fibers, bound_mb):
+    """The sweep holds one cumulative table per part, one running union sum
+    and one window, in the smallest unsigned dtype: one byte a cell for the
+    61-point lines of F_61^2, two for the 961-point planes of F_31^3.
+    Measured: 1.4 MB and 6.1 MB over the peak before the call (0.9 MB and
+    1.4 MB when each union is scanned on its own); int64 tables take
+    7.7 MB and 19.1 MB.  Three planes of F_41^3 would need 17 MB of tables,
+    past _UNION_TABLE_BYTES, so each union is scanned on its own: 1.6 MB,
+    against 15.1 MB summed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", STRONG_RSS_SCRIPT, str(p), str(d), str(n_fibers)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    m, before, after = map(int, proc.stdout.split())
+    assert m == n_fibers
+    assert after - before < bound_mb * 1024, f"peak RSS grew by {(after - before) // 1024} MB"
 
 
 def test_strong_decompose_subset_budget_error():
@@ -393,3 +522,124 @@ def test_decompose_exponent_cap_error():
     X = ms(params, [(0, b) for b in range(31)] + [(1, b) for b in range(31)])
     with pytest.raises(DecompositionBudgetError):
         decompose(X, 0, Fraction(1, 2), G1, n_cap=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_union_tables_sum_their_parts(data):
+    """The in-tube windows of a sum of part tables are those of the union
+    built afresh, at every radius, and a walk's scans are the scans of each
+    union.  Multiplicities up to 200 make a union of two parts overflow one
+    byte."""
+    params = GroupParams(5, 2)
+    point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    entries = data.draw(
+        st.lists(st.dictionaries(point, st.integers(1, 200), min_size=1, max_size=4), min_size=1, max_size=5)
+    )
+    parts = [GroupMultiset(params, e) for e in entries]
+    tables = thickness._UnionTables(parts)
+    dirs = thickness._canonical_directions(5, 2)
+    dtype = np.min_scalar_type(sum(len(part) for part in parts))
+    bases = st.sampled_from([[(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 2)]])
+    for mask, X_S, scan in tables.walk(data.draw(st.integers(1, 2 ** len(parts) - 1))):
+        summed = sum(tables.part_table(i).astype(dtype) for i in thickness._subset(mask))
+        for r in range(6):
+            window = thickness._windows(summed, r, np.empty_like(summed)).transpose(1, 2, 0)
+            fresh = thickness.scaling_window_table(thickness.value_histogram(X_S, dirs), r, 5)
+            assert (window == fresh).all()
+        K, basis = data.draw(st.integers(0, 6)), data.draw(bases)
+        assert scan(K, basis) == thickness._plain_scan(X_S)(K, basis)
+
+
+@st.composite
+def part_families(draw):
+    """(params, disjoint nonempty parts with multiplicities) in d = 1..3."""
+    p, d = draw(st.sampled_from([(5, 1), (11, 1), (7, 2), (11, 2), (5, 3)]))
+    coords = st.tuples(*[st.integers(0, p - 1)] * d)
+    points = draw(st.lists(coords, min_size=1, max_size=30, unique=True))
+    m = draw(st.integers(1, min(4, len(points))))
+    rest = len(points) - m
+    owner = list(range(m)) + draw(st.lists(st.integers(0, m - 1), min_size=rest, max_size=rest))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    params = GroupParams(p, d)
+    return params, [
+        GroupMultiset(params, {x: k for x, o, k in zip(points, owner, mults) if o == i}) for i in range(m)
+    ]
+
+
+def _invertible_psi(data, p, d):
+    """A random psi = (P L U, s): L unit lower triangular, U upper triangular
+    with a nonzero diagonal, P a row permutation."""
+    entry = st.integers(0, p - 1)
+    unit = st.integers(1, p - 1)
+    low = [[data.draw(entry) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    up = [[data.draw(entry if j > i else unit) if j >= i else 0 for j in range(d)] for i in range(d)]
+    lu = [[sum(low[i][k] * up[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+    order = data.draw(st.permutations(range(d)))
+    shift = data.draw(st.lists(entry, min_size=d, max_size=d))
+    return AffineIso(tuple(tuple(lu[i]) for i in order), tuple(shift))
+
+
+def _check_rescans(tables, certs, Kp):
+    """`_rescan` agrees with `TubularCertificate.validate` on every union."""
+    _scans, _delta, rescans = thickness._rescan(tables, Kp, certs)
+    for (mask, sc, (ok, frac, worst)), (_, X_S) in zip(rescans, thickness._mask_unions(tables.parts)):
+        assert (ok, frac) == sc.cert.validate(X_S)[:2]
+        if worst is not None:  # in X's coordinates, it attains the fraction
+            n = len(X_S)
+            assert Fraction(n - inside_count(X_S, worst, sc.cert.K_prime), n) == frac
+
+
+def _sweep_against_oracle(params, parts, K, g, schedule, data=None, summed=True):
+    """Runs the sweep on union tables and the plain sweep over
+    `tube_decompose` on the same parts, and requires the same parts, drops,
+    certificates (so the same chosen functionals), and rescans that agree
+    with `TubularCertificate.validate` on each final union: for the sweep's
+    certificates and, when `data` is given, for ones with a random
+    invertible psi and any K'.  `summed` false scans each union on its
+    own, as tables past _UNION_TABLE_BYTES do.  Returns the number of
+    unions that dropped points."""
+    p, d = params.p, params.d
+    tables = thickness._UnionTables(parts, summed)
+    try:
+        exp_parts, exp_dropped, exp_certs, _ = _plain_sweep(params, parts, K, g, schedule, tube_decompose)
+    except ValueError:  # a part emptied by a drop leaves an empty union
+        with pytest.raises(ValueError):
+            thickness._sweep(tables, K, g, schedule)
+        return 0
+    certs, dropped = thickness._sweep(tables, K, g, schedule)
+    assert tables.parts == exp_parts and dropped == exp_dropped
+    assert list(certs) == list(exp_certs)  # mask order
+    for subset, (cert, delta_j) in exp_certs.items():
+        assert certs[subset].cert == replace(cert, delta=delta_j / 2)
+        assert certs[subset].delta_schedule == delta_j
+    if not all(tables.parts):
+        return len(dropped)
+    _check_rescans(tables, certs, g(K))
+    if data is not None:
+        for sc in certs.values():
+            K_prime = data.draw(st.integers(0, 2 * p))
+            sc.cert = TubularCertificate(
+                params, data.draw(st.integers(0, d)), _invertible_psi(data, p, d),
+                data.draw(st.one_of(st.just(p), st.integers(0, p))), K_prime, Fraction(1, 8), (),
+            )
+        _check_rescans(tables, certs, g(K))
+    return len(dropped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(part_families(), st.integers(0, 2), st.sampled_from([G1, G44]), st.integers(1, 24), st.data())
+def test_sweep_matches_per_union_oracle(family, K, g, k, data):
+    params, parts = family
+    d = params.d
+    _sweep_against_oracle(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask), data)
+
+
+@pytest.mark.parametrize("summed", [True, False])
+def test_sweep_that_drops_points_matches_oracle(summed):
+    # the second part is a line and one point off it: each union holding it
+    # is thin along x, and its tube leaves (3, 3) out
+    params = GroupParams(7, 2)
+    parts = [ms(params, [(0, y) for y in range(7)]), ms(params, [(1, y) for y in range(7)] + [(3, 3)])]
+    drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9), summed=summed)
+    assert drops > 0
