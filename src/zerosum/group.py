@@ -78,7 +78,8 @@ class GroupParams:
     state_budget: int = DEFAULT_STATE_BUDGET
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
+        # the cheap checks first: they bound p before trial division runs
+        if self.p < 3:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if not (1 <= self.d <= DEFAULT_DIM_CAP):
             raise ValueError(f"d must be in [1, {DEFAULT_DIM_CAP}], got {self.d}")
@@ -86,6 +87,8 @@ class GroupParams:
             raise ValueError(
                 f"p^d = {self.p ** self.d} exceeds the state budget {self.state_budget}"
             )
+        if not is_prime(self.p):
+            raise ValueError(f"p must be an odd prime, got {self.p}")
 
     @property
     def order(self) -> int:

@@ -20,6 +20,11 @@ import numpy as np
 from .group import GroupParams, AffineIso, Vec
 
 
+# multiplicities are held in int64 arrays (`arrays`), and len() must fit
+# an index-sized integer
+_CARDINALITY_LIMIT = 2 ** 63
+
+
 class GroupMultiset:
     __slots__ = ("params", "_entries", "_cardinality", "_arrays")
 
@@ -37,6 +42,8 @@ class GroupMultiset:
         self.params = params
         self._entries = clean
         self._cardinality = sum(clean.values())
+        if self._cardinality >= _CARDINALITY_LIMIT:
+            raise ValueError("multiplicities sum to 2^63 or more")
         self._arrays: Optional[tuple] = None
 
     @classmethod

@@ -32,7 +32,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def params_to_json(params: GroupParams) -> dict:

@@ -3,19 +3,24 @@
 A multiset X is (K, delta)-thick along a functional xi when at least a
 delta-fraction of X (with multiplicity) lies outside the slab H(xi, K).
 Everything below is built from exhaustive scans over a family of directions
-at once, in blocks: one bincount gives the value histograms of a block of
-canonical directions (leading coefficient 1), one gather through a cached
-index table expands them to the scalar multiples c <= (p-1)/2 -- scaling is
-not a symmetry here, since [-K, K] pulls back along c to an arithmetic
-progression, while -c gives the same counts as c -- and cumulative sums give
-the in-tube count for every constant term.
+at once, and every scan reads one kernel.  One bincount gives the value
+histograms of a block of canonical directions (leading coefficient 1); one
+gather through a cached index expands them to the scalar multiples
+c <= (p-1)/2 -- scaling is not a symmetry here, since [-K, K] pulls back
+along c to an arithmetic progression, while -c gives the same counts as c --
+and one cumulative sum makes a table that serves every radius
+(`_cumulative_table`).  The window at radius K (`scaling_window_table`)
+takes differences of its rows and holds the in-tube count of every
+(constant term, scaling, direction); `_maxima` and `_pick` read the best
+functional off it.  `inside_count` reads one cell of a window, and
+`min_outside_fraction(zero_constant_term=True)` its row a0 = 0.
 
 Every family comes from one rule, `nonconstant_directions`: the canonical
 directions non-constant on the span of a basis, picked by one array mask
 over a cached array of all of them.  The basis is a part's affine hull
-(decompositions), the fiber axes of a tube (tubular certificates), or the
-kernel of the directions a tube reduction has already chosen, whose
-non-constant directions are exactly those outside their span.
+(decompositions), the kernel of a tube certificate's leading rows (its
+rescan), or the kernel of the directions a tube reduction has already
+chosen, whose non-constant directions are exactly those outside their span.
 
 Three operations mirror the structural reductions used by the search
 pipeline: a single tube reduction, a recursive decomposition into parts that
@@ -23,20 +28,19 @@ are thick inside their affine hulls, and a strengthened decomposition whose
 part-unions all carry re-checkable tubular certificates.  The inequalities
 those reductions guarantee are checked explicitly and raise InvariantError.
 
-The strengthened decomposition needs a tube reduction and a rescan for each
-of the 2^m - 1 unions of its parts.  The cumulative counts behind the
-in-tube tables are linear in the multiset and the parts are disjoint, so a
-union's are the sum of its parts': `_UnionTables` builds each part's over
+A certificate's rescan pulls psi back instead of mapping the set through
+it (`TubularCertificate.validate`), so it reports its worst functional in
+the set's coordinates.  The strengthened decomposition needs a tube
+reduction and a rescan for each of the 2^m - 1 unions of its parts.  The
+cumulative tables are linear in the multiset and the parts are disjoint, so
+a union's is the sum of its parts': `_UnionTables` builds each part's over
 all canonical directions once, keeps one running sum along the mask walk,
-and derives the in-tube counts at any radius from it, so every scan of a
-union reads its family's rows off the sum.  Rows keep canonical order, so
-the scans pick the same functionals as a scan of the union itself.  A
-certificate's rescan pulls psi back instead of projecting the union
-(`TubularCertificate.validate`), and reports its worst functional in X's
-coordinates.  The tables take about p^(d+1)/2 cells each, m + 3 of them
-at most; past _UNION_TABLE_BYTES each union is scanned on its own, with
-the same results, as is every part of a decomposition artifact whose
-certificate count is wrong.
+and takes the window of that sum at each radius a scan of the union reads.
+Directions keep canonical order, so the scans pick the same functionals as
+a scan of the union itself.  The tables take about p^(d+1)/2 cells each,
+m + 3 of them at most; past _UNION_TABLE_BYTES each union is scanned on its
+own, block by block, with the same results, as is every part of a
+decomposition artifact whose certificate count is wrong.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -47,7 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,6 +151,8 @@ class GrowthFunction:
 
     @staticmethod
     def parse(text: str) -> "GrowthFunction":
+        if not isinstance(text, str):
+            raise ValueError(f"growth must be a string such as 'K+1', got {text!r}")
         s = text.replace(" ", "")
         m = re.fullmatch(r"(?:(\d+))?K\+(\d+)", s)
         if m:
@@ -201,11 +207,11 @@ class ThicknessParams:
 # ---------------------------------------------------------------------------
 
 
-# Directions scanned per block: a block's (n, L) projection and its
-# (L, (p-1)/2, p+2K) gathered histograms stay under 2^15 cells (256 KB of
-# int64).  Blocks of 2^14 cells measured 5-8% slower on the structural
-# workloads and 2^16 no faster; unblocked, d = 3 scans of large sets would
-# hold an n x L projection of tens of MB.
+# Directions scanned per block: a block's (n, L) projection stays under 2^15
+# cells, and its (p, (p-1)/2, L) gather, cumulative table and window under
+# 2^14 each (128 KB of int64).  Halving the block measured 5-8% slower on
+# the structural workloads and doubling it no faster; unblocked, d = 3 scans
+# of large sets would hold an n x L projection of tens of MB.
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -225,84 +231,112 @@ def value_histogram(X: GroupMultiset, directions) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _scaling_index(p: int) -> np.ndarray:
-    """idx[c-1, v] = c^{-1} v mod p for c <= (p-1)/2: a histogram of linear
-    gathered through row c-1 is the histogram of c * linear."""
+    """idx[j, c-1] = -j c^{-1} mod p for c <= (p-1)/2: the value of linear
+    at which c * linear takes the value -j."""
     inv = np.array([pow(c, -1, p) for c in range(1, (p + 1) // 2)], dtype=np.int64)
-    return (inv[:, None] * np.arange(p)[None, :]) % p
+    idx = (-np.arange(p)[:, None] * inv[None, :]) % p
+    idx.setflags(write=False)
+    return idx
+
+
+def _cumulative_table(hists: np.ndarray, p: int) -> np.ndarray:
+    """C[j, c-1, i] = #{x : c * linear_i(x) in {0, -1, ..., -j}} for
+    c <= (p-1)/2, from the (L, p) value histograms of a block of directions:
+    the histogram of c * linear is the c-permutation of linear's, so one
+    gather through `_scaling_index` and one cumulative sum build it.  It
+    serves every radius (`scaling_window_table`).
+
+    Scalings matter: [-K, K] pulls back along c to an arithmetic
+    progression, not an interval, so thickness along a direction says
+    nothing about its multiples.  The other half needs no table: [-K, K] is
+    symmetric, so p-c gives the same counts as c, one row later.
+    """
+    return np.cumsum(hists.T[_scaling_index(p)], axis=0)
 
 
 def scaling_window_table(
-    hists: np.ndarray, K: int, p: int, zero_constant_term: bool = False
+    C: np.ndarray, K: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """In-tube counts for the scalar multiples of a block of directions.
+    """In-tube counts at radius K from a cumulative table C
+    (`_cumulative_table`, or a sum of such tables over disjoint multisets):
+    out[a0, c-1, i] = #{x : c * linear_i(x) + a0 in [-K, K]}, into a new
+    array of C's shape and dtype unless `out` is given.
 
-    The value histogram of (c * linear) is the c-permutation of the histogram
-    of linear, so entry [i, c-1, a0] holds |X ∩ H(c*linear_i + a0, K)| for
-    c <= (p-1)/2; with zero_constant_term only the a0 = 0 column is built.
-    Scalings matter: [-K, K] pulls back along c to an arithmetic progression,
-    not an interval, so thickness along a direction says nothing about its
-    multiples.  The other half needs no table: [-K, K] is symmetric, so row
-    p-c is row c read at -a0 and holds the same counts, one row later.
+    a0 + c * linear(x) lies in [-K, K] exactly when -c * linear(x) lies in
+    the cyclic interval [a0-K, a0+K], so the count is C[a0+K] - C[a0-K-1],
+    reading C[j + p] as C[j] + n (n = C[p-1], every row's total).  In an
+    unsigned dtype the differences may wrap around, but every count they end
+    at lies in [0, n].  With a0 first, each step is one contiguous block; a
+    radius with 2K + 1 >= p, however large, covers F_p.
     """
-    w = min(2 * K + 1, p)
-    # column j lists the value K - j of c * linear, so the w columns from a0
-    # on are exactly {v : a0 + v in [-K, K]}; K % p keeps any K within int64
-    idx = _scaling_index(p)[:, (K % p - np.arange(p + w - 1)) % p]
-    if zero_constant_term:
-        return hists[:, idx[:, :w]].sum(axis=2, keepdims=True)
-    csum = np.cumsum(hists[:, idx], axis=2)
-    table = csum[:, :, w - 1 : w - 1 + p].copy()
-    table[:, :, 1:] -= csum[:, :, : p - 1]
-    return table
+    p = len(C)
+    n = C[p - 1]
+    if out is None:
+        out = np.empty_like(C)
+    if 2 * K + 1 >= p:
+        out[...] = n
+        return out
+    out[: p - K] = C[K:]
+    out[p - K :] = C[:K]
+    out[p - K :] += n
+    out[K + 1 :] -= C[: p - K - 1]
+    out[: K + 1] -= C[p - K - 1 :]
+    out[: K + 1] += n
+    return out
+
+
+def _cumulative_blocks(X: GroupMultiset, dirs: np.ndarray):
+    """(start, `_cumulative_table` of X along the block of dirs from start)
+    for each block, in order, blocks sized by _BLOCK_CELLS."""
+    p = X.params.p
+    block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
+    for start in range(0, len(dirs), block):
+        yield start, _cumulative_table(value_histogram(X, dirs[start : start + block]), p)
+
+
+def _maxima(window: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(each direction's largest count, the least c-1 attaining it, the
+    least a0 at which that scaling does) of an in-tube window
+    [a0, c-1, i]: the first maximiser in (c, a0) order."""
+    best = window.max(axis=0)
+    c = best.argmax(axis=0)
+    at = np.arange(len(c))
+    return best[c, at], c, window[:, c, at].argmax(axis=0)
 
 
 def _scan(
-    X: GroupMultiset, K: int, directions, zero_constant_term: bool
+    X: GroupMultiset, K: int, directions, zero_constant_term: bool = False
 ) -> Optional[Tuple[int, Vec, int]]:
     """(largest in-tube count over all scalings c*lam + a0 of all directions,
-    lex-min c*lam, its a0), or None for an empty family."""
+    lex-min c*lam, its a0), or None for an empty family; a0 = 0 throughout
+    with zero_constant_term, which reads row a0 = 0 of each window."""
     p, d = X.params.p, X.params.d
     dirs = np.asarray(directions, dtype=np.int64).reshape(-1, d)
     if len(dirs) == 0:
         return None
-    block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
-    counts, firsts = [], []
-    for start in range(0, len(dirs), block):
-        table = scaling_window_table(
-            value_histogram(X, dirs[start : start + block]), K, p, zero_constant_term
-        )
-        count, first = _row_maxima(table)
-        counts.append(count)
-        firsts.append(first)
-    cols = 1 if zero_constant_term else p
-    return _pick(np.concatenate(counts), np.concatenate(firsts), dirs, p, cols)
+    rows = slice(0, 1 if zero_constant_term else p)
+    maxima = [_maxima(scaling_window_table(C, K)[rows]) for _, C in _cumulative_blocks(X, dirs)]
+    count, c, a0 = maxima[0] if len(maxima) == 1 else map(np.concatenate, zip(*maxima))
+    return _pick(count, c, a0, dirs, p)
 
 
-def _row_maxima(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(each direction's largest count, the row-major first (c-1, a0) cell
-    holding it, as a flat index) of an (L, (p-1)/2, cols) in-tube table."""
-    flat = table.reshape(len(table), -1)
-    first = flat.argmax(axis=1)
-    return flat[np.arange(len(flat)), first], first
-
-
-def _pick(count, first, dirs: np.ndarray, p: int, cols: int) -> Tuple[int, Vec, int]:
-    """(top count, lex-min c*lam, its a0) from `_row_maxima` of the tables of
-    a nonempty family of canonical directions, rows in canonical order.
+def _pick(count, c, a0, dirs: np.ndarray, p: int) -> Tuple[int, Vec, int]:
+    """(top count, lex-min c*lam, its a0) from `_maxima` of the windows of
+    a nonempty family of canonical directions, in canonical order.
 
     Directions are canonical (leading coefficient 1), so c*lam compares by c
-    alone: the row-major first maximiser of a direction's table is its lex-min
-    maximiser (rows past (p-1)/2 repeat earlier rows' counts, so never come
-    first), and only the directions tied for the overall maximum need their
-    scaled functional built to break the tie.
+    alone: a direction's first maximiser in (c, a0) order is its lex-min
+    maximiser (scalings past (p-1)/2 repeat earlier ones' counts, so never
+    come first), and only the directions tied for the overall maximum need
+    their scaled functional built to break the tie.
     """
     top = count.max()
     tied = np.flatnonzero(count == top)
     if len(tied) == 1:  # no tie to break
-        row, a0 = divmod(int(first[tied[0]]), cols)
-        return int(top), tuple((row + 1) * a % p for a in dirs[tied[0]].tolist()), a0
-    row, a0 = np.divmod(first[tied], cols)
-    scaled = (row[:, None] + 1) * dirs[tied] % p
+        i = tied[0]
+        return int(top), tuple((int(c[i]) + 1) * a % p for a in dirs[i].tolist()), int(a0[i])
+    scaled = (c[tied, None] + 1) * dirs[tied] % p
+    a0 = a0[tied]
     best = np.lexsort((a0,) + tuple(scaled.T[::-1]))[0]  # the last key is the primary one
     return int(top), tuple(scaled[best].tolist()), int(a0[best])
 
@@ -328,7 +362,7 @@ def _plain_scan(X: GroupMultiset):
     """scan(K, basis): `_scan` of X at radius K over the directions
     non-constant on span(basis)."""
     p, d = X.params.p, X.params.d
-    return lambda K, basis: _scan(X, K, nonconstant_directions(p, d, basis), False)
+    return lambda K, basis: _scan(X, K, nonconstant_directions(p, d, basis))
 
 
 def _values(X: GroupMultiset, functionals: Sequence[LinearFunctional]) -> np.ndarray:
@@ -350,8 +384,8 @@ def _in_slab(residues: np.ndarray, K: int, p: int) -> np.ndarray:
 
 def inside_count(X: GroupMultiset, xi: LinearFunctional, K: int) -> int:
     p = X.params.p
-    table = scaling_window_table(value_histogram(X, [xi.linear]), K, p)
-    return int(table[0, 0, xi.a0 % p])  # scaling c = 1
+    C = _cumulative_table(value_histogram(X, [xi.linear]), p)
+    return int(scaling_window_table(C, K)[xi.a0 % p, 0, 0])  # scaling c = 1
 
 
 def is_thick(X: GroupMultiset, xi: LinearFunctional, params: ThicknessParams):
@@ -405,7 +439,7 @@ def find_thin_functional(
     ties broken by the lexicographic encoding.  Returns None when X is thick
     along every functional of the family, or the family is empty.
     """
-    return _thin(_scan(X, K, linear_parts, False), len(X), delta)
+    return _thin(_scan(X, K, linear_parts), len(X), delta)
 
 
 def min_outside_fraction(
@@ -463,14 +497,14 @@ class TubularCertificate:
         A singular psi, or a point mapped outside the box, gives
         (False, 0, None); a psi of the wrong shape raises ValueError.
 
-        By default psi(X) is scanned along the fiber axes and `worst` is in
-        psi's coordinates.  `scan(K, basis)`, when given, must be
-        `_plain_scan(X)` or agree with it (a union's summed tables): the
-        functionals non-constant on the fiber factor pull back through
-        psi = (M, s) to exactly the directions of X outside the span of M's
-        first l rows, and s only moves the constant term, which the scan
-        maximises over.  The fraction is the same; `worst` is then in X's
-        coordinates.
+        The rescan pulls psi back rather than mapping X: the functionals
+        non-constant on the fiber factor pull back through psi = (M, s) to
+        exactly the directions of X outside the span of M's first l rows,
+        and s only moves the constant term, which the scan maximises over.
+        So X is scanned over the directions non-constant on the kernel of
+        those rows, and `worst` is in X's coordinates.  `scan(K, basis)`,
+        when given, stands in for `_plain_scan(X)` and must agree with it
+        (a union's summed tables).
         """
         p, d, l = self.params.p, self.params.d, self.l
         psi = self.psi.reduced(p, d)
@@ -486,12 +520,8 @@ class TubularCertificate:
         n = len(X)
         if n == 0:
             raise ValueError("empty multiset")
-        if scan is None:
-            found = _plain_scan(X.apply_iso(psi))(self.K_prime, linalg.identity(d)[l:])
-        else:
-            kernel = linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
-            found = scan(self.K_prime, kernel)
-        frac, worst = _outside(found, n)
+        kernel = linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
+        frac, worst = _outside((scan or _plain_scan(X))(self.K_prime, kernel), n)
         return frac >= self.delta, frac, worst
 
 
@@ -780,62 +810,25 @@ def _mask_unions(parts: Sequence[GroupMultiset], start: int = 1):
         yield from walk(0, GroupMultiset.empty(parts[0].params), len(parts))
 
 
-def _cumulative_table(hists: np.ndarray, p: int) -> np.ndarray:
-    """C[j, i, c-1] = #{x : c * linear_i(x) in {0, -1, ..., -j}} for
-    c <= (p-1)/2, from the (L, p) value histograms; the in-tube counts at
-    every radius are differences of its rows (`_windows`)."""
-    downward = hists[:, _scaling_index(p)[:, (-np.arange(p)) % p]]  # (L, (p-1)/2, p)
-    return np.cumsum(downward, axis=2).transpose(2, 0, 1)
-
-
-def _windows(C: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
-    """out[a0, i, c-1] = #{x : c * linear_i(x) + a0 in [-K, K]} from a
-    cumulative table C (`scaling_window_table` with a0 first).
-
-    a0 + c * linear(x) lies in [-K, K] exactly when -c * linear(x) lies in
-    the cyclic interval [a0-K, a0+K], so the count is C[a0+K] - C[a0-K-1],
-    reading C[j + p] as C[j] + n (n = C[p-1], every row's total).  The
-    arithmetic stays in C's unsigned dtype: differences may wrap around, but
-    every count they end at lies in [0, n].  With a0 first, each step is one
-    contiguous block.
-    """
-    p = len(C)
-    n = C[p - 1]
-    if 2 * K + 1 >= p:
-        out[...] = n
-        return out
-    out[: p - K] = C[K:]
-    out[p - K :] = C[:K]
-    out[p - K :] += n
-    out[K + 1 :] -= C[: p - K - 1]
-    out[: K + 1] -= C[p - K - 1 :]
-    out[: K + 1] += n
-    return out
-
-
 def _window_scan(window, p: int, d: int):
     """scan(K, basis) as `_plain_scan` gives it, over window(K): the
-    in-tube table of all canonical directions at radius K, a0 first."""
+    in-tube window of all canonical directions at radius K."""
     dirs = _canonical_directions(p, d)
 
     def scan(K: int, basis) -> Optional[Tuple[int, Vec, int]]:
         rows = _nonconstant_rows(p, d, basis)
         if not rows.any():
             return None
-        table = window(min(K, p))
-        # each direction's first maximiser in (c, a0) order, as `_row_maxima`
-        best = table.max(axis=0)
-        c = best.argmax(axis=1)
-        at = np.arange(len(c))
-        a0 = table[:, at, c].argmax(axis=0)
-        return _pick(best[at, c][rows], (c * p + a0)[rows], dirs[rows], p, p)
+        count, c, a0 = _maxima(window(K))
+        return _pick(count[rows], c[rows], a0[rows], dirs[rows], p)
 
     return scan
 
 
 # The union tables' bytes at most: one table per part, the running sum, its
 # window and one part's window, all counted at the running sum's dtype.
-# Past it each part and union is scanned on its own, in _BLOCK_CELLS blocks.
+# Past it each part and union is scanned on its own, in _BLOCK_CELLS blocks
+# of the same kernel.
 # Measured on one strong_decompose call on a 2-core VM, summed against each
 # union on its own (time, VmHWM over the peak before the call): three
 # planes of F_31^3, 0.39 s and 6.1 MB against 1.00 s and 1.4 MB; three of
@@ -856,7 +849,9 @@ class _UnionTables:
     hull scan reads none.
 
     With `summed` false, or when the tables would pass _UNION_TABLE_BYTES,
-    no table is built and every scan is `_plain_scan` of its multiset.
+    no table is built and every scan is `_plain_scan` of its multiset: the
+    same kernel, block by block, so the bound picks memory, not an
+    algorithm.
     """
 
     def __init__(self, parts: Sequence[GroupMultiset], summed: bool = True):
@@ -875,11 +870,9 @@ class _UnionTables:
             X = self.parts[i]
             p, d = X.params.p, X.params.d
             dirs = _canonical_directions(p, d)
-            table = np.empty((p, len(dirs), (p - 1) // 2), dtype=np.min_scalar_type(len(X)))
-            block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
-            for start in range(0, len(dirs), block):
-                hists = value_histogram(X, dirs[start : start + block])
-                table[:, start : start + block] = _cumulative_table(hists, p)
+            table = np.empty((p, (p - 1) // 2, len(dirs)), dtype=np.min_scalar_type(len(X)))
+            for start, C in _cumulative_blocks(X, dirs):
+                table[:, :, start : start + C.shape[2]] = C
             self._tables[i] = table
         return table
 
@@ -892,12 +885,9 @@ class _UnionTables:
         X = self.parts[i]
         if not self.summed:
             return _plain_scan(X)
-
-        def window(K: int) -> np.ndarray:
-            table = self.part_table(i)
-            return _windows(table, K, np.empty_like(table))
-
-        return _window_scan(window, X.params.p, X.params.d)
+        return _window_scan(
+            lambda K: scaling_window_table(self.part_table(i), K), X.params.p, X.params.d
+        )
 
     def walk(self, start: int = 1):
         """(mask, X_S, scan) for every mask from `start` on, as
@@ -907,23 +897,26 @@ class _UnionTables:
         The scans read one running sum, held while the walk runs and moved
         from mask to mask by adding and subtracting the parts that differ:
         about two per mask.  Its dtype holds all the parts' counts; the
-        window derived from it at each radius (`_windows`) has the same.
+        window derived from it at each radius (`scaling_window_table`) has
+        the same.
         """
         if not self.summed:
             for mask, X_S in _mask_unions(self.parts, start):
                 yield mask, X_S, _plain_scan(X_S)
             return
+        p, d = self.parts[0].params.p, self.parts[0].params.d
         total = sum(len(part) for part in self.parts)
         held, running = 0, None
         for mask, X_S in _mask_unions(self.parts, start):
             if running is None:
                 running = np.zeros_like(self.part_table(0), dtype=np.min_scalar_type(total))
-                window = partial(_windows, running, out=np.empty_like(running))
+                out = np.empty_like(running)
             for i in _subset(held ^ mask):
                 move = np.add if (mask >> i) & 1 else np.subtract
                 move(running, self.part_table(i), out=running)
             held = mask
-            yield mask, X_S, _window_scan(window, X_S.params.p, X_S.params.d)
+            scan = _window_scan(lambda K: scaling_window_table(running, K, out), p, d)
+            yield mask, X_S, scan
 
 
 def _subset(mask: int) -> Tuple[int, ...]:

@@ -488,15 +488,75 @@ def test_verify_rejects_source_disagreeing_with_relation(tmp_path, capsys):
     assert code == 1 and rep is None and "disagrees with its relation" in err
 
 
+def test_huge_prime_exits_1_quickly(tmp_path):
+    """p = 2^61 - 1 fails the state budget before any primality test: by
+    trial division it would take minutes."""
+    big = 2 ** 61 - 1
+    instance = {"schema_version": 1, "kind": "instance", "p": big, "d": 1, "entries": [[1]]}
+    script = (
+        "import contextlib, io, sys, time\n"
+        "from zerosum.cli import main\n"
+        "for argv in (['olson', '--p', sys.argv[1], '--d', '1'], ['verify', '--input', sys.argv[2]]):\n"
+        "    start = time.monotonic()\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        code = main(argv)\n"
+        "    print(code, time.monotonic() - start, 'state budget' in err.getvalue())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(big), _write_json(tmp_path, instance, "big.json")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        code, seconds, named = line.split()
+        assert code == "1" and float(seconds) < 1 and named == "True"
+
+
+def test_verify_zero_denominator_exits_1(tmp_path, capsys):
+    artifact = _two_lines_strong_artifact()
+    artifact["mu"] = "1/0"
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and "zero denominator" in err
+
+
+def test_verify_non_string_growth_exits_1(tmp_path, capsys):
+    for growth in (5, {"kind": "affine"}):
+        artifact = _two_lines_strong_artifact()
+        artifact["growth"] = growth
+        code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+        assert code == 1 and rep is None and "growth must be a string" in err
+
+
+def test_verify_huge_multiplicity_exits_1(tmp_path, capsys):
+    # int64 multiplicity arrays and len() end at 2^63 - 1
+    for mults, code_wanted in (([2 ** 63 - 1], 0), ([2 ** 63], 1), ([10 ** 19], 1), ([2 ** 62] * 2, 1)):
+        artifact = {
+            "schema_version": 1, "kind": "instance", "p": 31, "d": 2,
+            "entries": [{"element": [1, k], "multiplicity": m} for k, m in enumerate(mults)],
+        }
+        code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+        assert code == code_wanted
+        if code == 1:
+            assert rep is None and "2^63 or more" in err
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_expand_large_fiber_memory_bounded(tmp_path):
     # one fiber of 1000 points of F_53^2 has 999,000 ordered pairs: about
-    # 110 MB of arrays when built at once, a few MB when built in blocks
+    # 110 MB of arrays when built at once, a few MB when built in blocks.
+    # The peak is the child's VmHWM: its ru_maxrss would start at the RSS of
+    # the process that forked it, so under pytest both runs would read
+    # pytest's peak and the bound would hold whatever `expand` does.
     script = (
-        "import contextlib, io, resource, sys\n"
+        "import contextlib, io, sys\n"
         "from zerosum.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['expand', '--input', sys.argv[1], '--seed', '1'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(code, next(int(l.split()[1]) for l in f if l.startswith('VmHWM')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     grid = [(x, y) for x in range(53) for y in range(53)]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -524,13 +525,28 @@ def test_decompose_exponent_cap_error():
         decompose(X, 0, Fraction(1, 2), G1, n_cap=0)
 
 
+def _direct_windows(X, K, dirs):
+    """[a0, c-1, i] = the points of X, with multiplicity, at which
+    c * dirs[i] + a0 lies in [-K, K], counted point by point for every a0
+    and c <= (p-1)/2."""
+    p = X.params.p
+    out = np.zeros((p, (p - 1) // 2, len(dirs)), dtype=np.int64)
+    for x, mult in X.items():
+        for i, lam in enumerate(dirs.tolist()):
+            for c in range(1, (p + 1) // 2):
+                for a0 in range(p):
+                    if in_interval(LinearFunctional(a0, tuple(c * a for a in lam)).evaluate(x, p), K, p):
+                        out[a0, c - 1, i] += mult
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_union_tables_sum_their_parts(data):
-    """The in-tube windows of a sum of part tables are those of the union
-    built afresh, at every radius, and a walk's scans are the scans of each
-    union.  Multiplicities up to 200 make a union of two parts overflow one
-    byte."""
+    """The in-tube windows of a sum of part tables count the union's points
+    directly, at every radius from 0 to p + 1 and at 2^64, and a walk's
+    scans are the scans of each union.  Multiplicities up to 200 make a
+    union of two parts overflow one byte."""
     params = GroupParams(5, 2)
     point = st.tuples(st.integers(0, 4), st.integers(0, 4))
     entries = data.draw(
@@ -543,12 +559,39 @@ def test_union_tables_sum_their_parts(data):
     bases = st.sampled_from([[(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 2)]])
     for mask, X_S, scan in tables.walk(data.draw(st.integers(1, 2 ** len(parts) - 1))):
         summed = sum(tables.part_table(i).astype(dtype) for i in thickness._subset(mask))
-        for r in range(6):
-            window = thickness._windows(summed, r, np.empty_like(summed)).transpose(1, 2, 0)
-            fresh = thickness.scaling_window_table(thickness.value_histogram(X_S, dirs), r, 5)
-            assert (window == fresh).all()
+        for r in list(range(7)) + [2 ** 64]:
+            window = thickness.scaling_window_table(summed, r)
+            assert window.dtype == dtype
+            assert (window == _direct_windows(X_S, r, dirs)).all()
         K, basis = data.draw(st.integers(0, 6)), data.draw(bases)
         assert scan(K, basis) == thickness._plain_scan(X_S)(K, basis)
+
+
+def test_union_scans_read_scaling_window_table(monkeypatch):
+    """Each of the sweep's tube reductions reads its windows through the
+    public `scaling_window_table`, so a wrapper of it counts union scans as
+    well as single ones."""
+    calls = []
+    real_window = thickness.scaling_window_table
+
+    def counting(C, K, out=None):
+        calls.append(K)
+        return real_window(C, K, out)
+
+    per_union = []
+    real_reduce = thickness._tube_reduce
+
+    def reducing(X_S, K, delta, g, scan):
+        before = len(calls)
+        found = real_reduce(X_S, K, delta, g, scan)
+        per_union.append(len(calls) - before)
+        return found
+
+    monkeypatch.setattr(thickness, "scaling_window_table", counting)
+    monkeypatch.setattr(thickness, "_tube_reduce", reducing)
+    sdec = strong_decompose(fiber_union(GroupParams(31, 2), 3, seed=0, offset=1), 0, Fraction(1, 4), G1)
+    assert len(per_union) == 2 ** sdec.m - 1 == 7
+    assert all(k >= 1 for k in per_union)
 
 
 @st.composite
@@ -578,6 +621,54 @@ def _invertible_psi(data, p, d):
     order = data.draw(st.permutations(range(d)))
     shift = data.draw(st.lists(entry, min_size=d, max_size=d))
     return AffineIso(tuple(tuple(lu[i]) for i in order), tuple(shift))
+
+
+def _brute_fiber_scan(Y, l, K):
+    """The largest count of Y in H(f, K) over every f non-constant on the
+    fiber factor {0}^l x F_p^(d-l), counted point by point."""
+    p, d = Y.params.p, Y.params.d
+    return max(
+        sum(m for y, m in Y.items() if in_interval(LinearFunctional(a0, lam).evaluate(y, p), K, p))
+        for lam in itertools.product(range(p), repeat=d)
+        if any(lam[l:])
+        for a0 in range(p)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(5, 1), (11, 1), (7, 2), (11, 2), (5, 3)]), st.data())
+def test_certificate_rescan_matches_fiber_scan_of_image(shape, data):
+    """`validate` with no scan pulls psi back onto X: its (ok, fraction) are
+    those of a point-by-point scan of psi(X) along the fiber axes, and its
+    `worst`, in X's coordinates, leaves that fraction of X outside.  X is
+    psi^-1 of a set in [-B, B]^l x F_p^(d-l), so the directions the rescan
+    must leave out are the thin ones."""
+    p, d = shape
+    params = GroupParams(p, d)
+    psi = _invertible_psi(data, p, d)
+    l, B = data.draw(st.integers(0, d)), data.draw(st.integers(0, p // 2))
+    coords = st.tuples(*[st.integers(-B, B)] * l, *[st.integers(0, p - 1)] * (d - l))
+    image = data.draw(st.lists(st.tuples(coords, st.integers(1, 3)), min_size=1, max_size=30))
+    inverse, entries = psi.inverse(p), {}
+    for y, mult in image:
+        x = inverse.apply(y, p)
+        entries[x] = entries.get(x, 0) + mult
+    X = GroupMultiset(params, entries)
+    K, K_prime = data.draw(st.one_of(st.just(B), st.integers(0, p))), data.draw(st.integers(0, p + 1))
+    delta = data.draw(st.fractions(min_value=Fraction(1, 50), max_value=1))
+    ok, frac, worst = TubularCertificate(params, l, psi, K, K_prime, delta, ()).validate(X)
+    Y = GroupMultiset.from_points(params, [psi.apply(x, p) for x, m in X.items() for _ in range(m)])
+    if not all(in_interval(y[k], K, p) for y in Y.support() for k in range(l)):
+        assert (ok, frac, worst) == (False, 0, None)
+        return
+    if l == d:
+        assert (ok, frac, worst) == (True, 1, None)
+        return
+    n = len(X)
+    inside = _brute_fiber_scan(Y, l, K_prime)
+    assert (ok, frac) == (Fraction(n - inside, n) >= delta, Fraction(n - inside, n))
+    outside = sum(m for x, m in X.items() if not in_interval(worst.evaluate(x, p), K_prime, p))
+    assert Fraction(outside, n) == frac
 
 
 def _check_rescans(tables, certs, Kp):
