@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import linalg
 
@@ -264,6 +264,22 @@ def affine_hull(points: Iterable[Vec], p: int):
     if not pts:
         raise ValueError("affine hull of an empty set")
     base = pts[0]
-    diffs = [tuple((x - b) % p for x, b in zip(q, base)) for q in pts[1:]]
-    basis, _ = linalg.rref(diffs, p)
+    d = len(base)
+    # independent differences, each scaled to 1 at its pivot and 0 at the
+    # pivots before it; d of them span F_p^d, whose rref is the identity
+    echelon: List[Tuple[int, List[int]]] = []
+    for q in pts[1:]:
+        v = [(x - b) % p for x, b in zip(q, base)]
+        for c, row in echelon:
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        echelon.append((c, [x * inv % p for x in v]))
+        if len(echelon) == d:
+            return d, base, linalg.identity(d)
+    basis, _ = linalg.rref([row for _, row in echelon], p)
     return len(basis), base, tuple(basis)

@@ -7,6 +7,16 @@ involved anywhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+# distinct arguments cached per helper: a pipeline round repeats a few dozen
+_CACHE_SIZE = 1024
+
+
+def _rows(mat):
+    """mat as a tuple of int row tuples: the cache key of the helpers below."""
+    return tuple(tuple(int(x) for x in row) for row in mat)
+
 
 def inv_mod(a: int, p: int) -> int:
     a %= p
@@ -62,6 +72,11 @@ def identity(n):
 
 def invert_matrix(mat, p):
     """Inverse of a square matrix mod p, or None if singular."""
+    return _invert_matrix(_rows(mat), p)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _invert_matrix(mat, p):
     n = len(mat)
     aug = [list(mat[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     reduced, pivots = rref(aug, p)
@@ -91,9 +106,14 @@ def solve(mat, rhs, p):
 
 
 def kernel_basis(mat, p):
-    """Basis of the null space of mat over F_p (list of tuples)."""
+    """Basis of the null space of mat over F_p (tuple of tuples)."""
+    return _kernel_basis(_rows(mat), p)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kernel_basis(mat, p):
     if not mat:
-        return []
+        return ()
     ncols = len(mat[0])
     reduced, pivots = rref(mat, p)
     free = [c for c in range(ncols) if c not in pivots]
@@ -104,7 +124,7 @@ def kernel_basis(mat, p):
         for row, c in zip(reduced, pivots):
             vec[c] = (-row[f]) % p
         basis.append(tuple(vec))
-    return basis
+    return tuple(basis)
 
 
 def complete_basis(rows, p):
@@ -113,6 +133,11 @@ def complete_basis(rows, p):
     Missing rows are filled greedily with standard basis vectors, smallest
     index first, so the completion is deterministic.
     """
+    return _complete_basis(_rows(rows), p)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _complete_basis(rows, p):
     rows = [tuple(x % p for x in r) for r in rows]
     if rows:
         d = len(rows[0])

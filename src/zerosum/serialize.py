@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 from .expansion import CoverPair, ExpansionCover, RelationVector
 from .group import AffineIso, GroupParams, LinearFunctional
-from .multiset import GroupMultiset
+from .multiset import _CARDINALITY_LIMIT, GroupMultiset
 from .subsums import ZeroSumCertificate
 from .thickness import (
     Decomposition,
@@ -165,6 +165,17 @@ def tubular_from_json(obj):
     return X, _tubular_cert_from_json(params, obj)
 
 
+def _pieces_from_json(params: GroupParams, obj):
+    """(x0, parts) of a decomposition artifact.  Each multiset bounds its
+    own cardinality; unions of them do not (`GroupMultiset.union`), so
+    ValueError unless all of them together hold under 2^63 points."""
+    x0 = multiset_from_json(params, obj["x0"])
+    parts = tuple(multiset_from_json(params, part) for part in obj["parts"])
+    if len(x0) + sum(len(part) for part in parts) >= _CARDINALITY_LIMIT:
+        raise ValueError("x0 and the parts hold 2^63 or more points")
+    return x0, parts
+
+
 def decomposition_to_json(X: GroupMultiset, dec: Decomposition) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -187,11 +198,12 @@ def decomposition_to_json(X: GroupMultiset, dec: Decomposition) -> dict:
 def decomposition_from_json(obj):
     params = params_from_json(obj)
     X = multiset_from_json(params, obj["input"])
+    x0, parts = _pieces_from_json(params, obj)
     dec = Decomposition(
         params=params,
         input_size=len(X),
-        x0=multiset_from_json(params, obj["x0"]),
-        parts=tuple(multiset_from_json(params, part) for part in obj["parts"]),
+        x0=x0,
+        parts=parts,
         l=int(obj["l"]),
         K=_radius(obj, "K"),
         K0=int(obj["K0"]),
@@ -251,11 +263,12 @@ def strong_decomposition_from_json(obj):
         certs[subset] = SubsetCertificate(
             subset, cert, parse_frac(item["delta_schedule"]), parse_frac(item["achieved"])
         )
+    x0, parts = _pieces_from_json(params, obj)
     sdec = StrongDecomposition(
         params=params,
         input_size=len(X),
-        x0=multiset_from_json(params, obj["x0"]),
-        parts=tuple(multiset_from_json(params, part) for part in obj["parts"]),
+        x0=x0,
+        parts=parts,
         l=int(obj["l"]),
         K=_radius(obj, "K"),
         delta=parse_frac(obj["delta"]),

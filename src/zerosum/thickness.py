@@ -31,13 +31,15 @@ those reductions guarantee are checked explicitly and raise InvariantError.
 A certificate's rescan pulls psi back instead of mapping the set through
 it (`TubularCertificate.validate`), so it reports its worst functional in
 the set's coordinates.  The strengthened decomposition needs a tube
-reduction and a rescan for each of the 2^m - 1 unions of its parts.  The
-cumulative tables are linear in the multiset and the parts are disjoint, so
-a union's is the sum of its parts': `_UnionTables` builds each part's over
-all canonical directions once, keeps one running sum along the mask walk,
-and takes the window of that sum at each radius a scan of the union reads.
-Directions keep canonical order, so the scans pick the same functionals as
-a scan of the union itself.  The tables take about p^(d+1)/2 cells each,
+reduction of each of the 2^m - 1 unions of its parts.  The scan that ends
+a reduction is its certificate's rescan, so the builder rescans the unions
+only after a sweep that dropped points; `StrongDecomposition.validate`
+always rescans every one.  The cumulative tables are linear in the
+multiset and the parts are disjoint, so a union's is the sum of its parts':
+`_UnionTables` builds each part's over all canonical directions once, keeps
+one running sum along the mask walk, and takes the window of that sum at
+each radius a scan of the union reads.  Directions keep canonical order,
+so the scans pick the same functionals as a scan of the union itself.  The tables take about p^(d+1)/2 cells each,
 m + 3 of them at most; past _UNION_TABLE_BYTES each union is scanned on its
 own, block by block, with the same results, as is every part of a
 decomposition artifact whose certificate count is wrong.
@@ -215,18 +217,35 @@ class ThicknessParams:
 _BLOCK_CELLS = 2 ** 15
 
 
+# float64 sums of integers are exact below 2^53; `value_histogram` weighs by
+# multiplicity only while |X| stays below it, and otherwise counts the low
+# _WEIGHT_SPLIT bits and the rest of each multiplicity apart: a bin's low
+# sum stays below support size * 2^_WEIGHT_SPLIT, its high sum below
+# 2^(63 - _WEIGHT_SPLIT)
+_EXACT_WEIGHTS = 2 ** 53
+_WEIGHT_SPLIT = 26
+
+
 def value_histogram(X: GroupMultiset, directions) -> np.ndarray:
     """(L, p) matrix: row i is the multiplicity-weighted histogram of
-    x -> <directions[i], x> over F_p, from one bincount over all rows."""
+    x -> <directions[i], x> over F_p, from one bincount over all rows
+    (two past 2^53 points, so that every count is exact)."""
     p, d = X.params.p, X.params.d
     dirs = np.asarray(directions, dtype=np.int64).reshape(-1, d)
     L = len(dirs)
     pts, mults = X.arrays()
     if len(pts) == 0:
         return np.zeros((L, p), dtype=np.int64)
-    vals = (pts @ dirs.T) % p + p * np.arange(L)  # direction-offset values
-    hist = np.bincount(vals.ravel(), weights=np.repeat(mults, L), minlength=L * p)
-    return hist.astype(np.int64).reshape(L, p)
+    vals = ((pts @ dirs.T) % p + p * np.arange(L)).ravel()  # direction-offset values
+
+    def counts(weights):
+        hist = np.bincount(vals, weights=np.repeat(weights, L), minlength=L * p)
+        return hist.astype(np.int64).reshape(L, p)
+
+    if len(X) < _EXACT_WEIGHTS:
+        return counts(mults)
+    low = mults & (2 ** _WEIGHT_SPLIT - 1)
+    return (counts(mults >> _WEIGHT_SPLIT) << _WEIGHT_SPLIT) + counts(low)
 
 
 @lru_cache(maxsize=64)
@@ -540,7 +559,7 @@ def tube_decompose(
     is (g(K), delta)-tubular via the coordinate change sending xi_1..xi_l to
     the first l coordinates.
     """
-    Y, cert = _tube_reduce(X, K0, delta, g, _plain_scan(X))
+    Y, cert, _last = _tube_reduce(X, K0, delta, g, _plain_scan(X))
     if validate:
         # validate's ok is frac >= delta: it reports 0 when a point leaves
         # the box, and delta > 0
@@ -551,9 +570,16 @@ def tube_decompose(
 
 def _tube_reduce(
     X: GroupMultiset, K0: int, delta: Fraction, g: GrowthFunction, scan
-) -> Tuple[GroupMultiset, TubularCertificate]:
+) -> Tuple[GroupMultiset, TubularCertificate, Optional[Tuple[int, Vec, int]]]:
     """`tube_decompose` without the rescan, its level i reading
-    scan(g^i(K0), basis) as `_plain_scan(X)` would give it."""
+    scan(g^i(K0), basis) as `_plain_scan(X)` would give it: (Y, certificate,
+    the scan that ended the reduction, or None when all d levels chose).
+
+    That last scan is the certificate's rescan on X: it read radius
+    g^(l+1)(K0) = K', over the directions outside the span of the chosen
+    functionals, which are psi's first l rows.  So while Y is X,
+    `_outside(last, len(X))` is the fraction `validate` would find, and for
+    l = d both are 1."""
     params = X.params
     d, p = params.d, params.p
     delta = Fraction(delta)
@@ -565,12 +591,15 @@ def _tube_reduce(
     chosen: List[LinearFunctional] = []
     # the directions outside span(chosen) are those non-constant on its kernel
     kernel = linalg.identity(d)
+    last = None
     for i in range(1, d + 1):
-        thin = _thin(scan(g.iterate(i, K0), kernel), len(X), (2 ** i) * delta)
+        found = scan(g.iterate(i, K0), kernel)
+        thin = _thin(found, len(X), (2 ** i) * delta)
         if thin is None:
+            last = found
             break
         chosen.append(thin)
-        kernel = linalg.kernel_basis([f.linear for f in chosen], p)
+        kernel = linalg.kernel_basis(tuple(f.linear for f in chosen), p)
 
     l = len(chosen)
     K = g.iterate(l, K0)
@@ -580,13 +609,13 @@ def _tube_reduce(
     _check("tube_mass", Fraction(len(Y)), ">=", lower)
 
     if l > 0:
-        matrix = linalg.complete_basis([f.linear for f in chosen], p)
+        matrix = linalg.complete_basis(tuple(f.linear for f in chosen), p)
         shift = tuple(f.a0 % p for f in chosen) + (0,) * (d - l)
     else:
         matrix = linalg.identity(d)
         shift = (0,) * d
     psi = AffineIso(matrix, shift)
-    return Y, TubularCertificate(params, l, psi, K, g(K), delta, tuple(chosen))
+    return Y, TubularCertificate(params, l, psi, K, g(K), delta, tuple(chosen)), last
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +963,9 @@ def _rescan(tables: _UnionTables, Kp: int, certs):
     """Bullets 2 and 3 of a strong decomposition, re-derived from its parts:
     `_part_scan` at Kp, then for every mask in increasing order
     (mask, certs[S], certs[S].cert rescanned on X_S) -- or None in place of
-    that list as soon as some union S has no certificate.
+    that list as soon as some union S has no certificate.  `validate` runs
+    it on every artifact; the builder only after a sweep that dropped
+    points (`_settle`).
 
     Each rescan pulls psi back onto X_S (see `TubularCertificate.validate`)
     and reads the union's summed table, so no union is projected; psi's
@@ -1045,7 +1076,9 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     The union's points outside its tube leave their parts.  A union that
     drops points ends the walk: the shrunken parts' tables are rebuilt and
     the next walk starts at the following mask.  Each certificate is
-    recorded at half its sweep delta, with achieved 0 until rescanned.
+    recorded at half its sweep delta, with achieved the outside fraction of
+    the scan that ended its reduction: its rescan on X_S (`_tube_reduce`),
+    which holds on the final union unless some union dropped points.
     """
     owner = {elem: i for i, part in enumerate(tables.parts) for elem in part.support()}
     certs: Dict[Tuple[int, ...], SubsetCertificate] = {}
@@ -1054,10 +1087,10 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     while mask < 2 ** len(tables.parts):
         for mask, X_S, scan in tables.walk(mask):
             delta_j = schedule(mask)
-            Y, cert = _tube_reduce(X_S, K, delta_j, g, scan)
+            Y, cert, last = _tube_reduce(X_S, K, delta_j, g, scan)
             subset = _subset(mask)
             certs[subset] = SubsetCertificate(
-                subset, replace(cert, delta=delta_j / 2), delta_j, Fraction(0)
+                subset, replace(cert, delta=delta_j / 2), delta_j, _outside(last, len(X_S))[0]
             )
             if len(Y) < len(X_S):
                 dropped = X_S.minus(Y)
@@ -1068,6 +1101,31 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
                 break
         mask += 1
     return certs, removed
+
+
+def _settle(tables: _UnionTables, Kp: int, certs, dropped: bool, delta0: Fraction, n: int):
+    """(delta, mu) of a swept strong decomposition of n points, with bullet
+    2 (parts keep half their hull thickness delta0 at Kp = g^{d+1}(K)) and
+    bullet 3 (every final union is tubular at half its sweep delta) checked.
+
+    When nothing dropped, the parts are `decompose`'s, whose last
+    re-verification sweep scanned them at Kp, so delta is delta0; and each
+    union is the one its tube reduction ended on, so the achieved fraction
+    the sweep recorded is its rescan.  A drop shrinks parts after some
+    unions were certified: then `_rescan` derives delta and every achieved
+    fraction afresh.
+    """
+    for part in tables.parts:
+        _check("part_nonempty", len(part), ">", 0)
+    delta = delta0
+    if dropped:
+        _scans, delta, rescans = _rescan(tables, Kp, certs)
+        for _mask, sc, (_ok, frac, _worst) in rescans:
+            sc.achieved = frac
+    _check("part_thickness", delta, ">=", delta0 / 2)
+    for sc in certs.values():
+        _check("union_tubular", sc.achieved, ">=", sc.cert.delta, f"union {sc.subset}")
+    return delta, _least_share(tables.parts, n, [sc.achieved for sc in certs.values()])
 
 
 def strong_decompose(
@@ -1085,7 +1143,9 @@ def strong_decompose(
     delta_j = eps mu0 delta0 2^{-d-2-m} 2^{-(d+m+4) j}; the schedule shrinks
     fast enough that total removals stay below eps|X|/2, every part keeps
     half its thickness, and each union stays tubular at half its sweep delta.
-    All three facts are checked on exact integers, not assumed.
+    All three facts are checked on exact integers, not assumed: on the
+    fractions the sweep's scans found when it dropped nothing, and on a
+    rescan of the final parts and unions when it did (`_settle`).
     """
     eps = Fraction(epsilon)
     params = X.params
@@ -1108,23 +1168,10 @@ def strong_decompose(
         tables, K, g, lambda mask: _delta_schedule(eps, mu0, delta0, m, d, mask)
     )
     removed_total = sum(len(r) for r in removed_sets)
-    parts = tables.parts
 
     # bullet 1: sweep removals stay below eps|X|/2
     _check("sweep_removals", Fraction(removed_total), "<", eps * len(X) / 2)
-
-    # bullet 2: parts keep half their hull thickness at g^{d+1}(K);
-    # bullet 3: every final union is tubular at half its sweep delta
-    for part in parts:
-        _check("part_nonempty", len(part), ">", 0)
-    scans, part_delta, rescans = _rescan(tables, gp(K), subset_certs)
-    for frac, worst in scans:
-        _check("part_thickness", frac, ">=", delta0 / 2, f"worst {worst}")
-    for _mask, sc, (_ok, frac, worst) in rescans:
-        # worst is in X's coordinates (see _rescan)
-        _check("union_tubular", frac, ">=", sc.cert.delta, f"union {sc.subset}, worst {worst}")
-        sc.achieved = frac
-    mu = _least_share(parts, len(X), [sc.achieved for _, sc, _ in rescans])
+    part_delta, mu = _settle(tables, gp(K), subset_certs, bool(removed_sets), delta0, len(X))
 
     x0 = dec.x0
     for r in removed_sets:
@@ -1135,7 +1182,7 @@ def strong_decompose(
         params=params,
         input_size=len(X),
         x0=x0,
-        parts=tuple(parts),
+        parts=tuple(tables.parts),
         l=l_in_g,
         K=K,
         delta=part_delta,

@@ -45,13 +45,23 @@ def verify_payload(obj: dict) -> Checks:
     raise ValueError(f"unknown artifact kind {kind!r}")
 
 
+def _field(value, kind: type, name: str):
+    """value, or ValueError naming the field when it is not of `kind`."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ValueError(f"{name} must be {noun}")
+    return value
+
+
 def verify_trace(obj: dict) -> Checks:
     X = serialize.instance_from_json(obj["instance"])
-    trace = obj["trace"]
+    trace = _field(obj["trace"], dict, "trace")
     checks: Checks = []
-    result = trace.get("result", {})
-    for stage in trace.get("stages", []):
-        for ident in stage.get("identities", []):
+    result = _field(trace.get("result", {}), dict, "result")
+    for i, stage in enumerate(_field(trace.get("stages", []), list, "stages")):
+        stage = _field(stage, dict, f"stages[{i}]")
+        for j, ident in enumerate(_field(stage.get("identities", []), list, f"stages[{i}].identities")):
+            ident = _field(ident, dict, f"stages[{i}].identities[{j}]")
             checks.append(
                 (
                     f"{stage['stage']}:{ident['name']}",
@@ -59,7 +69,7 @@ def verify_trace(obj: dict) -> Checks:
                 )
             )
         if stage.get("outcome") == "failure":
-            ineq = stage["inequality"]
+            ineq = _field(stage["inequality"], dict, f"stages[{i}].inequality")
             sf = StageFailure(
                 stage["stage"], ineq["name"], ineq["lhs"], ineq["op"], ineq["rhs"], ""
             )

@@ -543,6 +543,60 @@ def test_verify_huge_multiplicity_exits_1(tmp_path, capsys):
             assert rep is None and "2^63 or more" in err
 
 
+def test_verify_union_past_2_63_exits_1(tmp_path, capsys):
+    # each part is a valid multiset, but their union would count 2^63 points
+    artifact = _two_lines_strong_artifact()
+    for k, part in enumerate(artifact["parts"]):
+        part[:] = [{"element": [k, 0], "multiplicity": 2 ** 62}]
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and "x0 and the parts hold 2^63 or more points" in err
+    assert "Traceback" not in err
+
+
+def _shape_trace():
+    """A certifying-shaped pipeline trace with one stage and one identity."""
+    X = GroupMultiset.from_points(GroupParams(5, 1), [(1,), (4,)])
+    return serialize.trace_to_json(
+        X,
+        {
+            "stages": [{"stage": "assemble", "identities": [{"name": "sum", "lhs": [0], "rhs": [0]}]}],
+            "result": {"status": "certificate", "subset": [[[1], 1], [[4], 1]]},
+        },
+    )
+
+
+TRACE_SHAPES = {
+    "trace": (lambda t: t.update(trace=[]), "trace must be an object"),
+    "stages": (lambda t: t["trace"].update(stages="assemble"), "stages must be a list"),
+    "stage": (lambda t: t["trace"]["stages"].__setitem__(0, "assemble"), "stages[0] must be an object"),
+    "identities": (
+        lambda t: t["trace"]["stages"][0].update(identities={"name": "sum"}),
+        "stages[0].identities must be a list",
+    ),
+    "identity": (
+        lambda t: t["trace"]["stages"][0]["identities"].__setitem__(0, 7),
+        "stages[0].identities[0] must be an object",
+    ),
+    "inequality": (
+        lambda t: t["trace"]["stages"][0].update(outcome="failure", inequality=[1]),
+        "stages[0].inequality must be an object",
+    ),
+    "result": (lambda t: t["trace"].update(result="certificate"), "result must be an object"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TRACE_SHAPES))
+def test_verify_trace_of_wrong_shape_exits_1(tmp_path, capsys, field):
+    code, rep, _ = _verify_exit(tmp_path, capsys, _shape_trace())
+    assert code == 0 and rep["result"]["all_passed"]
+    forge, message = TRACE_SHAPES[field]
+    artifact = _shape_trace()
+    forge(artifact)
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_expand_large_fiber_memory_bounded(tmp_path):
     # one fiber of 1000 points of F_53^2 has 999,000 ordered pairs: about

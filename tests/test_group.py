@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum.group import (
     AffineIso,
@@ -75,6 +77,47 @@ def test_affine_hull_spanning_cloud():
     dim, base, basis = affine_hull(pts, 5)
     diffs = [tuple((a - b) % 5 for a, b in zip(q, pts[0])) for q in pts[1:]]
     assert dim == linalg.rank(diffs, 5) == 2
+
+
+@st.composite
+def subspace_points(draw):
+    """(p, points of F_p^d): on a random affine subspace, or scattered."""
+    p, d = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, p - 1)] * d)
+    spanning = draw(st.lists(vec, max_size=d))
+    base = draw(vec)
+    coeffs = st.lists(st.integers(0, p - 1), min_size=len(spanning), max_size=len(spanning))
+    pts = [
+        tuple((b + sum(c * v[i] for c, v in zip(draw(coeffs), spanning))) % p for i, b in enumerate(base))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return p, pts + draw(st.lists(vec, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_points())
+def test_affine_hull_matches_rref_of_all_differences(case):
+    # the hull stops eliminating at d independent differences; the rref of
+    # every difference must come out the same
+    p, pts = case
+    base = min(pts)
+    diffs = [tuple((x - b) % p for x, b in zip(q, base)) for q in sorted(set(pts)) if q != base]
+    basis, _ = linalg.rref(diffs, p)
+    assert affine_hull(pts, p) == (len(basis), base, tuple(basis))
+
+
+def test_linalg_helpers_return_cached_tuples():
+    # cached results are shared between callers, so they must be immutable;
+    # lists and tuples of the same rows share one entry
+    rows = [[1, 2, 0], [0, 1, 1]]
+    kernel = linalg.kernel_basis(rows, 5)
+    assert kernel == ((2, 4, 1),) and linalg.kernel_basis(tuple(map(tuple, rows)), 5) is kernel
+    assert linalg.kernel_basis([], 5) == ()
+    full = linalg.complete_basis(rows, 5)
+    assert full == ((1, 2, 0), (0, 1, 1), (1, 0, 0)) and linalg.complete_basis(rows, 5) is full
+    inverse = linalg.invert_matrix(full, 5)
+    assert isinstance(inverse, tuple) and linalg.invert_matrix(list(full), 5) is inverse
+    assert linalg.invert_matrix([[1, 2], [2, 4]], 5) is None
 
 
 def test_change_coords_roundtrip_and_cardinality():

@@ -118,6 +118,22 @@ def test_inside_count_past_int64():
         assert inside_count(X, LinearFunctional(7, (1, 3)), K) == len(X)
 
 
+def test_value_histogram_exact_past_2_53():
+    # float64 weights round 2^53 + 1 down to 2^53; past 2^53 points the
+    # counts are summed in two exact halves
+    params = GroupParams(7, 1)
+    X = GroupMultiset(params, {(0,): 2 ** 53 + 1, (3,): 1})
+    x = LinearFunctional(0, (1,))
+    assert inside_count(X, x, 1) == 2 ** 53 + 1
+    assert is_thick(X, x, ThicknessParams(1, Fraction(1, 2 ** 60))) == (True, 1)
+    big = {(0,): 2 ** 62 + 12345, (3,): 2 ** 61 + 7, (5,): 2 ** 26 - 1}
+    hist = thickness.value_histogram(GroupMultiset(params, big), [(1,), (2,)])
+    assert hist.tolist() == [
+        [big.get((v,), 0) for v in range(7)],
+        [big.get(((v * 4) % 7,), 0) for v in range(7)],  # 2x = v at x = 4v
+    ]
+
+
 def test_find_thin_box_and_thick_line():
     params = GroupParams(11, 2)
     box = ms(params, [(a % 11, b % 11) for a in (-1, 0, 1) for b in (-1, 0, 1)])
@@ -361,6 +377,31 @@ def _naive_sweep(X, eps, g, tube):
     return parts, x0, sum(len(r) for r in dropped), certs, seen
 
 
+def _count_rescans(monkeypatch):
+    """Patches `thickness._rescan` to record each call; returns the record."""
+    calls = []
+    real_rescan = thickness._rescan
+
+    def counting(tables, Kp, certs):
+        calls.append(Kp)
+        return real_rescan(tables, Kp, certs)
+
+    monkeypatch.setattr(thickness, "_rescan", counting)
+    return calls
+
+
+def test_strong_decompose_without_drops_rescans_nothing(monkeypatch):
+    """The scan that ends each union's tube reduction is its rescan, so a
+    sweep that drops nothing rescans no union; `validate` still rescans
+    them all, and finds the recorded numbers."""
+    X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
+    rescans = _count_rescans(monkeypatch)
+    sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
+    assert sdec.removed_in_sweeps == 0 and rescans == []
+    assert all(ok for _, ok in sdec.validate(X))
+    assert len(rescans) == 1
+
+
 def test_strong_sweep_restarts_after_a_drop(monkeypatch):
     """No real instance drops a point in the sweep, so the sweep's tube
     reduction is patched to trim one point z of the second part from every
@@ -386,13 +427,15 @@ def test_strong_sweep_restarts_after_a_drop(monkeypatch):
             for basis in ([(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 1)]):
                 Ki = g.iterate(i, K)
                 assert scan(Ki, basis) == thickness._plain_scan(X_S)(Ki, basis)
-        Y, cert = real_reduce(X_S, K, delta, g, scan)
-        return Y.select([e != z for e in Y.support()]), cert
+        Y, cert, last = real_reduce(X_S, K, delta, g, scan)
+        return Y.select([e != z for e in Y.support()]), cert, last
 
     parts, x0, removed, certs, naive_seen = _naive_sweep(X, eps, G1, trimming)
     seen.clear()
+    rescans = _count_rescans(monkeypatch)
     monkeypatch.setattr(thickness, "_tube_reduce", trimming_reduce)
     sdec = strong_decompose(X, 0, eps, G1)
+    assert len(rescans) == 1  # the drop makes the builder rescan every union
     assert seen == naive_seen
     assert sdec.m == 3 and sdec.removed_in_sweeps == removed == 1
     assert list(sdec.parts) == parts and z not in sdec.union(range(3))
@@ -726,6 +769,49 @@ def test_sweep_matches_per_union_oracle(family, K, g, k, data):
     _sweep_against_oracle(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask), data)
 
 
+def _settled_against_rescan(params, parts, K, g, schedule, summed=True):
+    """Sweeps the parts and settles the builder's numbers as
+    `strong_decompose` does (`_settle`, with delta0 the parts' least hull
+    fraction at g^(d+1)(K), as `decompose` leaves it), then requires each
+    union's achieved fraction, delta and mu to equal what `_rescan` derives
+    on the final parts, or the bound that `_settle` found broken to be
+    broken there.  Returns the number of unions that dropped points."""
+    Kp = IteratedGrowth(g, params.d + 1)(K)
+    _scans, delta0 = thickness._part_scan(parts, Kp, [thickness._plain_scan(part) for part in parts])
+    n = sum(len(part) for part in parts) + 1  # x0 holds one more point
+    tables = thickness._UnionTables(parts, summed)
+    try:
+        certs, dropped = thickness._sweep(tables, K, g, schedule)
+    except ValueError:  # a part emptied by a drop leaves an empty union
+        return 0
+    try:
+        settled = thickness._settle(tables, Kp, certs, bool(dropped), delta0, n)
+    except thickness.InvariantError as exc:
+        assert dropped  # without a drop every bound holds by construction
+        if exc.name == "part_nonempty":
+            assert not all(tables.parts)
+            return len(dropped)
+        settled = None
+    _scans, rescanned, rescans = thickness._rescan(thickness._UnionTables(tables.parts), Kp, certs)
+    fracs = [frac for _, _, (_, frac, _) in rescans]
+    if settled is None:
+        assert rescanned < delta0 / 2 or any(f < sc.cert.delta for (_, sc, _), f in zip(rescans, fracs))
+        return len(dropped)
+    delta, mu = settled
+    assert [sc.achieved for _, sc, _ in rescans] == fracs
+    assert delta == rescanned
+    assert mu == thickness._least_share(tables.parts, n, fracs)
+    return len(dropped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(part_families(), st.integers(0, 2), st.sampled_from([G1, G44]), st.integers(1, 24))
+def test_builder_numbers_match_rescan(family, K, g, k):
+    params, parts = family
+    d = params.d
+    _settled_against_rescan(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask))
+
+
 @pytest.mark.parametrize("summed", [True, False])
 def test_sweep_that_drops_points_matches_oracle(summed):
     # the second part is a line and one point off it: each union holding it
@@ -734,3 +820,4 @@ def test_sweep_that_drops_points_matches_oracle(summed):
     parts = [ms(params, [(0, y) for y in range(7)]), ms(params, [(1, y) for y in range(7)] + [(3, 3)])]
     drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9), summed=summed)
     assert drops > 0
+    assert _settled_against_rescan(params, parts, 0, G1, lambda mask: Fraction(1, 9), summed) > 0
