@@ -17,6 +17,7 @@ import base64
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -78,12 +79,22 @@ def _emit(text: str, args) -> None:
             sys.stdout.write("\n")
 
 
+def _finite(text: str) -> float:
+    """A JSON float or constant (NaN, Infinity); ValueError unless finite,
+    1e400 included, since no artifact field takes a non-finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json(path: str, what: str) -> dict:
-    """The JSON object stored at path; anything else is an input error."""
+    """The JSON object stored at path; anything else, a non-finite number
+    included, is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}")
     if not isinstance(obj, dict):
         raise UsageError(f"malformed {what} {path}: expected a JSON object")

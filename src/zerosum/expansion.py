@@ -29,9 +29,9 @@ free point a, which fixes b = a - sigma; fiber pairs are built in numpy, in
 blocks of bounded size whatever the fibers hold.  A relation pair uses at
 least four elements against a fiber pair's two, so it wins only with
 strictly larger growth: relations are sampled only on steps where the best
-fiber pair falls short of the table's maximum over admissible sigma.  Every
-step draws the random numbers of its samples, built or not, so every cover
-is the one full sampling builds.
+fiber pair falls short of the table's maximum over admissible sigma.  Such a
+step draws its samples from its own random.Random(f"{seed}/{step}"), step
+being the number of pairs taken so far; the other steps draw nothing.
 """
 
 from __future__ import annotations
@@ -145,67 +145,29 @@ def _relations(labels: Tuple[Vec, ...], T: int) -> Tuple[RelationVector, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _randbelow(rng: random.Random, widths: Iterable[int]) -> List[int]:
-    """One uniform draw from range(w) per width w, made as CPython 3.11's
-    rng.randrange(i, i + w) makes it: getrandbits(w.bit_length()) until the
-    result is below w.  Sampling and the steps that skip it share this
-    stream."""
-    getrandbits = rng.getrandbits
-    out = []
-    for w in widths:
-        k = w.bit_length()
-        r = getrandbits(k)
-        while r >= w:
-            r = getrandbits(k)
-        out.append(r)
-    return out
-
-
-def _sample_distinct(slots: Sequence[Vec], draws: Sequence[int]) -> List[Vec]:
-    """The first len(draws) picks of a Fisher-Yates shuffle of slots, which
-    swaps position i with i + draws[i], draws[i] drawn below len(slots) - i;
-    only moved positions are stored."""
-    moved: Dict[int, Vec] = {}
-    out = []
-    for i, r in enumerate(draws):
-        j = i + r
-        out.append(moved.get(j, slots[j]))
-        moved[j] = moved.get(i, slots[i])
-    return out
-
-
 def _relation_candidates(
     relations: Sequence[RelationVector],
     free: Dict[Vec, List[Vec]],
     samples: int,
     rng: random.Random,
     params: GroupParams,
-    build: bool,
 ) -> Dict[Vec, Tuple]:
     """sigma -> (j1, j2, rel) from `samples` selections of every relation
     the free lists can still serve, keeping per sigma the cheapest
     realization (fewest elements, then least (j1, j2)): pairs eat free
     elements, and a wasteful one can starve the later completion steps.
-    Every selection's random numbers are drawn either way; with build False
-    none is built and {} is returned."""
+    One selection takes rng.sample(free[lab], c) per label, positive side
+    first."""
     cands: Dict[Vec, Tuple] = {}
     for rel in relations:
         if any(len(free[lab]) < abs(c) for lab, c in rel.entries):
             continue
-        # one selection picks c elements of each label, positive side first
-        sides = rel.positive() + rel.negative()
-        widths = [len(free[lab]) - i for lab, c in sides for i in range(c)]
-        draws = _randbelow(rng, widths * samples)
-        if not build:
-            continue
-        half = len(widths) // 2
-        pos = 0
+        pos, neg = rel.positive(), rel.negative()
         for _ in range(samples):
-            picked = []
-            for lab, c in sides:
-                picked += _sample_distinct(free[lab], draws[pos : pos + c])
-                pos += c
-            j1, j2 = tuple(sorted(picked[:half])), tuple(sorted(picked[half:]))
+            j1, j2 = (
+                tuple(sorted(x for lab, c in side for x in rng.sample(free[lab], c)))
+                for side in (pos, neg)
+            )
             sigma = _sigma(j1, j2, params)
             held = cands.get(sigma)
             if held is None or (len(held[0]) + len(held[1]), held[0], held[1]) > (
@@ -515,7 +477,6 @@ def expansion_cover(
     """
     if params is None:
         params = ExpansionParams()
-    rng = random.Random(params.seed)
     if not fibers:
         raise ValueError("need at least one fiber")
     gparams = next(iter(fibers.values())).params
@@ -567,10 +528,12 @@ def expansion_cover(
         fiber = least_a < p ** d
         # a relation pair uses >= 4 elements against a fiber pair's 2, so it
         # can win only when no admissible fiber pair reaches the bound
-        rel_cands = _relation_candidates(
-            relations, free, params.per_step_samples, rng, gparams,
-            build=not (fiber & admissible & (table == bound)).any(),
-        )
+        rel_cands = {}
+        if not (fiber & admissible & (table == bound)).any():
+            rng = random.Random(f"{params.seed}/{len(pairs)}")
+            rel_cands = _relation_candidates(
+                relations, free, params.per_step_samples, rng, gparams
+            )
         # the elements an offer consumes (both branches of a pair have the
         # same size): maximise growth, then spend the fewest, then least sigma
         cost = np.where(fiber, 2.0, np.inf)

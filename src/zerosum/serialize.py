@@ -130,8 +130,9 @@ def tubular_to_json(X: GroupMultiset, cert: TubularCertificate) -> dict:
     }
 
 
-def _radius(obj, name: str) -> int:
-    """obj[name] as a radius; ValueError naming the field when negative."""
+def _natural(obj, name: str) -> int:
+    """obj[name] as a radius or an exponent; ValueError naming the field
+    when negative."""
     value = int(obj[name])
     if value < 0:
         raise ValueError(f"{name} = {value} is negative")
@@ -152,8 +153,8 @@ def _tubular_cert_from_json(params: GroupParams, obj) -> TubularCertificate:
         params,
         l,
         psi,
-        _radius(obj, "K"),
-        _radius(obj, "K_prime"),
+        _natural(obj, "K"),
+        _natural(obj, "K_prime"),
         parse_frac(obj["delta"]),
         tuple(functional_from_json(f) for f in obj["functionals"]),
     )
@@ -204,9 +205,9 @@ def decomposition_from_json(obj):
         input_size=len(X),
         x0=x0,
         parts=parts,
-        l=int(obj["l"]),
-        K=_radius(obj, "K"),
-        K0=int(obj["K0"]),
+        l=_natural(obj, "l"),
+        K=_natural(obj, "K"),
+        K0=_natural(obj, "K0"),
         delta=parse_frac(obj["delta"]),
         mu=parse_frac(obj["mu"]),
         epsilon=parse_frac(obj["epsilon"]),
@@ -270,7 +271,7 @@ def strong_decomposition_from_json(obj):
         x0=x0,
         parts=parts,
         l=int(obj["l"]),
-        K=_radius(obj, "K"),
+        K=_natural(obj, "K"),
         delta=parse_frac(obj["delta"]),
         delta0=parse_frac(obj["delta0"]),
         mu0=parse_frac(obj["mu0"]),

@@ -35,10 +35,6 @@ from .group import GroupParams, Vec, _check
 from .multiset import GroupMultiset
 
 
-class StateBudgetError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # The packed-integer reach kernel
 # ---------------------------------------------------------------------------
@@ -197,8 +193,6 @@ def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
     if len(A) == 0:
         raise ValueError("subsum enumeration needs at least one element")
     params = A.params
-    if params.order > params.state_budget:
-        raise StateBudgetError("state space exceeds budget")
     seq = list(A.iter_with_multiplicity())
     p, d = params.p, params.d
     full = (1 << params.order) - 1

@@ -168,6 +168,18 @@ class GrowthFunction:
         raise ValueError(f"cannot parse growth function {text!r}")
 
 
+def capped_iterate(g, times: int, K: int, cap: int) -> int:
+    """min(g^times(K), cap) through g.capped.  Below the cap each step
+    raises K by at least one, so the loop stops within cap steps, however
+    large a forged `times` is."""
+    K = min(K, cap)
+    for _ in range(times):
+        if K >= cap:
+            break
+        K = g.capped(K, cap)
+    return K
+
+
 class IteratedGrowth:
     """g^j as a growth function; used where a proof substitutes g -> g^{j}."""
 
@@ -184,9 +196,7 @@ class IteratedGrowth:
         return self.base.iterate(self.times * times, K)
 
     def capped(self, K: int, cap: int) -> int:
-        for _ in range(self.times):
-            K = self.base.capped(K, cap)
-        return K
+        return capped_iterate(self.base, self.times, K, cap)
 
     def describe(self) -> str:
         return f"({self.base.describe()})^{self.times}"
@@ -650,13 +660,19 @@ class Decomposition:
         return len(self.parts)
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
-        Kp = self.growth.capped(self.K, self.params.p)
+        """The partition checks, K tied to K0 and l (through min(., p)),
+        then the parts rescanned at g(K): delta is re-derived from them and
+        must be positive, as every run's is."""
+        p = self.params.p
+        Kp = self.growth.capped(self.K, p)
         scans, delta = _part_scan(self.parts, Kp, [_plain_scan(part) for part in self.parts])
         sizes = all(Fraction(len(pt)) >= self.mu * self.input_size for pt in self.parts)
         return _partition_checks(self, X) + [
+            ("K", min(self.K, p) == capped_iterate(self.growth, self.l, self.K0, p)),
             ("part_sizes", sizes),
             ("hull_thickness", all(frac >= self.delta for frac, _ in scans)),
             ("delta", self.delta == delta),
+            ("delta_positive", self.delta > 0),
             ("mu", self.mu == _least_share(self.parts, self.input_size)),
         ]
 
@@ -1034,10 +1050,10 @@ class StrongDecomposition:
         both compared through min(., p), so a forged radius builds no huge
         integer."""
         p, d, m, n, g = self.params.p, self.params.d, self.m, self.input_size, self.growth
-        Kp = IteratedGrowth(g, d + 1).capped(self.K, p)
+        Kp = capped_iterate(g, d + 1, self.K, p)
 
         def radii(cert: TubularCertificate) -> bool:
-            K = IteratedGrowth(g, cert.l).capped(self.K, p) if cert.l else min(self.K, p)
+            K = capped_iterate(g, cert.l, self.K, p)
             return min(cert.K, p) == K and min(cert.K_prime, p) == g.capped(cert.K, p)
 
         # every one of the 2^m - 1 unions needs a certificate; the count is

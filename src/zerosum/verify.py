@@ -70,9 +70,8 @@ def verify_trace(obj: dict) -> Checks:
             )
         if stage.get("outcome") == "failure":
             ineq = _field(stage["inequality"], dict, f"stages[{i}].inequality")
-            sf = StageFailure(
-                stage["stage"], ineq["name"], ineq["lhs"], ineq["op"], ineq["rhs"], ""
-            )
+            lhs, rhs = serialize.parse_frac(ineq["lhs"]), serialize.parse_frac(ineq["rhs"])
+            sf = StageFailure(stage["stage"], ineq["name"], lhs, ineq["op"], rhs, "")
             checks.append((f"{stage['stage']}:failure_re_violates", not sf.holds()))
     if result.get("status") == "certificate":
         subset = GroupMultiset(

@@ -1,20 +1,35 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum import serialize
 from zerosum.cli import main
+from zerosum.expansion import ExpansionParams, expansion_cover
 from zerosum.generators import fiber_union, random_cloud
 from zerosum.group import AffineIso, GroupParams
 from zerosum.multiset import GroupMultiset
-from zerosum.subsums import ZeroSumCertificate
-from zerosum.thickness import GrowthFunction, TubularCertificate, decompose, strong_decompose
+from zerosum.pipeline import PipelineConfig, find_zero_sum
+from zerosum.subsums import ZeroSumCertificate, find_zero_sum_subset
+from zerosum.thickness import (
+    GrowthFunction,
+    TubularCertificate,
+    decompose,
+    strong_decompose,
+    tube_decompose,
+)
 
 
 def run_cli(capsys, *argv):
@@ -407,6 +422,50 @@ def test_verify_rederives_decomposition_numbers(tmp_path, capsys, field, value):
     assert code == 2 and _failing(rep) == {field}
 
 
+def _decomposition_artifact(n_fibers, seed, offset):
+    X = fiber_union(GroupParams(31, 2), n_fibers, seed=seed, offset=offset)
+    return serialize.decomposition_to_json(
+        X, decompose(X, 0, Fraction(1, 2), GrowthFunction("affine", 1, 1))
+    )
+
+
+FORGED_DECOMPOSITION = {
+    # recorded l = 1, K0 = 0, K = 1, delta = 26/31; at K = 2 the parts give
+    # delta = 24/31, so only the tie K = g^l(K0) = 1 catches it
+    "K": ((3, 1, 2), dict(K=2, delta="24/31"), "K"),
+    # recorded l = 0, K0 = K = 0, delta = 1/4; at K = 1 the single part is
+    # thin everywhere, and K0 = 1 keeps K tied
+    "delta_zero": ((4, 3, 1), dict(K=1, K0=1, delta="0"), "delta_positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_DECOMPOSITION))
+def test_verify_rejects_forged_decomposition_radius(tmp_path, capsys, name):
+    args, fields, check = FORGED_DECOMPOSITION[name]
+    artifact = _decomposition_artifact(*args)
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 0 and rep["result"]["all_passed"]
+    artifact.update(fields)
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 2 and _failing(rep) == {check}
+
+
+def test_verify_ties_forged_exponent_in_p_steps(tmp_path, capsys):
+    # l = 10^18 iterates from K0 only until the radius reaches p
+    artifact = _decomposition_artifact(3, 1, 2)
+    artifact["l"] = 10 ** 18
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 2 and _failing(rep) == {"K"}
+
+
+@pytest.mark.parametrize("field", ["l", "K0"])
+def test_verify_rejects_negative_decomposition_exponent(tmp_path, capsys, field):
+    artifact = _decomposition_artifact(3, 1, 2)
+    artifact[field] = -1
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and f"{field} = -1 is negative" in err
+
+
 def test_verify_rejects_forged_numbers_under_optimize_flag(tmp_path):
     artifact = _two_lines_strong_artifact()
     artifact.update(mu="1", mu0="1", delta0="1", removed_in_sweeps=999)
@@ -762,3 +821,121 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, payload):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_non_finite_number_exits_1(tmp_path, capsys):
+    # Python's json reads 1e400 as inf and accepts Infinity and NaN; each
+    # used to raise an OverflowError traceback from whichever field held it
+    artifact = _decomposition_artifact(3, 1, 2)
+    text = json.dumps(artifact)
+    for number in ("1e400", "-1e400", "Infinity", "-Infinity", "NaN"):
+        path = tmp_path / "artifact.json"
+        path.write_text(text.replace('"K0": 0', f'"K0": {number}'))
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"non-finite number {number}" in captured.err
+
+
+def _failing_trace(tmp_path, capsys):
+    xpath = write_instance(tmp_path, random_cloud(GroupParams(31, 2), 8, seed=2))
+    tpath = str(tmp_path / "fail_trace.json")
+    code, _ = run_cli(capsys, "pipeline", "--input", xpath, "--seed", "0", "--trace", tpath)
+    assert code == 2
+    return json.loads(open(tpath).read())
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_verify_trace_inequality_with_zero_denominator_exits_1(tmp_path, capsys, side):
+    blob = _failing_trace(tmp_path, capsys)
+    failures = [s for s in blob["trace"]["stages"] if s.get("outcome") == "failure"]
+    assert failures
+    failures[0]["inequality"][side] = "1/0"
+    code, rep, err = _verify_exit(tmp_path, capsys, blob)
+    assert code == 1 and rep is None and "zero denominator" in err
+
+
+# -- one-leaf mutations of every artifact kind ----------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_artifacts():
+    """One small artifact of each kind `verify` reads, as JSON text."""
+    params = GroupParams(11, 2)
+    X = random_cloud(params, 12, seed=4)
+    g = GrowthFunction("affine", 1, 1)
+    lines = fiber_union(GroupParams(13, 2), 2, seed=0, offset=0)
+    _Y, tube = tube_decompose(lines, 0, Fraction(1, 16), g)
+    p11 = GroupParams(11, 2)
+    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
+    collinear = {
+        (lab,): GroupMultiset.from_points(
+            p11, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)]
+        )
+        for lab, mult in counts.items()
+    }
+    favorable = fiber_union(GroupParams(13, 2), 9, seed=0, offset=1)
+    failing = random_cloud(GroupParams(31, 2), 8, seed=2)
+    artifacts = {
+        "instance": serialize.instance_to_json(X),
+        "certificate": serialize.certificate_to_json(X, find_zero_sum_subset(X)),
+        "tube": serialize.tubular_to_json(lines, tube),
+        "decomposition": serialize.decomposition_to_json(lines, decompose(lines, 0, Fraction(1, 2), g)),
+        "strong": _two_lines_strong_artifact(),
+        "cover": serialize.cover_to_json(expansion_cover(collinear, 1, ExpansionParams(seed=0))),
+        "trace": serialize.trace_to_json(favorable, find_zero_sum(favorable, PipelineConfig(seed=0)).trace),
+        "failing_trace": serialize.trace_to_json(failing, find_zero_sum(failing, PipelineConfig(seed=0)).trace),
+    }
+    return {kind: json.dumps(obj) for kind, obj in artifacts.items()}
+
+
+def _leaves(obj, path=()):
+    """Paths of the scalars and empty containers in a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    items = list(items)
+    if not items:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+_DELETE = object()
+_OVERFLOW = "overflowing-float"  # written as the JSON number 1e400
+MUTATIONS = (None, 1, -1, 10 ** 30, "x", "1/0", [1], {"a": 1}, 0.5, True, _OVERFLOW, _DELETE)
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(_signum, _frame):
+    raise _Timeout
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.data())
+def test_verify_survives_one_leaf_mutations(data):
+    kind = data.draw(st.sampled_from(sorted(_fuzz_artifacts())), label="kind")
+    artifact = json.loads(_fuzz_artifacts()[kind])
+    *head, last = data.draw(st.sampled_from(_leaves(artifact)), label="leaf")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    parent = artifact
+    for key in head:
+        parent = parent[key]
+    if mutation is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = mutation
+    text = json.dumps(artifact).replace(json.dumps(_OVERFLOW), "1e400")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "artifact.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["verify", "--input", path])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,29 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def ms(params, pts):
     return GroupMultiset.from_points(params, pts)
+
+
+def _spread_fibers():
+    """Three 6-element fibers of F_13^2 whose fiber pairs reach the growth
+    table's bound at every cover step."""
+    params = GroupParams(13, 2)
+    rng = random.Random(7)
+    return {
+        (lab,): ms(params, [(lab % 13, v) for v in rng.sample(range(13), 6)])
+        for lab in (-1, 0, 1)
+    }
+
+
+def _collinear_fibers():
+    """Three fibers of F_11^2 whose second coordinates in {0, 1, 2} leave
+    fiber pairs only the shifts +-1 and +-2, so the cover reaches for the
+    (1, -2, 1) relation."""
+    p11 = GroupParams(11, 2)
+    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
+    return {
+        (lab,): ms(p11, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)])
+        for lab, mult in counts.items()
+    }
 
 
 # -- relations ---------------------------------------------------------------
@@ -135,15 +159,7 @@ def test_single_fiber_diagnostic():
 
 
 def test_collinear_fibers_produce_relation_entries():
-    # second coordinates in {0, 1, 2} leave fiber pairs only the shifts
-    # +-1 and +-2, so the cover reaches for the (1, -2, 1) relation
-    params = GroupParams(11, 2)
-    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
-    fibers = {
-        (lab,): ms(params, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)])
-        for lab, mult in counts.items()
-    }
-    cover = expansion_cover(fibers, 1, ExpansionParams(T=2, seed=0))
+    cover = expansion_cover(_collinear_fibers(), 1, ExpansionParams(T=2, seed=0))
     assert all_passed(cover)
     assert all(pair.sigma[0] == 0 for pair in cover.pairs)
     assert any(pair.source == "relation" for pair in cover.pairs)
@@ -406,82 +422,69 @@ def test_best_shift_matches_roll_counts(inst):
     assert np.array_equal(new, np.roll(Y, want, axis=axes) & ~Y)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2026])
-def test_randbelow_matches_randrange(seed):
-    ours, ref = random.Random(seed), random.Random(seed)
-    for n in range(1, 71):
-        for i in (0, n // 2, n - 1):
-            assert i + expansion._randbelow(ours, [n - i])[0] == ref.randrange(i, n)
-    assert ours.getstate() == ref.getstate()
-    # one call over many widths draws the same stream
-    widths = list(range(1, 71)) * 3
-    assert expansion._randbelow(ours, widths) == [ref.randrange(w) for w in widths]
-    assert ours.getstate() == ref.getstate()
-
-
-def test_sample_distinct_matches_partial_shuffle():
-    # the list-copying shuffle it replaces: swap i with randrange(i, n)
-    def copying(slots, k, rng):
-        pool, out = list(slots), []
-        for i in range(k):
-            j = rng.randrange(i, len(pool))
-            pool[i], pool[j] = pool[j], pool[i]
-            out.append(pool[i])
-        return out
-
-    ours, ref = random.Random(5), random.Random(5)
-    for n in range(1, 12):
-        slots = [(n, v % 4) for v in range(n)]  # with repeats
-        for k in range(n + 1):
-            draws = expansion._randbelow(ours, range(n, n - k, -1))
-            assert expansion._sample_distinct(slots, draws) == copying(slots, k, ref)
-    assert ours.getstate() == ref.getstate()
-
-
-def test_skipped_sampling_draws_what_sampling_draws():
-    # labels -1..2 admit several relations; the fiber (2,) holds one element,
-    # so relations with |lambda_2| >= 2 are unusable and draw nothing
-    params = GroupParams(11, 2)
-    free = {
-        (-1,): [(10, 0), (10, 1), (10, 1), (10, 4)],
-        (0,): [(0, 2), (0, 3), (0, 3)],
-        (1,): [(1, 0), (1, 5), (1, 6), (1, 7), (1, 9)],
-        (2,): [(2, 8)],
-    }
-    relations = enumerate_relations(sorted(free), 2)
-    assert any(abs(c) >= 2 for rel in relations for lab, c in rel.entries if lab == (2,))
-    built_rng, skipped_rng = random.Random(11), random.Random(11)
-    built = expansion._relation_candidates(relations, free, 8, built_rng, params, build=True)
-    skipped = expansion._relation_candidates(relations, free, 8, skipped_rng, params, build=False)
-    assert built and skipped == {}
-    assert skipped_rng.getstate() == built_rng.getstate()
-
-
 def test_relations_sampled_only_where_they_can_win(monkeypatch):
     # the fiber pairs of three 6-element fibers of F_13^2 reach the table's
     # bound at every step, so no relation selection is built; the collinear
     # fibers need one
     calls = []
-    sample = expansion._sample_distinct
+    candidates = expansion._relation_candidates
     monkeypatch.setattr(
-        expansion, "_sample_distinct", lambda *args: calls.append(1) or sample(*args)
+        expansion, "_relation_candidates", lambda *args: calls.append(1) or candidates(*args)
     )
-    params = GroupParams(13, 2)
-    rng = random.Random(7)
-    fibers = {
-        (lab,): ms(params, [(lab % 13, v) for v in rng.sample(range(13), 6)])
-        for lab in (-1, 0, 1)
-    }
-    expansion_cover(fibers, 1, ExpansionParams(seed=3))
+    expansion_cover(_spread_fibers(), 1, ExpansionParams(seed=3))
     assert not calls
-    p11 = GroupParams(11, 2)
-    counts = {-1: (2, 2, 1), 0: (3, 3, 1), 1: (1, 3, 3)}
-    collinear = {
-        (lab,): ms(p11, [(lab % 11, v) for v, m in enumerate(mult) for _ in range(m)])
-        for lab, mult in counts.items()
-    }
-    cover = expansion_cover(collinear, 1, ExpansionParams(T=2, seed=0))
+    cover = expansion_cover(_collinear_fibers(), 1, ExpansionParams(T=2, seed=0))
     assert calls and any(pair.source == "relation" for pair in cover.pairs)
+
+
+def test_cover_without_relation_steps_draws_nothing(monkeypatch):
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            self.words = 0
+            made.append(self)
+            super().__init__(seed)
+
+        def getrandbits(self, k):
+            self.words += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(expansion, "random", SimpleNamespace(Random=Counting))
+    expansion_cover(_spread_fibers(), 1, ExpansionParams(seed=3))
+    assert sum(r.words for r in made) == 0
+    cover = expansion_cover(_collinear_fibers(), 1, ExpansionParams(T=2, seed=0))
+    assert any(pair.source == "relation" for pair in cover.pairs)
+    assert made and sum(r.words for r in made) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_relation_step_samples_from_its_own_generator(monkeypatch, seed):
+    # each sampling step's candidates are _relation_candidates on that step's
+    # free lists with a fresh random.Random(f"{seed}/{step}"), the step being
+    # the number of pairs taken before it
+    steps, seen = [], []
+    scorer, candidates = expansion._best_shift, expansion._relation_candidates
+
+    def scored(*args):
+        steps.append(1)
+        return scorer(*args)
+
+    def sampled(relations, free, samples, rng, params):
+        free = {lab: list(xs) for lab, xs in free.items()}
+        fresh = random.Random(f"{seed}/{len(steps)}")
+        out = candidates(relations, free, samples, rng, params)
+        assert out == candidates(relations, free, samples, fresh, params)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(expansion, "_best_shift", scored)
+    monkeypatch.setattr(expansion, "_relation_candidates", sampled)
+    cover = expansion_cover(_collinear_fibers(), 1, ExpansionParams(T=2, seed=seed))
+    relation_pairs = [pair for pair in cover.pairs if pair.source == "relation"]
+    assert relation_pairs and any(seen)
+    for pair in relation_pairs:
+        assert any(c.get(pair.sigma) == (pair.j1, pair.j2, pair.relation) for c in seen)
 
 
 def test_cover_steps_run_the_growth_step(monkeypatch):

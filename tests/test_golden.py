@@ -9,7 +9,9 @@ traces were added before `find_zero_sum` was split into stage functions, the
 moved from numpy tables and frozensets onto one packed-integer kernel, and the
 `cover_relation_*` keys before each cover step was rebuilt around one growth
 table.  The `pipeline_relation_*` keys were regenerated when fiber-label
-relations came to be found by the bounded-support search alone.
+relations came to be found by the bounded-support search alone, and with
+`cover_collinear` and `cover_relation_{010,018,025,032,107,109}` when each
+cover step that samples relations came to draw them from its own generator.
 Every later change that claims to keep outputs identical must reproduce them
 byte for byte; a failure names every key that differs.
 
@@ -90,8 +92,9 @@ def _failing_cases():
     }
 
 
-# _relation_family seeds whose cover takes a relation pair after at least one
-# fiber pair, while growing, past the half-space mark, or both
+# _relation_family seeds whose cover took a relation pair after at least one
+# fiber pair, while growing, past the half-space mark, or both, when every
+# cover step drew from one generator; family 032 no longer takes one
 RELATION_FAMILIES = (1, 2, 10, 18, 25, 32, 107, 109)
 
 

@@ -11,7 +11,6 @@ from zerosum.multiset import GroupMultiset
 from zerosum.pipeline import verify_certificate
 from zerosum.subsums import (
     SearchBudget,
-    StateBudgetError,
     ZeroSumCertificate,
     _moves,
     _rotate,
