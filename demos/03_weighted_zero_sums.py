@@ -10,10 +10,11 @@ that guarantee by exhaustive dynamic programming over partial sums, so its
 """
 
 import random
+from collections import Counter
 
 from zerosum import GroupParams, WeightedInstance, verify_coefficients, weighted_zero_sum
 from zerosum.multiset import GroupMultiset
-from zerosum.weighted import brute_force_solvable, zero_sum_sequence
+from zerosum.weighted import brute_force_solvable
 
 # A forced case: Y = {1} in F_3 with weight 3.  The only way to cancel is to
 # take the coefficient 3 itself (3 * 1 = 0 mod 3).
@@ -42,9 +43,17 @@ print("\nrandom instance solvable?", weighted_zero_sum(inst) is not None,
       "| brute force:", brute_force_solvable(inst))
 
 # The r = 0 specialisation: any n > d(p-1) elements (repeats allowed)
-# contain a nonempty zero-sum subsequence.  Here d(p-1) = 4 and n = 5.
+# contain a nonempty zero-sum subsequence.  Here d(p-1) = 4 and n = 5: the
+# weights are the multiplicities, and a coefficient says how many copies of
+# its point the subsequence takes.
 params = GroupParams(3, 2)
 seq = [(1, 0), (1, 0), (2, 1), (0, 2), (1, 2)]
-cert = zero_sum_sequence(seq, params)
-print("\nsequence of 5 in F_3^2 -> zero-sum sub-multiset:", dict(cert.subset.items()))
-assert cert.verify(GroupMultiset.from_points(params, seq))
+counts = Counter(seq)
+points = tuple(sorted(counts))
+inst = WeightedInstance(params, points, tuple(counts[y] for y in points), 0)
+print("\nhypothesis holds for 5 elements of F_3^2?", inst.hypothesis_holds())
+sol = weighted_zero_sum(inst)
+sub = GroupMultiset(params, {y: a for y, a in zip(points, sol.coefficients) if a})
+print("sequence of 5 in F_3^2 -> zero-sum sub-multiset:", dict(sub.items()))
+assert sub.total() == params.zero()
+assert GroupMultiset.from_points(params, seq).contains_submultiset(sub)

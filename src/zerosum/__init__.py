@@ -23,6 +23,7 @@ from .subsums import (
     max_zero_sum_free,
     naive_subsums,
     olson_constant,
+    zero_sum_sequence,
 )
 from .thickness import (
     Decomposition,
@@ -42,7 +43,6 @@ from .weighted import (
     WeightedInstance,
     verify_coefficients,
     weighted_zero_sum,
-    zero_sum_sequence,
 )
 from .expansion import ExpansionCover, alon_dubiner_step, expansion_cover
 from .pipeline import (

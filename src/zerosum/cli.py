@@ -287,13 +287,7 @@ def cmd_nul(args, started) -> int:
 def cmd_expand(args, started) -> int:
     obj = _load_json(args.input, "fibers")
     try:
-        params = serialize.params_from_json(obj)
-        fibers = {
-            tuple(int(x) for x in item["label"]): serialize.multiset_from_json(
-                params, item["entries"]
-            )
-            for item in obj["fibers"]
-        }
+        fibers = serialize.fibers_from_json(serialize.params_from_json(obj), obj)
         l = int(obj["l"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed fibers {args.input}: {exc}")

@@ -115,18 +115,26 @@ def certificate_from_json(obj):
     return X, cert
 
 
-def tubular_to_json(X: GroupMultiset, cert: TubularCertificate) -> dict:
+def _tubular_cert_to_json(cert: TubularCertificate) -> dict:
+    """A tubular certificate's fields, as `_tubular_cert_from_json` reads
+    them."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "tubular_certificate",
-        **params_to_json(cert.params),
-        "set": multiset_to_json(X),
         "l": cert.l,
         "K": cert.K,
         "K_prime": cert.K_prime,
         "delta": frac_str(cert.delta),
         "psi": iso_to_json(cert.psi),
         "functionals": [functional_to_json(f) for f in cert.functionals],
+    }
+
+
+def tubular_to_json(X: GroupMultiset, cert: TubularCertificate) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "tubular_certificate",
+        **params_to_json(cert.params),
+        "set": multiset_to_json(X),
+        **_tubular_cert_to_json(cert),
     }
 
 
@@ -226,12 +234,7 @@ def strong_decomposition_to_json(X: GroupMultiset, sdec: StrongDecomposition) ->
                 "subset": list(subset),
                 "delta_schedule": frac_str(sc.delta_schedule),
                 "achieved": frac_str(sc.achieved),
-                "l": sc.cert.l,
-                "K": sc.cert.K,
-                "K_prime": sc.cert.K_prime,
-                "delta": frac_str(sc.cert.delta),
-                "psi": iso_to_json(sc.cert.psi),
-                "functionals": [functional_to_json(f) for f in sc.cert.functionals],
+                **_tubular_cert_to_json(sc.cert),
             }
         )
     return {
@@ -243,6 +246,7 @@ def strong_decomposition_to_json(X: GroupMultiset, sdec: StrongDecomposition) ->
         "parts": [multiset_to_json(part) for part in sdec.parts],
         "l": sdec.l,
         "K": sdec.K,
+        "K0": sdec.K0,
         "delta": frac_str(sdec.delta),
         "delta0": frac_str(sdec.delta0),
         "mu0": frac_str(sdec.mu0),
@@ -270,8 +274,9 @@ def strong_decomposition_from_json(obj):
         input_size=len(X),
         x0=x0,
         parts=parts,
-        l=int(obj["l"]),
+        l=_natural(obj, "l"),
         K=_natural(obj, "K"),
+        K0=_natural(obj, "K0"),
         delta=parse_frac(obj["delta"]),
         delta0=parse_frac(obj["delta0"]),
         mu0=parse_frac(obj["mu0"]),
@@ -325,6 +330,14 @@ def cover_to_json(cover: ExpansionCover) -> dict:
     }
 
 
+def fibers_from_json(params: GroupParams, obj) -> Dict[tuple, GroupMultiset]:
+    """{label: fiber} from the "fibers" list of a cover or a fibers file."""
+    return {
+        tuple(int(x) for x in item["label"]): multiset_from_json(params, item["entries"])
+        for item in obj["fibers"]
+    }
+
+
 def cover_from_json(obj) -> ExpansionCover:
     """An expansion cover's fields; ValueError unless 0 <= l <= d and each
     pair's stored source is the one its relation gives."""
@@ -332,10 +345,7 @@ def cover_from_json(obj) -> ExpansionCover:
     l = int(obj["l"])
     if not 0 <= l <= params.d:
         raise ValueError(f"l = {l} outside [0, {params.d}]")
-    fibers = {
-        tuple(int(x) for x in item["label"]): multiset_from_json(params, item["entries"])
-        for item in obj["fibers"]
-    }
+    fibers = fibers_from_json(params, obj)
     pairs = tuple(
         CoverPair(
             tuple(tuple(int(c) for c in x) for x in item["j1"]),

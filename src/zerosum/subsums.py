@@ -16,8 +16,11 @@ with stride st = p^(d-1-i) and shift s = x_i, the states whose i-th
 coordinate is below p - s move up by s*st and the others down by (p-s)*st,
 one masked pair of shifts.  The DP stops early once every state is reachable.
 
-On top of the kernel sit the ground-truth services: zero-sum witnesses,
-largest zero-sum-free sets (branch and bound), and Olson constants.
+On top of the kernel sit the ground-truth services: zero-sum witnesses of
+a multiset or a sequence, largest zero-sum-free sets (branch and bound), and
+Olson constants.  Every one of them asks the kernel whether a set has a
+nonempty zero sum; `naive_subsums` is the 2^n oracle the tests check the
+kernel against.
 """
 
 from __future__ import annotations
@@ -258,6 +261,23 @@ def find_zero_sum_subset(A: GroupMultiset) -> Optional[ZeroSumCertificate]:
     return cert
 
 
+def zero_sum_sequence(elements, params: GroupParams) -> Optional[ZeroSumCertificate]:
+    """Nonempty zero-sum sub-multiset of a sequence of n elements, or None.
+
+    The reach kernel answers every length (`find_zero_sum_subset`), so the
+    witness is the first one its backtrack finds.  For n > d(p-1) one always
+    exists (the r = 0 case of the weighted solver's guarantee), and a None
+    there raises InvariantError.
+    """
+    seq = [params.reduce(tuple(x)) for x in elements]
+    if not seq:
+        raise ValueError("empty sequence")
+    cert = find_zero_sum_subset(GroupMultiset.from_points(params, seq))
+    if len(seq) > params.d * (params.p - 1):
+        _check("guaranteed_regime_solvable", cert is not None, "==", True)
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # Zero-sum-free search and Olson constants
 # ---------------------------------------------------------------------------
@@ -287,6 +307,7 @@ class FreeSetResult:
 
 
 def _is_zero_sum_free(points, params: GroupParams) -> bool:
+    """By `naive_subsums`: the oracle of `naive_max_zero_sum_free` only."""
     if not points:
         return True
     return params.zero() not in naive_subsums(GroupMultiset.from_points(params, points))
@@ -337,23 +358,22 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     """
     if budget is None:
         budget = SearchBudget()
+    deadline = None
+    if budget.max_ms is not None:
+        deadline = time.monotonic() + budget.max_ms / 1000.0
     p, d, size_all = params.p, params.d, params.order
-    # candidates are state indices: index 1 is v0 = (0, ..., 0, 1), and
+    # candidates are state indices: index 1 is (0, ..., 0, 1), the root, and
     # neg[j] is the index of -x for the x of index j
-    v0 = params.unindex(1)
     grid = np.arange(size_all).reshape((p,) * d)
     neg = grid[np.ix_(*[-np.arange(p) % p] * d)].reshape(-1).tolist()
     moves_of: Dict[int, tuple] = {}
 
     seed = _constructive_free_set(params)
-    if not _is_zero_sum_free(list(seed), params):  # pragma: no cover - sanity
-        seed = (v0,)
+    seed_zero = find_zero_sum_subset(GroupMultiset.from_points(params, seed))
+    _check("seed_zero_sum_free", seed_zero is None, "==", True)
     best_size = len(seed)
     best_witness = tuple(sorted(seed))
 
-    deadline = None
-    if budget.max_ms is not None:
-        deadline = time.monotonic() + budget.max_ms / 1000.0
     max_bytes = budget.max_bytes
     # a frame's bytes: a reach int of up to p^d bits and its addable list
     frame_base = sys.getsizeof((1 << size_all) - 1) + sys.getsizeof([])
@@ -397,8 +417,6 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
         live_bytes -= frame
 
     stack_path: List[int] = [1]
-    if 1 > best_size:
-        best_size, best_witness = 1, (v0,)
     dfs(1, 1 << 1, range(2, size_all), 0)
 
     exact = not exhausted

@@ -39,10 +39,12 @@ multiset and the parts are disjoint, so a union's is the sum of its parts':
 `_UnionTables` builds each part's over all canonical directions once, keeps
 one running sum along the mask walk, and takes the window of that sum at
 each radius a scan of the union reads.  Directions keep canonical order,
-so the scans pick the same functionals as a scan of the union itself.  The tables take about p^(d+1)/2 cells each,
-m + 3 of them at most; past _UNION_TABLE_BYTES each union is scanned on its
-own, block by block, with the same results, as is every part of a
-decomposition artifact whose certificate count is wrong.
+so the scans pick the same functionals as a scan of the union itself.  The
+tables serve the union walk only: a part's hull scan is always its own
+(`_plain_scan`).  They take about p^(d+1)/2 cells each, m + 2 of them at
+once; past _UNION_TABLE_BYTES each union is scanned on its own, block by
+block, with the same results.  A decomposition artifact whose certificate
+count is wrong builds no table.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -491,14 +493,11 @@ def min_outside_fraction(
     return _outside(_scan(X, K, linear_parts, zero_constant_term), n)
 
 
-def hull_thickness(
-    X: GroupMultiset, K: int, scan=None
-) -> Tuple[Fraction, Optional[LinearFunctional]]:
+def hull_thickness(X: GroupMultiset, K: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
     """Worst outside-fraction at radius K over directions non-constant on the
-    affine hull of X; a single point's hull has none, so it gives (1, None).
-    `scan`, when given, stands in for `_plain_scan(X)`."""
+    affine hull of X; a single point's hull has none, so it gives (1, None)."""
     _dim, _base, basis = affine_hull(X.support(), X.params.p)
-    return _outside((scan or _plain_scan(X))(K, basis), len(X))
+    return _outside(_plain_scan(X)(K, basis), len(X))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,7 @@ class TubularCertificate:
         So X is scanned over the directions non-constant on the kernel of
         those rows, and `worst` is in X's coordinates.  `scan(K, basis)`,
         when given, stands in for `_plain_scan(X)` and must agree with it
-        (a union's summed tables).
+        (a union's scan off `_UnionTables.walk`).
         """
         p, d, l = self.params.p, self.params.d, self.l
         psi = self.psi.reduced(p, d)
@@ -555,13 +554,9 @@ class TubularCertificate:
 
 
 def tube_decompose(
-    X: GroupMultiset,
-    K0: int,
-    delta: Fraction,
-    g: GrowthFunction,
-    validate: bool = True,
+    X: GroupMultiset, K0: int, delta: Fraction, g: GrowthFunction
 ) -> Tuple[GroupMultiset, TubularCertificate]:
-    """Single tube reduction.
+    """Single tube reduction, its certificate rescanned on the kept set.
 
     Greedily accumulates independent directions xi_i along which X is
     (g^i(K0), 2^i delta)-thin, then keeps Y = X ∩ ⋂ H(xi_i, K) with
@@ -570,11 +565,10 @@ def tube_decompose(
     the first l coordinates.
     """
     Y, cert, _last = _tube_reduce(X, K0, delta, g, _plain_scan(X))
-    if validate:
-        # validate's ok is frac >= delta: it reports 0 when a point leaves
-        # the box, and delta > 0
-        _ok, frac, worst = cert.validate(Y)
-        _check("tube_rescan", frac, ">=", cert.delta, f"worst {worst}")
+    # validate's ok is frac >= delta: it reports 0 when a point leaves the
+    # box, and delta > 0
+    _ok, frac, worst = cert.validate(Y)
+    _check("tube_rescan", frac, ">=", cert.delta, f"worst {worst}")
     return Y, cert
 
 
@@ -665,7 +659,7 @@ class Decomposition:
         must be positive, as every run's is."""
         p = self.params.p
         Kp = self.growth.capped(self.K, p)
-        scans, delta = _part_scan(self.parts, Kp, [_plain_scan(part) for part in self.parts])
+        scans, delta = _part_scan(self.parts, Kp)
         sizes = all(Fraction(len(pt)) >= self.mu * self.input_size for pt in self.parts)
         return _partition_checks(self, X) + [
             ("K", min(self.K, p) == capped_iterate(self.growth, self.l, self.K0, p)),
@@ -689,17 +683,15 @@ def _partition_checks(dec, X: GroupMultiset) -> List[Tuple[str, bool]]:
     ]
 
 
-def _part_scan(parts: Sequence[GroupMultiset], Kp: int, scans):
-    """(each part's (outside fraction, worst functional) in its affine hull
-    at radius Kp, and delta: their least fraction, 1 when every part is a
-    single point and so vacuously thick).  scans[i] is `_plain_scan` of
-    parts[i], or a scan that agrees with it (`_UnionTables.part_scan`).
+def _part_scan(parts: Sequence[GroupMultiset], Kp: int):
+    """(each part's `hull_thickness` at radius Kp, and delta: their least
+    fraction, 1 when every part is a single point and so vacuously thick).
 
     The validators pass g(K) capped at p: the scans read a radius only
     through min(radius, p), so a forged K or growth in an artifact cannot
     make a check build an arbitrarily large integer.
     """
-    scans = [hull_thickness(part, Kp, scan) for part, scan in zip(parts, scans)]
+    scans = [hull_thickness(part, Kp) for part in parts]
     return scans, min((frac for frac, _ in scans), default=Fraction(1))
 
 
@@ -785,7 +777,7 @@ def decompose(
     # last sweep's fractions give delta.
     while True:
         K = g.iterate(exponent, K0)
-        scans, delta = _part_scan(parts, g(K), [_plain_scan(part) for part in parts])
+        scans, delta = _part_scan(parts, g(K))
         failing = [i for i, (frac, _) in enumerate(scans) if frac == 0]
         if not failing:
             break
@@ -871,10 +863,10 @@ def _window_scan(window, p: int, d: int):
 
 
 # The union tables' bytes at most: one table per part, the running sum, its
-# window and one part's window, all counted at the running sum's dtype.
-# Past it each part and union is scanned on its own, in _BLOCK_CELLS blocks
-# of the same kernel.
-# Measured on one strong_decompose call on a 2-core VM, summed against each
+# window and one more as headroom for the scans' temporaries, all counted at
+# the running sum's dtype.  Past it each union is scanned on its own, in
+# _BLOCK_CELLS blocks of the same kernel.
+# Measured on one strong_decompose call on a 2-core VM, tables against each
 # union on its own (time, VmHWM over the peak before the call): three
 # planes of F_31^3, 0.39 s and 6.1 MB against 1.00 s and 1.4 MB; three of
 # F_41^3, past the bound, 0.85 s and 15.1 MB against 3.14 s and 1.6 MB;
@@ -890,24 +882,22 @@ class _UnionTables:
     every radius, in the smallest unsigned dtype that holds its counts.  The
     table is linear in the multiset and the parts are disjoint, so a union's
     is the sum of its parts' (`walk`).  `replace` drops a part's table.
-    A part's table is built when a scan first reads it: a single point's
-    hull scan reads none.
+    The tables are built when the walk first reads them.
 
-    With `summed` false, or when the tables would pass _UNION_TABLE_BYTES,
-    no table is built and every scan is `_plain_scan` of its multiset: the
-    same kernel, block by block, so the bound picks memory, not an
-    algorithm.
+    When they would pass _UNION_TABLE_BYTES, `alone` is set: no table is
+    built and every union's scan is `_plain_scan` of its multiset, the same
+    kernel block by block, so the bound picks memory, not an algorithm.
     """
 
-    def __init__(self, parts: Sequence[GroupMultiset], summed: bool = True):
+    def __init__(self, parts: Sequence[GroupMultiset]):
         self.parts = list(parts)
         self._tables: Dict[int, np.ndarray] = {}
-        if summed and self.parts:
+        self.alone = False
+        if self.parts:
             p, d = self.parts[0].params.p, self.parts[0].params.d
             cells = p * len(_canonical_directions(p, d)) * ((p - 1) // 2)
             itemsize = np.min_scalar_type(sum(len(part) for part in self.parts)).itemsize
-            summed = (len(self.parts) + 3) * cells * itemsize <= _UNION_TABLE_BYTES
-        self.summed = summed
+            self.alone = (len(self.parts) + 3) * cells * itemsize > _UNION_TABLE_BYTES
 
     def part_table(self, i: int) -> np.ndarray:
         table = self._tables.get(i)
@@ -925,15 +915,6 @@ class _UnionTables:
         self.parts[i] = part
         self._tables.pop(i, None)
 
-    def part_scan(self, i: int):
-        """`_plain_scan(parts[i])`, read off the part's own table."""
-        X = self.parts[i]
-        if not self.summed:
-            return _plain_scan(X)
-        return _window_scan(
-            lambda K: scaling_window_table(self.part_table(i), K), X.params.p, X.params.d
-        )
-
     def walk(self, start: int = 1):
         """(mask, X_S, scan) for every mask from `start` on, as
         `_mask_unions` gives (mask, X_S), with scan(K, basis) equal to
@@ -945,7 +926,7 @@ class _UnionTables:
         window derived from it at each radius (`scaling_window_table`) has
         the same.
         """
-        if not self.summed:
+        if self.alone:
             for mask, X_S in _mask_unions(self.parts, start):
                 yield mask, X_S, _plain_scan(X_S)
             return
@@ -979,22 +960,23 @@ def _rescan(tables: _UnionTables, Kp: int, certs):
     """Bullets 2 and 3 of a strong decomposition, re-derived from its parts:
     `_part_scan` at Kp, then for every mask in increasing order
     (mask, certs[S], certs[S].cert rescanned on X_S) -- or None in place of
-    that list as soon as some union S has no certificate.  `validate` runs
+    that list when the certificates are not one per union.  `validate` runs
     it on every artifact; the builder only after a sweep that dropped
     points (`_settle`).
 
-    Each rescan pulls psi back onto X_S (see `TubularCertificate.validate`)
-    and reads the union's summed table, so no union is projected; psi's
-    invertibility and box checks still run on each X_S, and `worst` comes
-    in X's coordinates.  The tables serve every radius, so a certificate's
-    K' costs one window derivation whatever its value.  Tables past
-    _UNION_TABLE_BYTES scan each X_S on its own instead, with the same
-    results.
+    A count other than 2^m - 1 returns before the walk, so a forged part
+    count can neither start 2^m unions nor build m tables: the count bounds
+    m by the artifact's size.  Each rescan pulls psi back onto X_S (see
+    `TubularCertificate.validate`) and reads the union's table off the walk,
+    so no union is projected; psi's invertibility and box checks still run
+    on each X_S, and `worst` comes in X's coordinates.  The tables serve
+    every radius, so a certificate's K' costs one window derivation
+    whatever its value.
     """
-    # before the walk, so the part scans' windows and the running sum are
-    # not held at once
     parts = tables.parts
-    scans, delta = _part_scan(parts, Kp, [tables.part_scan(i) for i in range(len(parts))])
+    scans, delta = _part_scan(parts, Kp)
+    if len(certs) != 2 ** len(parts) - 1:
+        return scans, delta, None
     rescans = []
     for mask, X_S, scan in tables.walk():
         sc = certs.get(_subset(mask))
@@ -1019,7 +1001,8 @@ class StrongDecomposition:
     x0: GroupMultiset
     parts: Tuple[GroupMultiset, ...]
     l: int                            # exponent of g at the inner decomposition
-    K: int
+    K: int                            # g^l(K0)
+    K0: int
     delta: Fraction                   # part hull-thickness after sweeps
     delta0: Fraction                  # inner decomposition thickness
     mu0: Fraction
@@ -1040,11 +1023,12 @@ class StrongDecomposition:
         return out
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
-        """The partition checks, bullets 2 and 3 rescanned, then the recorded
-        numbers re-derived: delta, mu and each union's achieved fraction from
-        the rescans, and each delta_schedule from eps, mu0 delta0, m, d and
-        its mask.  removed_in_sweeps is only bounded, by |x0| and eps|X|/2,
-        and mu0 and delta0 enter only through their product and delta0/2.
+        """The partition checks, K tied to K0 and l (through min(., p)),
+        bullets 2 and 3 rescanned, then the recorded numbers re-derived:
+        delta, mu and each union's achieved fraction from the rescans, and
+        each delta_schedule from eps, mu0 delta0, m, d and its mask.
+        removed_in_sweeps is only bounded, by |x0| and eps|X|/2, and mu0
+        and delta0 enter only through their product and delta0/2.
         A union certificate passes only with its radii tied to K, as the
         sweep's tube reduction sets them: K_cert = g^l(K) and K' = g(K_cert),
         both compared through min(., p), so a forged radius builds no huge
@@ -1056,12 +1040,7 @@ class StrongDecomposition:
             K = capped_iterate(g, cert.l, self.K, p)
             return min(cert.K, p) == K and min(cert.K_prime, p) == g.capped(cert.K, p)
 
-        # every one of the 2^m - 1 unions needs a certificate; the count is
-        # checked first, so a forged m can neither start 2^m unions nor
-        # build m tables: the count bounds m by the artifact's size
-        counted = len(self.subset_certs) == 2 ** m - 1
-        certs = self.subset_certs if counted else {}
-        scans, delta, rescans = _rescan(_UnionTables(self.parts, counted), Kp, certs)
+        scans, delta, rescans = _rescan(_UnionTables(self.parts), Kp, self.subset_certs)
         whole = rescans is not None
         rescans = rescans or []
         schedule = self.mu0 * self.delta0 > 0 and all(
@@ -1073,6 +1052,7 @@ class StrongDecomposition:
         fracs = [frac for _, _, (_, frac, _) in rescans]
         removed = self.removed_in_sweeps
         return _partition_checks(self, X) + [
+            ("K", min(self.K, p) == capped_iterate(g, self.l, self.K0, p)),
             ("part_thickness", all(frac >= self.delta for frac, _ in scans)),
             ("tubular_certs", certified),
             ("delta", self.delta == delta),
@@ -1087,7 +1067,7 @@ class StrongDecomposition:
 def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     """({subset: its certificate}, [the points each dropping union dropped])
     from a tube reduction of every union X_S in mask order, at delta
-    schedule(mask) from K, each level read off the union's summed tables.
+    schedule(mask) from K, each level read off the union's table (`walk`).
 
     The union's points outside its tube leave their parts.  A union that
     drops points ends the walk: the shrunken parts' tables are rebuilt and
@@ -1201,6 +1181,7 @@ def strong_decompose(
         parts=tuple(tables.parts),
         l=l_in_g,
         K=K,
+        K0=K0,
         delta=part_delta,
         delta0=delta0,
         mu0=mu0,

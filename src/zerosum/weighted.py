@@ -12,6 +12,11 @@ distinct residues reachable from the allowed set, each tagged with its
 smallest literal representative.  The returned witness maximises the number
 of nonzero coefficients (the downstream sum-lifting search wants mass on as
 many points as possible) and is lexicographically minimal among those.
+
+The DP holds one p^d layer per point.  Whether a plain sequence has a
+nonempty zero sum is the r = 0 case with its multiplicities as weights, but
+it wants no maximal support, so `subsums.zero_sum_sequence` answers it with
+the reach kernel and none of these layers.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .group import GroupParams, Vec, _check
-from .multiset import GroupMultiset
-from .subsums import ZeroSumCertificate, find_zero_sum_subset
 
 
 @dataclass(frozen=True)
@@ -176,30 +179,3 @@ def brute_force_solvable(inst: WeightedInstance, cap: int = 10 ** 6) -> Optional
         sums = (sums[:, None, :] + contrib[None, :, :]).reshape(-1, d) % p
     zero_count = int((sums == 0).all(axis=1).sum())
     return zero_count >= 2
-
-
-def zero_sum_sequence(elements, params: GroupParams) -> Optional[ZeroSumCertificate]:
-    """Nonempty zero-sum sub-multiset of a sequence of n elements.
-
-    For n > d(p-1) existence is guaranteed (the r = 0 case of the weighted
-    solver's guarantee) and the DP witness is returned directly; shorter sequences fall
-    back to the subset-sum oracle and may come back empty.
-    """
-    seq = [params.reduce(tuple(x)) for x in elements]
-    if not seq:
-        raise ValueError("empty sequence")
-    A = GroupMultiset.from_points(params, seq)
-    n = len(seq)
-    if n > params.d * (params.p - 1):
-        points = tuple(sorted(A.support()))
-        weights = tuple(A.multiplicity(y) for y in points)
-        inst = WeightedInstance(params, points, weights, 0)
-        sol = weighted_zero_sum(inst)
-        _check("guaranteed_regime_solvable", sol is not None, "==", True)
-        subset = GroupMultiset(
-            params, {y: a for y, a in zip(points, sol.coefficients) if a > 0}
-        )
-        cert = ZeroSumCertificate(params, subset)
-        _check("sequence_certificate_verifies", cert.verify(A), "==", True)
-        return cert
-    return find_zero_sum_subset(A)

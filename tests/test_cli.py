@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,6 +402,25 @@ def test_verify_rejects_negative_strong_radius(tmp_path, capsys, forge, field):
     assert code == 1 and rep is None and f"{field} = -3 is negative" in err
 
 
+@pytest.mark.parametrize("field, value", [("l", -5), ("K0", -1)])
+def test_verify_rejects_negative_strong_exponent(tmp_path, capsys, field, value):
+    artifact = _two_lines_strong_artifact()
+    artifact[field] = value
+    code, rep, err = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 1 and rep is None and f"{field} = {value} is negative" in err
+
+
+@pytest.mark.parametrize("fields", [dict(l=10 ** 30), dict(l=4), dict(K0=1)], ids=["l_huge", "l", "K0"])
+def test_verify_ties_strong_radius_to_K0(tmp_path, capsys, fields):
+    # recorded l = 3, K0 = 0 and K = g^3(0) = 3 for g = K+1; l = 10^30
+    # iterates from K0 only until the radius reaches p
+    artifact = _two_lines_strong_artifact()
+    assert (artifact["l"], artifact["K0"], artifact["K"]) == (3, 0, 3)
+    artifact.update(fields)
+    code, rep, _ = _verify_exit(tmp_path, capsys, artifact)
+    assert code == 2 and _failing(rep) == {"K"}
+
+
 def test_verify_rejects_negative_decomposition_radius(tmp_path, capsys):
     X = fiber_union(GroupParams(31, 2), 2, seed=0, offset=0)
     artifact = serialize.decomposition_to_json(X, decompose(X, 0, Fraction(1, 2), GrowthFunction("affine", 1, 1)))
@@ -572,6 +592,28 @@ def test_huge_prime_exits_1_quickly(tmp_path):
     for line in proc.stdout.splitlines():
         code, seconds, named = line.split()
         assert code == "1" and float(seconds) < 1 and named == "True"
+
+
+@pytest.mark.parametrize("p", [271, 277])
+def test_olson_past_22_seed_elements_keeps_its_budget(p):
+    """The search's seed, 22 elements at p = 271 and 23 at p = 277, is
+    checked by the reach kernel, and the 500 ms budget counts from entry:
+    a 2^n enumeration of the seed ran past 20 s at p = 271 and refused
+    p = 277."""
+    script = "import sys\nfrom zerosum.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "olson", "--p", str(p), "--d", "1", "--budget-ms", "500"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["result"]
+    assert res["exact"] is False and res["olson"] is None and res["upper"] == p
+    assert elapsed < 5, f"took {elapsed:.2f} s"
 
 
 def test_verify_zero_denominator_exits_1(tmp_path, capsys):

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +298,65 @@ def test_olson_memory_budget_interval():
         assert find_zero_sum_subset(ms(params, list(res.witness))) is None
     roomy = olson_constant(params, SearchBudget(max_bytes=1 << 20))
     assert roomy.as_dict() == exact.as_dict()
+
+
+def _run_script(script, *flags):
+    """A script run by a fresh interpreter on the package in src/."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+
+
+# VmHWM, not getrusage: a child's ru_maxrss starts at the RSS of the process
+# that forked it
+SEQUENCE_RSS_SCRIPT = (
+    "import random\n"
+    "from zerosum.group import GroupParams\n"
+    "from zerosum.multiset import GroupMultiset\n"
+    "from zerosum.subsums import zero_sum_sequence\n"
+    "def peak_kb():\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM'))\n"
+    "params = GroupParams(61, 3)\n"
+    "rng = random.Random(7)\n"
+    "seq = [tuple(rng.randrange(61) for _ in range(3)) for _ in range(181)]\n"
+    "before = peak_kb()\n"
+    "cert = zero_sum_sequence(seq, params)\n"
+    "print(cert.verify(GroupMultiset.from_points(params, seq)), before, peak_kb())\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_zero_sum_sequence_past_the_bound_memory_bounded():
+    """181 = d(p-1) + 1 points of F_61^3 must have a zero sum, and the reach
+    kernel finds it in a few 61^3-bit ints, 0.5 MB over the peak before the
+    call; the weighted DP's 181 int64 layers of 61^3 states took 317 MB."""
+    proc = _run_script(SEQUENCE_RSS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    verified, before, after = proc.stdout.split()
+    assert verified == "True"
+    assert int(after) - int(before) < 20 * 1024, f"peak RSS grew by {(int(after) - int(before)) // 1024} MB"
+
+
+SEED_CHECK_SCRIPT = (
+    "from zerosum import subsums\n"
+    "from zerosum.group import GroupParams, InvariantError\n"
+    "subsums._constructive_free_set = lambda params: ((1,), (2,), (4,))\n"
+    "try:\n"
+    "    subsums.max_zero_sum_free(GroupParams(7, 1))\n"
+    "except InvariantError as exc:\n"
+    "    print(exc.name, __debug__)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_seed_holding_a_zero_sum_raises(flags):
+    """1 + 2 + 4 = 0 in F_7: a seed that holds a zero sum is an internal
+    fault, reported as one with or without asserts, never replaced."""
+    proc = _run_script(SEED_CHECK_SCRIPT, *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["seed_zero_sum_free", str(not flags)]

@@ -338,6 +338,13 @@ def test_mask_unions_match_plain_folds(data):
         assert X_S == ms(params, [pt for i in range(m) if (mask >> i) & 1 for pt in lists[i]])
 
 
+def _plain_tube(X, K, delta, g):
+    """A tube reduction of X over `_plain_scan(X)`, without the rescan
+    `tube_decompose` adds."""
+    Y, cert, _last = thickness._tube_reduce(X, K, delta, g, thickness._plain_scan(X))
+    return Y, cert
+
+
 def _plain_sweep(params, parts, K, g, schedule, tube):
     """The sweep as a plain loop: every union folded afresh from the current
     parts, in mask order, and reduced by `tube` at delta schedule(mask).
@@ -352,7 +359,7 @@ def _plain_sweep(params, parts, K, g, schedule, tube):
             X_S = X_S.union(parts[i])
         seen.append(X_S)
         delta_j = schedule(mask)
-        Y, cert = tube(X_S, K, delta_j, g, validate=False)
+        Y, cert = tube(X_S, K, delta_j, g)
         certs[subset] = (cert, delta_j)
         dropped = X_S.minus(Y)
         if dropped:
@@ -412,13 +419,12 @@ def test_strong_sweep_restarts_after_a_drop(monkeypatch):
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     eps = Fraction(1, 4)
     z = strong_decompose(X, 0, eps, G1).parts[1].support()[-1]
-    real_tube = thickness.tube_decompose
     real_reduce = thickness._tube_reduce
     seen = []
 
-    def trimming(X_S, K, delta, g, validate=True):
+    def trimming(X_S, K, delta, g):
         seen.append(X_S)
-        Y, cert = real_tube(X_S, K, delta, g, validate=validate)
+        Y, cert = _plain_tube(X_S, K, delta, g)
         return Y.select([e != z for e in Y.support()]), cert
 
     def trimming_reduce(X_S, K, delta, g, scan):
@@ -476,21 +482,21 @@ def test_validate_builds_one_table_per_part(monkeypatch):
 def test_unions_scanned_alone_match_summed_tables(monkeypatch, p, d, n_fibers):
     """Past _UNION_TABLE_BYTES each union is scanned on its own: the
     decomposition, every certificate and every achieved fraction agree with
-    the summed tables', and so does `validate`."""
+    the tables', and so does `validate`."""
     X = fiber_union(GroupParams(p, d), n_fibers, seed=0, offset=1)
-    summed = strong_decompose(X, 0, Fraction(1, 4), G1)
-    assert thickness._UnionTables(summed.parts).summed
+    tabled = strong_decompose(X, 0, Fraction(1, 4), G1)
+    assert not thickness._UnionTables(tabled.parts).alone
     monkeypatch.setattr(thickness, "_UNION_TABLE_BYTES", 0)
-    assert not thickness._UnionTables(summed.parts).summed
+    assert thickness._UnionTables(tabled.parts).alone
     alone = strong_decompose(X, 0, Fraction(1, 4), G1)
-    assert alone == summed
-    assert summed.validate(X) == alone.validate(X)
+    assert alone == tabled
+    assert tabled.validate(X) == alone.validate(X)
     assert all(ok for _, ok in alone.validate(X))
 
 
 def test_validate_with_wrong_certificate_count_builds_no_table(monkeypatch):
     """A certificate count that cannot be 2^m - 1 stops the walk before it
-    starts, and the part scans then build no table either."""
+    starts, and the part scans, always each part's own, build no table."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
     del sdec.subset_certs[(0, 1, 2)]
@@ -724,19 +730,19 @@ def _check_rescans(tables, certs, Kp):
             assert Fraction(n - inside_count(X_S, worst, sc.cert.K_prime), n) == frac
 
 
-def _sweep_against_oracle(params, parts, K, g, schedule, data=None, summed=True):
-    """Runs the sweep on union tables and the plain sweep over
-    `tube_decompose` on the same parts, and requires the same parts, drops,
-    certificates (so the same chosen functionals), and rescans that agree
-    with `TubularCertificate.validate` on each final union: for the sweep's
+def _sweep_against_oracle(params, parts, K, g, schedule, data=None):
+    """Runs the sweep on union tables and the plain sweep over `_plain_tube`
+    on the same parts, and requires the same parts, drops, certificates (so
+    the same chosen functionals), and rescans that agree with
+    `TubularCertificate.validate` on each final union: for the sweep's
     certificates and, when `data` is given, for ones with a random
-    invertible psi and any K'.  `summed` false scans each union on its
-    own, as tables past _UNION_TABLE_BYTES do.  Returns the number of
-    unions that dropped points."""
+    invertible psi and any K'.  With _UNION_TABLE_BYTES patched to 0 each
+    union is scanned on its own.  Returns the number of unions that dropped
+    points."""
     p, d = params.p, params.d
-    tables = thickness._UnionTables(parts, summed)
+    tables = thickness._UnionTables(parts)
     try:
-        exp_parts, exp_dropped, exp_certs, _ = _plain_sweep(params, parts, K, g, schedule, tube_decompose)
+        exp_parts, exp_dropped, exp_certs, _ = _plain_sweep(params, parts, K, g, schedule, _plain_tube)
     except ValueError:  # a part emptied by a drop leaves an empty union
         with pytest.raises(ValueError):
             thickness._sweep(tables, K, g, schedule)
@@ -769,7 +775,7 @@ def test_sweep_matches_per_union_oracle(family, K, g, k, data):
     _sweep_against_oracle(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask), data)
 
 
-def _settled_against_rescan(params, parts, K, g, schedule, summed=True):
+def _settled_against_rescan(params, parts, K, g, schedule):
     """Sweeps the parts and settles the builder's numbers as
     `strong_decompose` does (`_settle`, with delta0 the parts' least hull
     fraction at g^(d+1)(K), as `decompose` leaves it), then requires each
@@ -777,9 +783,9 @@ def _settled_against_rescan(params, parts, K, g, schedule, summed=True):
     on the final parts, or the bound that `_settle` found broken to be
     broken there.  Returns the number of unions that dropped points."""
     Kp = IteratedGrowth(g, params.d + 1)(K)
-    _scans, delta0 = thickness._part_scan(parts, Kp, [thickness._plain_scan(part) for part in parts])
+    _scans, delta0 = thickness._part_scan(parts, Kp)
     n = sum(len(part) for part in parts) + 1  # x0 holds one more point
-    tables = thickness._UnionTables(parts, summed)
+    tables = thickness._UnionTables(parts)
     try:
         certs, dropped = thickness._sweep(tables, K, g, schedule)
     except ValueError:  # a part emptied by a drop leaves an empty union
@@ -812,12 +818,15 @@ def test_builder_numbers_match_rescan(family, K, g, k):
     _settled_against_rescan(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask))
 
 
-@pytest.mark.parametrize("summed", [True, False])
-def test_sweep_that_drops_points_matches_oracle(summed):
+@pytest.mark.parametrize("tabled", [True, False])
+def test_sweep_that_drops_points_matches_oracle(monkeypatch, tabled):
     # the second part is a line and one point off it: each union holding it
     # is thin along x, and its tube leaves (3, 3) out
     params = GroupParams(7, 2)
     parts = [ms(params, [(0, y) for y in range(7)]), ms(params, [(1, y) for y in range(7)] + [(3, 3)])]
-    drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9), summed=summed)
+    if not tabled:
+        monkeypatch.setattr(thickness, "_UNION_TABLE_BYTES", 0)
+    assert thickness._UnionTables(parts).alone is not tabled
+    drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9))
     assert drops > 0
-    assert _settled_against_rescan(params, parts, 0, G1, lambda mask: Fraction(1, 9), summed) > 0
+    assert _settled_against_rescan(params, parts, 0, G1, lambda mask: Fraction(1, 9)) > 0

@@ -5,13 +5,13 @@ import pytest
 
 from zerosum.group import GroupParams
 from zerosum.multiset import GroupMultiset
+from zerosum.subsums import zero_sum_sequence
 from zerosum.weighted import (
     CoefficientSolution,
     WeightedInstance,
     brute_force_solvable,
     verify_coefficients,
     weighted_zero_sum,
-    zero_sum_sequence,
 )
 
 
