@@ -36,15 +36,21 @@ a reduction is its certificate's rescan, so the builder rescans the unions
 only after a sweep that dropped points; `StrongDecomposition.validate`
 always rescans every one.  The cumulative tables are linear in the
 multiset and the parts are disjoint, so a union's is the sum of its parts':
-`_UnionTables` builds each part's over all canonical directions once, keeps
-one running sum along the mask walk, and takes the window of that sum at
-each radius a scan of the union reads.  Directions keep canonical order,
-so the scans pick the same functionals as a scan of the union itself.  The
-tables serve the union walk only: a part's hull scan is always its own
-(`_plain_scan`).  They take about p^(d+1)/2 cells each, m + 2 of them at
-once; past _UNION_TABLE_BYTES each union is scanned on its own, block by
-block, with the same results.  A decomposition artifact whose certificate
-count is wrong builds no table.
+`_UnionTables` builds each part's over all canonical directions once.  The
+sweep reduces the unions a block at a time (`_UnionTables.blocks`): the
+unions of a block share their high mask bits, their tables are the low
+parts' subset sums, built once per walk, plus the high parts' running sum,
+and `_tube_reduce`, which reduces a batch of sets (a single set is a batch
+of one), reads one window, one `_maxima` and one `_pick` per level for the
+whole block.  The rescans walk the unions one at a time along one running
+sum (`_UnionTables.walk`).  Directions keep canonical order, so the scans
+pick the same functionals as a scan of the union itself.  The tables serve
+the union walks only: a part's hull scan is always its own (`_plain_scan`).
+They take about p^(d+1)/2 cells each, m + 2 of them at once, and a block's
+three arrays at most 8 _BLOCK_CELLS bytes each; past _UNION_TABLE_BYTES
+each union is scanned on its own, block by block, with the same results.
+A decomposition artifact whose certificate count is wrong builds no
+table.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -56,7 +62,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -348,28 +354,47 @@ def _scan(
     rows = slice(0, 1 if zero_constant_term else p)
     maxima = [_maxima(scaling_window_table(C, K)[rows]) for _, C in _cumulative_blocks(X, dirs)]
     count, c, a0 = maxima[0] if len(maxima) == 1 else map(np.concatenate, zip(*maxima))
-    return _pick(count, c, a0, dirs, p)
+    return _pick(count[None], c[None], a0[None], dirs, p)[0]
 
 
-def _pick(count, c, a0, dirs: np.ndarray, p: int) -> Tuple[int, Vec, int]:
-    """(top count, lex-min c*lam, its a0) from `_maxima` of the windows of
-    a nonempty family of canonical directions, in canonical order.
+@lru_cache(maxsize=64)
+def _lex_weights(p: int, d: int) -> np.ndarray:
+    """(p^(d-1), ..., p, 1): a vector of F_p^d dotted with it is its place
+    in lex order."""
+    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
+def _pick(count, c, a0, dirs: np.ndarray, p: int, allowed=None) -> List[Optional[Tuple[int, Vec, int]]]:
+    """For each row of `_maxima` results laid out (unions, directions), over
+    the canonical directions `dirs` in canonical order: (top count, lex-min
+    c*lam attaining it, its a0), taken over the directions that `allowed`
+    marks (all when None), or None for a row where it marks none.
 
     Directions are canonical (leading coefficient 1), so c*lam compares by c
     alone: a direction's first maximiser in (c, a0) order is its lex-min
     maximiser (scalings past (p-1)/2 repeat earlier ones' counts, so never
-    come first), and only the directions tied for the overall maximum need
-    their scaled functional built to break the tie.
+    come first).  Among the directions tied for a row's top count the least
+    rank wins, rank being c*lam's place in lex order (`_lex_weights`).
+    Distinct directions have distinct c*lam, so a0 never breaks a tie.
     """
-    top = count.max()
-    tied = np.flatnonzero(count == top)
-    if len(tied) == 1:  # no tie to break
-        i = tied[0]
-        return int(top), tuple((int(c[i]) + 1) * a % p for a in dirs[i].tolist()), int(a0[i])
-    scaled = (c[tied, None] + 1) * dirs[tied] % p
-    a0 = a0[tied]
-    best = np.lexsort((a0,) + tuple(scaled.T[::-1]))[0]  # the last key is the primary one
-    return int(top), tuple(scaled[best].tolist()), int(a0[best])
+    if allowed is not None:
+        count = count.astype(np.int64)
+        count[~allowed] = -1
+    top = count.max(axis=1)
+    tied = count == top[:, None]
+    if np.count_nonzero(tied) == len(top):  # no tie to break
+        best = tied.argmax(axis=1)
+    else:
+        ranks = ((c[..., None] + 1) * dirs % p) @ _lex_weights(p, dirs.shape[1])
+        ranks[~tied] = np.iinfo(np.int64).max
+        best = ranks.argmin(axis=1)
+    at = np.arange(len(best))
+    return [
+        None if t < 0 else (t, tuple((k + 1) * x % p for x in lam), a)
+        for t, k, lam, a in zip(top.tolist(), c[at, best].tolist(), dirs[best].tolist(), a0[at, best].tolist())
+    ]
 
 
 def _thin(found, n: int, delta: Fraction) -> Optional[LinearFunctional]:
@@ -452,9 +477,12 @@ def nonconstant_directions(p: int, d: int, basis) -> np.ndarray:
 
 
 def _nonconstant_rows(p: int, d: int, basis) -> np.ndarray:
-    """The mask `nonconstant_directions` picks its rows by."""
-    B = np.asarray(basis, dtype=np.int64).reshape(-1, d)
-    return ((_canonical_directions(p, d) @ B.T) % p).any(axis=1)
+    """The mask `nonconstant_directions` picks its rows by; a stack of bases
+    of one size, shaped (bases, rows, d), gives one mask per basis."""
+    B = np.asarray(basis, dtype=np.int64)
+    if B.ndim < 3:
+        B = B.reshape(-1, d)
+    return ((B @ _canonical_directions(p, d).T) % p).any(axis=-2)
 
 
 def find_thin_functional(
@@ -564,7 +592,8 @@ def tube_decompose(
     is (g(K), delta)-tubular via the coordinate change sending xi_1..xi_l to
     the first l coordinates.
     """
-    Y, cert, _last = _tube_reduce(X, K0, delta, g, _plain_scan(X))
+    Y, cert, _last = _tube_reduce(_alone(X, delta), K0, g)[0]
+    Y = X if Y is None else Y
     # validate's ok is frac >= delta: it reports 0 when a point leaves the
     # box, and delta > 0
     _ok, frac, worst = cert.validate(Y)
@@ -572,54 +601,102 @@ def tube_decompose(
     return Y, cert
 
 
-def _tube_reduce(
-    X: GroupMultiset, K0: int, delta: Fraction, g: GrowthFunction, scan
-) -> Tuple[GroupMultiset, TubularCertificate, Optional[Tuple[int, Vec, int]]]:
-    """`tube_decompose` without the rescan, its level i reading
-    scan(g^i(K0), basis) as `_plain_scan(X)` would give it: (Y, certificate,
-    the scan that ended the reduction, or None when all d levels chose).
+@dataclass
+class _Batch:
+    """Multisets X_0, X_1, ... that one `_tube_reduce` call reduces
+    together: their sizes and deltas; scan(K, active, kernels), the `_scan`
+    of each X_j with j in `active` at radius K over the canonical directions
+    non-constant on its kernel (kernels aligned with active, all of one
+    size); and union(j), which builds X_j."""
 
-    That last scan is the certificate's rescan on X: it read radius
+    params: GroupParams
+    sizes: List[int]
+    deltas: List[Fraction]
+    scan: Callable[[int, List[int], list], List[Optional[Tuple[int, Vec, int]]]]
+    union: Callable[[int], GroupMultiset]
+
+
+def _alone(X: GroupMultiset, delta: Fraction) -> _Batch:
+    """A batch of X alone, scanned as `_plain_scan(X)` scans it."""
+    scan = _plain_scan(X)
+    return _Batch(X.params, [len(X)], [delta], lambda K, active, kernels: [scan(K, kernels[0])], lambda j: X)
+
+
+def _tube_reduce(
+    batch: _Batch, K0: int, g: GrowthFunction
+) -> List[Tuple[Optional[GroupMultiset], TubularCertificate, Optional[Tuple[int, Vec, int]]]]:
+    """`tube_decompose` of every multiset X_j of a batch without the
+    rescan, level i of all those still choosing read off one batch.scan at
+    g^i(K0): for each X_j (Y, or None when the tube keeps all of X_j;
+    certificate; the scan that ended the reduction, or None when all d
+    levels chose).
+
+    A level whose functional holds every point of X_j in its slab needs no
+    delta test, and the slab at K = g^l(K0) >= g^i(K0) holds them too; so
+    only an X_j with points outside some chosen slab is built (batch.union)
+    and has its tube selected.
+
+    That last scan is the certificate's rescan on X_j: it read radius
     g^(l+1)(K0) = K', over the directions outside the span of the chosen
-    functionals, which are psi's first l rows.  So while Y is X,
-    `_outside(last, len(X))` is the fraction `validate` would find, and for
-    l = d both are 1."""
-    params = X.params
+    functionals, which are psi's first l rows.  So while Y is X_j,
+    `_outside(last, len(X_j))` is the fraction `validate` would find, and
+    for l = d both are 1."""
+    params = batch.params
     d, p = params.d, params.p
-    delta = Fraction(delta)
-    if not 0 < delta < Fraction(1, 2 ** (d + 1)):
+    deltas = [Fraction(delta) for delta in batch.deltas]
+    bound = Fraction(1, 2 ** (d + 1))
+    if not all(0 < delta < bound for delta in deltas):
         raise ValueError("tube reduction requires 0 < delta < 2^-(d+1)")
-    if len(X) == 0:
+    if not all(batch.sizes):
         raise ValueError("empty multiset")
 
-    chosen: List[LinearFunctional] = []
+    chosen: List[List[LinearFunctional]] = [[] for _ in deltas]
     # the directions outside span(chosen) are those non-constant on its kernel
-    kernel = linalg.identity(d)
-    last = None
+    kernels = [linalg.identity(d)] * len(deltas)
+    last: List[Optional[Tuple[int, Vec, int]]] = [None] * len(deltas)
+    outside = [False] * len(deltas)
+    radii = [K0]
+    active = list(range(len(deltas)))
     for i in range(1, d + 1):
-        found = scan(g.iterate(i, K0), kernel)
-        thin = _thin(found, len(X), (2 ** i) * delta)
-        if thin is None:
-            last = found
+        if not active:
             break
-        chosen.append(thin)
-        kernel = linalg.kernel_basis(tuple(f.linear for f in chosen), p)
+        radii.append(g(radii[-1]))
+        found = batch.scan(radii[i], active, [kernels[j] for j in active])
+        going = []
+        for j, top in zip(active, found):
+            if top is not None and top[0] == batch.sizes[j]:
+                thin = LinearFunctional(top[2], top[1])
+            else:
+                thin = _thin(top, batch.sizes[j], (2 ** i) * deltas[j])
+                if thin is None:
+                    last[j] = top
+                    continue
+                outside[j] = True
+            chosen[j].append(thin)
+            if i < d:
+                kernels[j] = linalg.kernel_basis(tuple(f.linear for f in chosen[j]), p)
+            going.append(j)
+        active = going
 
-    l = len(chosen)
-    K = g.iterate(l, K0)
-    Y = X.select(_in_slab(_values(X, chosen), K, p).all(axis=1)) if chosen else X
-
-    lower = (Fraction(1) - Fraction(2 ** (d + 1)) * delta) * len(X)
-    _check("tube_mass", Fraction(len(Y)), ">=", lower)
-
-    if l > 0:
-        matrix = linalg.complete_basis(tuple(f.linear for f in chosen), p)
-        shift = tuple(f.a0 % p for f in chosen) + (0,) * (d - l)
-    else:
-        matrix = linalg.identity(d)
-        shift = (0,) * d
-    psi = AffineIso(matrix, shift)
-    return Y, TubularCertificate(params, l, psi, K, g(K), delta, tuple(chosen)), last
+    reduced = []
+    for j, (n, delta) in enumerate(zip(batch.sizes, deltas)):
+        l = len(chosen[j])
+        K = radii[l]
+        Y = None
+        if outside[j]:
+            X = batch.union(j)
+            Y = X.select(_in_slab(_values(X, chosen[j]), K, p).all(axis=1))
+        _check("tube_mass", Fraction(n if Y is None else len(Y)), ">=", n - 2 ** (d + 1) * n * delta)
+        if l > 0:
+            matrix = linalg.complete_basis(tuple(f.linear for f in chosen[j]), p)
+            shift = tuple(f.a0 % p for f in chosen[j]) + (0,) * (d - l)
+        else:
+            matrix = linalg.identity(d)
+            shift = (0,) * d
+        psi = AffineIso(matrix, shift)
+        K_prime = radii[l + 1] if l + 1 < len(radii) else g(K)
+        reduced.append((Y, TubularCertificate(params, l, psi, K, K_prime, delta, tuple(chosen[j])), last[j]))
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -847,25 +924,22 @@ def _mask_unions(parts: Sequence[GroupMultiset], start: int = 1):
         yield from walk(0, GroupMultiset.empty(parts[0].params), len(parts))
 
 
-def _window_scan(window, p: int, d: int):
-    """scan(K, basis) as `_plain_scan` gives it, over window(K): the
-    in-tube window of all canonical directions at radius K."""
+def _block_scan(window: np.ndarray, p: int, d: int, columns, kernels) -> List[Optional[Tuple[int, Vec, int]]]:
+    """`_scan` of each union whose in-tube window over all canonical
+    directions is column block j of `window` ([a0, c-1, j, i], or [a0, c-1,
+    i] for one union), for j in `columns`, over the directions non-constant
+    on the aligned kernel: one `_maxima` and one `_pick` for them all."""
     dirs = _canonical_directions(p, d)
-
-    def scan(K: int, basis) -> Optional[Tuple[int, Vec, int]]:
-        rows = _nonconstant_rows(p, d, basis)
-        if not rows.any():
-            return None
-        count, c, a0 = _maxima(window(K))
-        return _pick(count[rows], c[rows], a0[rows], dirs[rows], p)
-
-    return scan
+    count, c, a0 = (a.reshape(-1, len(dirs))[columns] for a in _maxima(window.reshape(p, (p - 1) // 2, -1)))
+    bases = np.asarray(kernels, dtype=np.int64).reshape(len(kernels), -1, d)
+    return _pick(count, c, a0, dirs, p, _nonconstant_rows(p, d, bases))
 
 
 # The union tables' bytes at most: one table per part, the running sum, its
 # window and one more as headroom for the scans' temporaries, all counted at
-# the running sum's dtype.  Past it each union is scanned on its own, in
-# _BLOCK_CELLS blocks of the same kernel.
+# the running sum's dtype; a sweep's union blocks add at most three arrays
+# of 8 _BLOCK_CELLS bytes (`_UnionTables._low_bits`).  Past it each union is
+# scanned on its own, in _BLOCK_CELLS blocks of the same kernel.
 # Measured on one strong_decompose call on a 2-core VM, tables against each
 # union on its own (time, VmHWM over the peak before the call): three
 # planes of F_31^3, 0.39 s and 6.1 MB against 1.00 s and 1.4 MB; three of
@@ -881,8 +955,8 @@ class _UnionTables:
     Each part keeps its cumulative table (`_cumulative_table`), which serves
     every radius, in the smallest unsigned dtype that holds its counts.  The
     table is linear in the multiset and the parts are disjoint, so a union's
-    is the sum of its parts' (`walk`).  `replace` drops a part's table.
-    The tables are built when the walk first reads them.
+    is the sum of its parts' (`walk`, `blocks`).  `replace` drops a part's
+    table.  The tables are built when a walk first reads them.
 
     When they would pass _UNION_TABLE_BYTES, `alone` is set: no table is
     built and every union's scan is `_plain_scan` of its multiset, the same
@@ -894,10 +968,7 @@ class _UnionTables:
         self._tables: Dict[int, np.ndarray] = {}
         self.alone = False
         if self.parts:
-            p, d = self.parts[0].params.p, self.parts[0].params.d
-            cells = p * len(_canonical_directions(p, d)) * ((p - 1) // 2)
-            itemsize = np.min_scalar_type(sum(len(part) for part in self.parts)).itemsize
-            self.alone = (len(self.parts) + 3) * cells * itemsize > _UNION_TABLE_BYTES
+            self.alone = (len(self.parts) + 3) * self._union_bytes() > _UNION_TABLE_BYTES
 
     def part_table(self, i: int) -> np.ndarray:
         table = self._tables.get(i)
@@ -915,6 +986,22 @@ class _UnionTables:
         self.parts[i] = part
         self._tables.pop(i, None)
 
+    def _dtype(self):
+        """The dtype of every sum of part tables: it holds all the parts' counts."""
+        return np.min_scalar_type(sum(len(part) for part in self.parts))
+
+    def _union_bytes(self) -> int:
+        """The bytes of one union's table, p (p-1)/2 cells per direction."""
+        p, d = self.parts[0].params.p, self.parts[0].params.d
+        return p * ((p - 1) // 2) * len(_canonical_directions(p, d)) * self._dtype().itemsize
+
+    def _move(self, running: np.ndarray, held: int, mask: int) -> None:
+        """Turns running, the sum of the tables of the parts in `held`, into
+        that of the parts in `mask`: one add or subtract per differing part."""
+        for i in _subset(held ^ mask):
+            move = np.add if (mask >> i) & 1 else np.subtract
+            move(running, self.part_table(i), out=running)
+
     def walk(self, start: int = 1):
         """(mask, X_S, scan) for every mask from `start` on, as
         `_mask_unions` gives (mask, X_S), with scan(K, basis) equal to
@@ -931,29 +1018,109 @@ class _UnionTables:
                 yield mask, X_S, _plain_scan(X_S)
             return
         p, d = self.parts[0].params.p, self.parts[0].params.d
-        total = sum(len(part) for part in self.parts)
         held, running = 0, None
         for mask, X_S in _mask_unions(self.parts, start):
             if running is None:
-                running = np.zeros_like(self.part_table(0), dtype=np.min_scalar_type(total))
+                running = np.zeros_like(self.part_table(0), dtype=self._dtype())
                 out = np.empty_like(running)
-            for i in _subset(held ^ mask):
-                move = np.add if (mask >> i) & 1 else np.subtract
-                move(running, self.part_table(i), out=running)
+            self._move(running, held, mask)
             held = mask
-            scan = _window_scan(lambda K: scaling_window_table(running, K, out), p, d)
+
+            def scan(K: int, basis) -> Optional[Tuple[int, Vec, int]]:
+                return _block_scan(scaling_window_table(running, K, out), p, d, [0], [basis])[0]
+
             yield mask, X_S, scan
 
+    def _low_bits(self) -> int:
+        """b, the low mask bits one block covers: as many, up to m, as keep
+        its 2^b union tables within 8 _BLOCK_CELLS bytes (256 KB), or 0 when
+        one union's table alone passes that.
 
+        A block holds three such arrays (the low sums, its tables and their
+        window).  Nine single points of F_31^2 get b = 4; six lines of
+        F_61^2 get b = 0, the memory of a walk.  Larger blocks timed no
+        faster on the structural_grid round."""
+        union = self._union_bytes()
+        bits = 0
+        while bits < len(self.parts) and union << (bits + 1) <= 8 * _BLOCK_CELLS:
+            bits += 1
+        return bits
+
+    def blocks(self, start: int, schedule):
+        """(masks, batch) for the masks from `start` on, in increasing order
+        and in blocks: batch is the `_Batch` of their unions X_S, at delta
+        schedule(mask), and valid until the walk moves on.
+
+        A block's masks share their high bits, from bit b = `_low_bits()`
+        on.  The sums of the low parts' tables over all 2^b subsets are built
+        once per walk, by doubling; the high parts' sum is moved from block
+        to block as `walk` moves its running sum; and a block's tables, laid
+        out [a0, c-1, low bits, direction], are the low sums plus the high
+        sum.  So one window and one `_block_scan` serve a level of every
+        union in the block; columns below `start`, and the empty union, are
+        read by none.  With `alone` set, each block is one union, scanned
+        on its own.
+        """
+        if self.alone:
+            for mask, X_S in _mask_unions(self.parts, start):
+                yield [mask], _alone(X_S, schedule(mask))
+            return
+        params = self.parts[0].params
+        p, d, m = params.p, params.d, len(self.parts)
+        dtype, bits = self._dtype(), self._low_bits()
+        running = np.zeros_like(self.part_table(0), dtype=dtype)
+        summed = running
+        if bits:
+            lows = np.zeros(running.shape[:2] + (2 ** bits,) + running.shape[2:], dtype=dtype)
+            for k in range(bits):
+                np.add(lows[:, :, : 2 ** k], self.part_table(k)[:, :, None], out=lows[:, :, 2 ** k : 2 ** (k + 1)])
+            summed = np.empty_like(lows)
+        out = np.empty_like(summed)
+        sizes = [len(part) for part in self.parts]
+        held = 0
+        for high in range(start >> bits << bits, 2 ** m, 2 ** bits):
+            self._move(running, held, high)
+            held = high
+            if bits:
+                np.add(lows, running[:, :, None], out=summed)
+            first = max(start, high, 1) - high
+            masks = list(range(high + first, high + 2 ** bits))
+
+            def scan(K: int, active, kernels, first=first):
+                window = scaling_window_table(summed, K, out)
+                return _block_scan(window, p, d, [first + j for j in active], kernels)
+
+            def union(j: int, masks=masks) -> GroupMultiset:
+                return _fold(params, self.parts, _subset(masks[j]))
+
+            yield masks, _Batch(
+                params,
+                [sum(sizes[i] for i in _subset(mask)) for mask in masks],
+                [schedule(mask) for mask in masks],
+                scan,
+                union,
+            )
+
+
+@lru_cache(maxsize=4096)
 def _subset(mask: int) -> Tuple[int, ...]:
     """The part indices whose bits are set in mask."""
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _delta_schedule(eps: Fraction, mu0: Fraction, delta0: Fraction, m: int, d: int, mask: int):
-    """The sweep's delta_j = eps mu0 delta0 2^{-d-2-m} 2^{-(d+m+4) j} for the
-    union of mask j."""
-    return eps * mu0 * delta0 / 2 ** (d + 2 + m + (d + m + 4) * mask)
+def _fold(params: GroupParams, parts: Sequence[GroupMultiset], subset: Sequence[int]) -> GroupMultiset:
+    """The union of the parts indexed by subset."""
+    out = GroupMultiset.empty(params)
+    for i in subset:
+        out = out.union(parts[i])
+    return out
+
+
+def _delta_schedule(eps: Fraction, mu0: Fraction, delta0: Fraction, m: int, d: int):
+    """mask -> the sweep's delta_j = eps mu0 delta0 2^{-d-2-m} 2^{-(d+m+4) j}
+    for the union of mask j, the product eps mu0 delta0 taken once."""
+    base = eps * mu0 * delta0
+    return lambda mask: Fraction(base.numerator, base.denominator << (d + 2 + m + (d + m + 4) * mask))
 
 
 def _rescan(tables: _UnionTables, Kp: int, certs):
@@ -1017,10 +1184,7 @@ class StrongDecomposition:
         return len(self.parts)
 
     def union(self, subset: Sequence[int]) -> GroupMultiset:
-        out = GroupMultiset.empty(self.params)
-        for i in subset:
-            out = out.union(self.parts[i])
-        return out
+        return _fold(self.params, self.parts, subset)
 
     def validate(self, X: GroupMultiset) -> List[Tuple[str, bool]]:
         """The partition checks, K tied to K0 and l (through min(., p)),
@@ -1043,9 +1207,9 @@ class StrongDecomposition:
         scans, delta, rescans = _rescan(_UnionTables(self.parts), Kp, self.subset_certs)
         whole = rescans is not None
         rescans = rescans or []
+        delta_j = _delta_schedule(self.epsilon, self.mu0, self.delta0, m, d)
         schedule = self.mu0 * self.delta0 > 0 and all(
-            sc.delta_schedule == _delta_schedule(self.epsilon, self.mu0, self.delta0, m, d, mask)
-            and sc.cert.delta == sc.delta_schedule / 2
+            sc.delta_schedule == delta_j(mask) and sc.cert.delta == sc.delta_schedule / 2
             for mask, sc, _ in rescans
         )
         certified = whole and all(ok and radii(sc.cert) for _, sc, (ok, _, _) in rescans)
@@ -1067,10 +1231,12 @@ class StrongDecomposition:
 def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     """({subset: its certificate}, [the points each dropping union dropped])
     from a tube reduction of every union X_S in mask order, at delta
-    schedule(mask) from K, each level read off the union's table (`walk`).
+    schedule(mask) from K, the unions of a block reduced together, each
+    level read off the block's tables (`blocks`).
 
     The union's points outside its tube leave their parts.  A union that
-    drops points ends the walk: the shrunken parts' tables are rebuilt and
+    drops points ends its block and the walk: the unions after it in the
+    block are dropped unrecorded, the shrunken parts' tables are rebuilt and
     the next walk starts at the following mask.  Each certificate is
     recorded at half its sweep delta, with achieved the outside fraction of
     the scan that ended its reduction: its rescan on X_S (`_tube_reduce`),
@@ -1079,23 +1245,25 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     owner = {elem: i for i, part in enumerate(tables.parts) for elem in part.support()}
     certs: Dict[Tuple[int, ...], SubsetCertificate] = {}
     removed: List[GroupMultiset] = []
-    mask = 1
-    while mask < 2 ** len(tables.parts):
-        for mask, X_S, scan in tables.walk(mask):
-            delta_j = schedule(mask)
-            Y, cert, last = _tube_reduce(X_S, K, delta_j, g, scan)
-            subset = _subset(mask)
-            certs[subset] = SubsetCertificate(
-                subset, replace(cert, delta=delta_j / 2), delta_j, _outside(last, len(X_S))[0]
-            )
-            if len(Y) < len(X_S):
-                dropped = X_S.minus(Y)
+    mask = 0
+    while mask + 1 < 2 ** len(tables.parts):
+        for masks, batch in tables.blocks(mask + 1, schedule):
+            dropped = None
+            for j, (Y, cert, last) in enumerate(_tube_reduce(batch, K, g)):
+                mask, n, delta_j = masks[j], batch.sizes[j], batch.deltas[j]
+                subset = _subset(mask)
+                certs[subset] = SubsetCertificate(
+                    subset, replace(cert, delta=delta_j / 2), delta_j, _outside(last, n)[0]
+                )
+                if Y is not None and len(Y) < n:
+                    dropped = batch.union(j).minus(Y)
+                    break
+            if dropped is not None:
                 removed.append(dropped)
                 pieces = dropped.split([owner[elem] for elem in dropped.support()])
                 for i, piece in pieces.items():
                     tables.replace(i, tables.parts[i].minus(piece))
                 break
-        mask += 1
     return certs, removed
 
 
@@ -1160,9 +1328,7 @@ def strong_decompose(
     delta0, mu0 = dec.delta, dec.mu
 
     tables = _UnionTables(dec.parts)
-    subset_certs, removed_sets = _sweep(
-        tables, K, g, lambda mask: _delta_schedule(eps, mu0, delta0, m, d, mask)
-    )
+    subset_certs, removed_sets = _sweep(tables, K, g, _delta_schedule(eps, mu0, delta0, m, d))
     removed_total = sum(len(r) for r in removed_sets)
 
     # bullet 1: sweep removals stay below eps|X|/2

@@ -339,10 +339,10 @@ def test_mask_unions_match_plain_folds(data):
 
 
 def _plain_tube(X, K, delta, g):
-    """A tube reduction of X over `_plain_scan(X)`, without the rescan
-    `tube_decompose` adds."""
-    Y, cert, _last = thickness._tube_reduce(X, K, delta, g, thickness._plain_scan(X))
-    return Y, cert
+    """A tube reduction of X alone, over `_plain_scan(X)`, without the
+    rescan `tube_decompose` adds."""
+    Y, cert, _last = thickness._tube_reduce(thickness._alone(X, delta), K, g)[0]
+    return (X if Y is None else Y), cert
 
 
 def _plain_sweep(params, parts, K, g, schedule, tube):
@@ -409,50 +409,78 @@ def test_strong_decompose_without_drops_rescans_nothing(monkeypatch):
     assert len(rescans) == 1
 
 
-def test_strong_sweep_restarts_after_a_drop(monkeypatch):
+def _union_blocks():
+    """Runs the body of a loop over it three times: with the module's union
+    blocks, and with _BLOCK_CELLS forced so that a block holds one union or
+    all 2^m - 1 of them.  Yields m -> the low bits a block then covers
+    (`_low_bits`), or None for the module's own."""
+    for cells, bits in ((None, lambda m: None), (1, lambda m: 0), (2 ** 40, lambda m: m)):
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setattr(thickness, "_BLOCK_CELLS", cells)
+            yield bits
+
+
+def test_strong_sweep_restarts_after_a_drop():
     """No real instance drops a point in the sweep, so the sweep's tube
     reduction is patched to trim one point z of the second part from every
     union that holds it.  The first such union is mask 2; mask 3 is built on
     mask 2's union, so a walk that went on after the drop would hand the
     reduction a stale union that still holds z, and tables not rebuilt after
-    it would scan a union that still counts z."""
+    it would scan a union that still counts z.  The patched reduction trims
+    every union of its block, so a sweep that recorded a union past a drop
+    in its block would record a stale one, and a second drop.  It runs
+    with each size of union block (`_union_blocks`)."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     eps = Fraction(1, 4)
     z = strong_decompose(X, 0, eps, G1).parts[1].support()[-1]
     real_reduce = thickness._tube_reduce
-    seen = []
+    seen, blocks = [], []
 
     def trimming(X_S, K, delta, g):
         seen.append(X_S)
         Y, cert = _plain_tube(X_S, K, delta, g)
         return Y.select([e != z for e in Y.support()]), cert
 
-    def trimming_reduce(X_S, K, delta, g, scan):
-        seen.append(X_S)
-        for i in (1, 2):
-            for basis in ([(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 1)]):
-                Ki = g.iterate(i, K)
-                assert scan(Ki, basis) == thickness._plain_scan(X_S)(Ki, basis)
-        Y, cert, last = real_reduce(X_S, K, delta, g, scan)
-        return Y.select([e != z for e in Y.support()]), cert, last
+    def trimming_reduce(batch, K, g):
+        reduced = []
+        for j, (Y, cert, last) in enumerate(real_reduce(batch, K, g)):
+            X_S = batch.union(j)
+            for i in (1, 2):
+                for basis in ([(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 1)]):
+                    Ki = g.iterate(i, K)
+                    assert batch.scan(Ki, [j], [basis]) == [thickness._plain_scan(X_S)(Ki, basis)]
+            Y = X_S if Y is None else Y
+            reduced.append((Y.select([e != z for e in Y.support()]), cert, last))
+        # the unions up to the first drop are the ones the sweep records
+        kept = next((j + 1 for j, (Y, _, _) in enumerate(reduced) if len(Y) < batch.sizes[j]), len(reduced))
+        seen.extend(batch.union(j) for j in range(kept))
+        blocks.append(len(reduced))
+        return reduced
 
     parts, x0, removed, certs, naive_seen = _naive_sweep(X, eps, G1, trimming)
-    seen.clear()
-    rescans = _count_rescans(monkeypatch)
-    monkeypatch.setattr(thickness, "_tube_reduce", trimming_reduce)
-    sdec = strong_decompose(X, 0, eps, G1)
-    assert len(rescans) == 1  # the drop makes the builder rescan every union
-    assert seen == naive_seen
-    assert sdec.m == 3 and sdec.removed_in_sweeps == removed == 1
-    assert list(sdec.parts) == parts and z not in sdec.union(range(3))
-    assert sdec.x0 == x0 and z in sdec.x0
-    assert list(sdec.subset_certs) == list(certs)  # mask order
-    for subset, (cert, delta_j) in certs.items():
-        sc = sdec.subset_certs[subset]
-        assert sc.cert == replace(cert, delta=delta_j / 2)
-        assert sc.delta_schedule == delta_j
-        assert sc.achieved == cert.validate(sdec.union(subset))[1]
-    assert all(ok for _, ok in sdec.validate(X))
+    for bits in _union_blocks():
+        seen.clear()
+        blocks.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            rescans = _count_rescans(mp)
+            mp.setattr(thickness, "_tube_reduce", trimming_reduce)
+            sdec = strong_decompose(X, 0, eps, G1)
+        assert len(rescans) == 1  # the drop makes the builder rescan every union
+        assert seen == naive_seen
+        # one union per block, or the first walk's block 1..7 cut at mask 2
+        # and the next walk's 3..7
+        assert blocks == {None: [7, 5], 0: [1] * 7, 3: [7, 5]}[bits(3)]
+        assert sdec.m == 3 and sdec.removed_in_sweeps == removed == 1
+        assert list(sdec.parts) == parts and z not in sdec.union(range(3))
+        assert sdec.x0 == x0 and z in sdec.x0
+        assert list(sdec.subset_certs) == list(certs)  # mask order
+        for subset, (cert, delta_j) in certs.items():
+            sc = sdec.subset_certs[subset]
+            assert sc.cert == replace(cert, delta=delta_j / 2)
+            assert sc.delta_schedule == delta_j
+            assert sc.achieved == cert.validate(sdec.union(subset))[1]
+        assert all(ok for _, ok in sdec.validate(X))
 
 
 def test_validate_builds_one_table_per_part(monkeypatch):
@@ -531,22 +559,25 @@ STRONG_RSS_SCRIPT = (
 @pytest.mark.parametrize(
     "p, d, n_fibers, bound_mb", [(61, 2, 6, 2), (31, 3, 3, 8), (41, 3, 3, 3)]
 )
-def test_strong_decompose_memory_bounded(p, d, n_fibers, bound_mb):
+def test_strong_decompose_memory_bounded(tmp_path, p, d, n_fibers, bound_mb):
     """The sweep holds one cumulative table per part, one running union sum
     and one window, in the smallest unsigned dtype: one byte a cell for the
-    61-point lines of F_61^2, two for the 961-point planes of F_31^3.
-    Measured: 1.4 MB and 6.1 MB over the peak before the call (0.9 MB and
-    1.4 MB when each union is scanned on its own); int64 tables take
-    7.7 MB and 19.1 MB.  Three planes of F_41^3 would need 17 MB of tables,
-    past _UNION_TABLE_BYTES, so each union is scanned on its own: 1.6 MB,
-    against 15.1 MB summed."""
+    61-point lines of F_61^2, two for the 961-point planes of F_31^3.  One
+    union's table there passes half the union block's budget, so a block is
+    one union (`_UnionTables._low_bits`).  Measured in a child that compiles
+    its modules: 0.9 MB and 5.3-5.9 MB over the peak before the call;
+    int64 tables take 7.7 MB and 19.1 MB.  Three planes of F_41^3 would
+    need 17 MB of tables, past _UNION_TABLE_BYTES, so each union is scanned
+    on its own: 1.1-1.3 MB, against 15.1 MB summed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", STRONG_RSS_SCRIPT, str(p), str(d), str(n_fibers)],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": src},
+        # a fresh bytecode cache: the child compiles the package as a fresh
+        # checkout does, whatever .pyc files src holds
+        env={**os.environ, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
     m, before, after = map(int, proc.stdout.split())
@@ -619,7 +650,7 @@ def test_union_tables_sum_their_parts(data):
 def test_union_scans_read_scaling_window_table(monkeypatch):
     """Each of the sweep's tube reductions reads its windows through the
     public `scaling_window_table`, so a wrapper of it counts union scans as
-    well as single ones."""
+    well as single ones: one call per level for a whole block of unions."""
     calls = []
     real_window = thickness.scaling_window_table
 
@@ -627,20 +658,23 @@ def test_union_scans_read_scaling_window_table(monkeypatch):
         calls.append(K)
         return real_window(C, K, out)
 
-    per_union = []
+    per_block = []
     real_reduce = thickness._tube_reduce
 
-    def reducing(X_S, K, delta, g, scan):
+    def reducing(batch, K, g):
         before = len(calls)
-        found = real_reduce(X_S, K, delta, g, scan)
-        per_union.append(len(calls) - before)
+        found = real_reduce(batch, K, g)
+        per_block.append((len(batch.sizes), len(calls) - before))
         return found
 
     monkeypatch.setattr(thickness, "scaling_window_table", counting)
     monkeypatch.setattr(thickness, "_tube_reduce", reducing)
     sdec = strong_decompose(fiber_union(GroupParams(31, 2), 3, seed=0, offset=1), 0, Fraction(1, 4), G1)
-    assert len(per_union) == 2 ** sdec.m - 1 == 7
-    assert all(k >= 1 for k in per_union)
+    assert sum(size for size, _ in per_block) == 2 ** sdec.m - 1 == 7
+    # the seven unions share one block, and each level reads one window for
+    # all of them: at least one level, at most d = 2
+    assert [size for size, _ in per_block] == [7]
+    assert all(1 <= k <= 2 for _, k in per_block)
 
 
 @st.composite
@@ -730,17 +764,18 @@ def _check_rescans(tables, certs, Kp):
             assert Fraction(n - inside_count(X_S, worst, sc.cert.K_prime), n) == frac
 
 
-def _sweep_against_oracle(params, parts, K, g, schedule, data=None):
+def _sweep_against_oracle(params, parts, K, g, schedule, data=None, bits=None):
     """Runs the sweep on union tables and the plain sweep over `_plain_tube`
     on the same parts, and requires the same parts, drops, certificates (so
     the same chosen functionals), and rescans that agree with
     `TubularCertificate.validate` on each final union: for the sweep's
     certificates and, when `data` is given, for ones with a random
     invertible psi and any K'.  With _UNION_TABLE_BYTES patched to 0 each
-    union is scanned on its own.  Returns the number of unions that dropped
-    points."""
+    union is scanned on its own; otherwise a block covers `bits` low mask
+    bits, when given.  Returns the number of unions that dropped points."""
     p, d = params.p, params.d
     tables = thickness._UnionTables(parts)
+    assert tables.alone or bits is None or tables._low_bits() == bits
     try:
         exp_parts, exp_dropped, exp_certs, _ = _plain_sweep(params, parts, K, g, schedule, _plain_tube)
     except ValueError:  # a part emptied by a drop leaves an empty union
@@ -772,7 +807,9 @@ def _sweep_against_oracle(params, parts, K, g, schedule, data=None):
 def test_sweep_matches_per_union_oracle(family, K, g, k, data):
     params, parts = family
     d = params.d
-    _sweep_against_oracle(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask), data)
+    schedule = lambda mask: Fraction(1, 2 ** (d + 1) + k + mask)  # noqa: E731
+    for bits in _union_blocks():
+        _sweep_against_oracle(params, parts, K, g, schedule, data, bits(len(parts)))
 
 
 def _settled_against_rescan(params, parts, K, g, schedule):
@@ -815,18 +852,23 @@ def _settled_against_rescan(params, parts, K, g, schedule):
 def test_builder_numbers_match_rescan(family, K, g, k):
     params, parts = family
     d = params.d
-    _settled_against_rescan(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask))
+    for bits in _union_blocks():
+        if not thickness._UnionTables(parts).alone and bits(len(parts)) is not None:
+            assert thickness._UnionTables(parts)._low_bits() == bits(len(parts))
+        _settled_against_rescan(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask))
 
 
 @pytest.mark.parametrize("tabled", [True, False])
 def test_sweep_that_drops_points_matches_oracle(monkeypatch, tabled):
     # the second part is a line and one point off it: each union holding it
-    # is thin along x, and its tube leaves (3, 3) out
+    # is thin along x, and its tube leaves (3, 3) out; with blocks, the
+    # drop at mask 2 cuts the block of masks 1..3
     params = GroupParams(7, 2)
     parts = [ms(params, [(0, y) for y in range(7)]), ms(params, [(1, y) for y in range(7)] + [(3, 3)])]
     if not tabled:
         monkeypatch.setattr(thickness, "_UNION_TABLE_BYTES", 0)
     assert thickness._UnionTables(parts).alone is not tabled
-    drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9))
-    assert drops > 0
-    assert _settled_against_rescan(params, parts, 0, G1, lambda mask: Fraction(1, 9)) > 0
+    for bits in _union_blocks():
+        drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9), bits=bits(2))
+        assert drops > 0
+        assert _settled_against_rescan(params, parts, 0, G1, lambda mask: Fraction(1, 9)) > 0

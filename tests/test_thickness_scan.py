@@ -179,6 +179,70 @@ def test_scan_spans_several_blocks():
             )
 
 
+def _lexsort_pick(count, c, a0, dirs, p):
+    """The tie-break the vectorized `_pick` replaced: among the directions
+    tied for the top count, np.lexsort over their scaled functionals c*lam
+    (first coordinate primary), then over a0."""
+    top = count.max()
+    tied = np.flatnonzero(count == top)
+    scaled = (c[tied, None] + 1) * dirs[tied] % p
+    best = np.lexsort((a0[tied],) + tuple(scaled.T[::-1]))[0]
+    return int(top), tuple(scaled[best].tolist()), int(a0[tied][best])
+
+
+@st.composite
+def tied_sets(draw):
+    """A translated box [-r, r]^d or a few translated parallel lines in
+    F_p^d: their symmetries make many functionals tie for the top count."""
+    p, d = draw(st.sampled_from([(5, 1), (7, 2), (11, 2), (5, 3), (7, 3)]))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        pts = list(itertools.product(range(-r, r + 1), repeat=d))
+    else:
+        v = draw(st.sampled_from(canonical_linear_parts(p, d)))
+        offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=4, unique=True))
+        pts = [tuple(o[k] + t * v[k] for k in range(d)) for o in offsets for t in range(p)]
+    shift = draw(st.tuples(*[st.integers(0, p - 1)] * d))
+    return _multiset(p, d, [(tuple(x + s for x, s in zip(pt, shift)), 1) for pt in pts])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_sets(), st.integers(0, 3), st.data())
+def test_pick_matches_lexsort_tie_break(X, K, data):
+    """`_pick` over the windows of all canonical directions agrees with the
+    lexsort tie-break: on one row, and on rows stacked as a block's unions
+    are, each over its own subset of the directions."""
+    p, d = X.params.p, X.params.d
+    dirs = thickness._canonical_directions(p, d)
+    window = thickness.scaling_window_table(
+        thickness._cumulative_table(thickness.value_histogram(X, dirs), p), K
+    )
+    count, c, a0 = thickness._maxima(window)
+    assert thickness._pick(count[None], c[None], a0[None], dirs, p) == [_lexsort_pick(count, c, a0, dirs, p)]
+    masks = st.lists(st.booleans(), min_size=len(dirs), max_size=len(dirs))
+    allowed = np.array(data.draw(st.lists(masks, min_size=1, max_size=4)), dtype=bool)
+    rows = len(allowed)
+    picked = thickness._pick(
+        np.tile(count, (rows, 1)), np.tile(c, (rows, 1)), np.tile(a0, (rows, 1)), dirs, p, allowed
+    )
+    for mask, found in zip(allowed, picked):
+        expected = _lexsort_pick(count[mask], c[mask], a0[mask], dirs[mask], p) if mask.any() else None
+        assert found == expected
+
+
+def test_pick_breaks_a_box_tie_by_lex_order():
+    """At K = 1 the two axes are the only functionals that hold all nine
+    points of the box [-1, 1]^2, and (0, 1) comes before (1, 0) in lex
+    order."""
+    X = _multiset(7, 2, [(pt, 1) for pt in itertools.product(range(-1, 2), repeat=2)])
+    dirs = thickness._canonical_directions(7, 2)
+    count, c, a0 = thickness._maxima(
+        thickness.scaling_window_table(thickness._cumulative_table(thickness.value_histogram(X, dirs), 7), 1)
+    )
+    assert (count == 9).sum() == 2
+    assert thickness._pick(count[None], c[None], a0[None], dirs, 7) == [(9, (0, 1), 0)]
+
+
 def test_empty_direction_family():
     X = _multiset(7, 2, [((1, 2), 1), ((3, 4), 2)])
     assert min_outside_fraction(X, 1, []) == (Fraction(1), None)
@@ -213,7 +277,8 @@ else:
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(src)},
+        # no .pyc files for src: the memory tests' children start as a fresh checkout does
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=120,
     )
     assert out.returncode == 0, out.stderr + out.stdout
