@@ -29,8 +29,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -288,9 +288,9 @@ class SearchBudget:
     """Limits of a branch-and-bound search; passing any one of them ends it
     with an interval instead of an exact value.
 
-    max_bytes bounds a running estimate of the live search frames: each
-    frame's reach int and its list of addable candidates.  The default
-    bounds them at 1 GiB.
+    max_bytes bounds a running estimate of the live search frames, which
+    `_frame_bytes` counts as two ints of up to p^d bits each: a node holding
+    k points has k frames live.  The default bounds them at 1 GiB.
     """
 
     max_nodes: int = 20_000_000
@@ -346,6 +346,12 @@ def _constructive_free_set(params: GroupParams) -> Tuple[Vec, ...]:
     return tuple(pts)
 
 
+def _frame_bytes(params: GroupParams) -> int:
+    """The bytes `SearchBudget.max_bytes` counts per search frame: two ints
+    of up to p^d bits, its free set and its candidates not yet visited."""
+    return 2 * sys.getsizeof((1 << params.order) - 1)
+
+
 def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None) -> FreeSetResult:
     """Largest zero-sum-free subset of F_p^d by branch and bound.
 
@@ -353,8 +359,18 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     zero-sum-freeness, so some maximum set contains the lexicographically
     least nonzero vector; the root of the search fixes it.  A candidate x can
     join the current set S exactly when -x is not an attainable subsum, which
-    doubles as the feasibility pruning rule.  Each frame holds the subsums of
-    S as one reach int of the DP's kernel.
+    doubles as the feasibility pruning rule.
+
+    A frame holds two ints of the DP's kernel and no lists.  Its free set
+    marks the states that are no subsum of -S, the empty sum included, so
+    the candidates that can join S are `cands & free`: the frame keeps
+    those not yet visited and walks them lowest bit first, the order of
+    the state indices.  Adding x rotates the subsums of -S by -x; the free
+    set, their complement, takes the same rotation, so the child's is
+    `free & _rotate(free, moves of -x)`.  A child is counted and tested in
+    its parent, and only a child that the size bound keeps gets a frame,
+    on an explicit stack: the depth is not bounded by Python's recursion
+    limit.
     """
     if budget is None:
         budget = SearchBudget()
@@ -362,10 +378,10 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     if budget.max_ms is not None:
         deadline = time.monotonic() + budget.max_ms / 1000.0
     p, d, size_all = params.p, params.d, params.order
-    # candidates are state indices: index 1 is (0, ..., 0, 1), the root, and
-    # neg[j] is the index of -x for the x of index j
-    grid = np.arange(size_all).reshape((p,) * d)
-    neg = grid[np.ix_(*[-np.arange(p) % p] * d)].reshape(-1).tolist()
+    max_nodes = budget.max_nodes
+    # a node holding k points has k live frames
+    max_frames = size_all if budget.max_bytes is None else budget.max_bytes // _frame_bytes(params)
+    # the moves of -x per candidate index of x, filled as candidates are expanded
     moves_of: Dict[int, tuple] = {}
 
     seed = _constructive_free_set(params)
@@ -373,51 +389,54 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     _check("seed_zero_sum_free", seed_zero is None, "==", True)
     best_size = len(seed)
     best_witness = tuple(sorted(seed))
-
-    max_bytes = budget.max_bytes
-    # a frame's bytes: a reach int of up to p^d bits and its addable list
-    frame_base = sys.getsizeof((1 << size_all) - 1) + sys.getsizeof([])
-    nodes = 0
-    live_bytes = 0
     exhausted = False
 
-    def dfs(size: int, reach: int, cands: Sequence[int], start: int):
-        """Extend the current set by candidates cands[start:]."""
-        nonlocal best_size, best_witness, nodes, live_bytes, exhausted
-        nodes += 1
-        if exhausted:
-            return
-        if nodes > budget.max_nodes or (deadline is not None and time.monotonic() >= deadline):
-            exhausted = True
-            return
-        addable = [j for j in islice(cands, start, None) if not reach >> neg[j] & 1]
-        frame = frame_base + 8 * len(addable)
-        if max_bytes is not None and live_bytes + frame > max_bytes:
-            exhausted = True
-            return
-        if size + len(addable) <= best_size:
-            return
-        live_bytes += frame
-        stack_path.append(0)
-        for i, j in enumerate(addable):
-            if size + (len(addable) - i) <= best_size:
-                break
-            stack_path[-1] = j
+    # the root {(0, ..., 0, 1)}, index 1: the sums of -S are 0 and
+    # (0, ..., 0, p-1); path[-1] is the child being visited
+    path: List[int] = [1, 0]
+    nodes = 1
+    if max_nodes < 1 or (deadline is not None and time.monotonic() >= deadline) or max_frames < 1:
+        exhausted = True
+    else:
+        # the frame being walked; its ancestors wait on the stack
+        size, free = 1, ((1 << size_all) - 1) ^ 1 ^ (1 << (p - 1))
+        addable = free & ~0b11
+        count = addable.bit_count()
+        stack: List[Tuple[int, int, int, int]] = []
+        while True:
+            if size + count <= best_size:
+                if not stack:
+                    break
+                path.pop()
+                size, free, addable, count = stack.pop()
+                continue
+            j = (addable & -addable).bit_length() - 1
+            addable &= addable - 1
+            count -= 1
+            path[-1] = j
             new_size = size + 1
             if new_size > best_size:
                 best_size = new_size
-                best_witness = tuple(params.unindex(k) for k in sorted(stack_path))
+                best_witness = tuple(params.unindex(k) for k in sorted(path))
             moves = moves_of.get(j)
             if moves is None:
-                moves = moves_of[j] = _moves(p, d, params.unindex(j))
-            dfs(new_size, reach | _rotate(reach, moves) | (1 << j), addable, i + 1)
-            if exhausted:
+                moves = moves_of[j] = _moves(p, d, tuple(-c % p for c in params.unindex(j)))
+            child = free & _rotate(free, moves)
+            nodes += 1
+            if (
+                nodes > max_nodes
+                or (deadline is not None and time.monotonic() >= deadline)
+                or new_size > max_frames
+            ):
+                exhausted = True
                 break
-        stack_path.pop()
-        live_bytes -= frame
-
-    stack_path: List[int] = [1]
-    dfs(1, 1 << 1, range(2, size_all), 0)
+            child_addable = addable & child
+            child_count = child_addable.bit_count()
+            # a child the size bound prunes is counted here and never entered
+            if new_size + child_count > best_size:
+                stack.append((size, free, addable, count))
+                path.append(0)
+                size, free, addable, count = new_size, child, child_addable, child_count
 
     exact = not exhausted
     if exact:

@@ -501,7 +501,12 @@ def test_verify_rejects_forged_numbers_under_optimize_flag(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        # no .pyc files: an -O child would leave *.opt-1.pyc files in src
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 2, proc.stderr
     assert _failing(json.loads(proc.stdout)) == {"mu", "delta_schedule", "removed_in_sweeps"}

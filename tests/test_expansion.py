@@ -330,7 +330,8 @@ def test_growth_table_recount_survives_optimize_flag():
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": SRC},
+        # no .pyc files: an -O child would leave *.opt-1.pyc files in src
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["growth_table_recount"] * 2

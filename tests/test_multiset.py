@@ -201,7 +201,11 @@ def test_strong_decompose_never_revalidates_under_optimize_flag():
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+        # no .pyc files: an -O child would leave *.opt-1.pyc files in src and tests
+        env={
+            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
         timeout=120,
     )
     assert out.returncode == 0, out.stderr + out.stdout

@@ -14,8 +14,11 @@ from zerosum.group import GroupParams, InvariantError
 from zerosum.multiset import GroupMultiset
 from zerosum.pipeline import verify_certificate
 from zerosum.subsums import (
+    FreeSetResult,
     SearchBudget,
     ZeroSumCertificate,
+    _constructive_free_set,
+    _frame_bytes,
     _moves,
     _rotate,
     enumerate_subsums,
@@ -290,14 +293,64 @@ def test_olson_memory_budget_interval():
     none = olson_constant(params, SearchBudget(max_bytes=0))
     assert (none.exact, none.olson, none.nodes) == (False, None, 1)
     assert none.lower <= exact.olson <= none.upper == 2 * 4 + 1
-    # room for a few frames: the search stops part way down
-    tight = olson_constant(params, SearchBudget(max_bytes=1000))
+    # room for two frames: the search stops at the first set of three points
+    tight = olson_constant(params, SearchBudget(max_bytes=2 * _frame_bytes(params)))
     assert not tight.exact and 1 < tight.nodes < exact.nodes
+    assert tight.nodes == 3
     assert none.lower <= tight.lower <= exact.olson
     for res in (none, tight):
         assert find_zero_sum_subset(ms(params, list(res.witness))) is None
     roomy = olson_constant(params, SearchBudget(max_bytes=1 << 20))
     assert roomy.as_dict() == exact.as_dict()
+
+
+def _list_search(params):
+    """The search as it ran on list frames, unbounded: each frame filters its
+    candidates into a Python list of addable indices, and every child is a
+    call.  Also returns the size and witness held as each node was counted:
+    a budget of k nodes ends the search as it counts node k + 1, with
+    held[k]."""
+    p, d = params.p, params.d
+    neg = [params.index(tuple(-c % p for c in params.unindex(j))) for j in range(params.order)]
+    seed = _constructive_free_set(params)
+    best = (len(seed), tuple(sorted(seed)))
+    held, path = [], [1]
+
+    def dfs(size, reach, cands):
+        nonlocal best
+        held.append(best)
+        addable = [j for j in cands if not reach >> neg[j] & 1]
+        if size + len(addable) <= best[0]:
+            return
+        path.append(0)
+        for i, j in enumerate(addable):
+            if size + len(addable) - i <= best[0]:
+                break
+            path[-1] = j
+            if size + 1 > best[0]:
+                best = (size + 1, tuple(params.unindex(k) for k in sorted(path)))
+            moves = _moves(p, d, params.unindex(j))
+            dfs(size + 1, reach | _rotate(reach, moves) | 1 << j, addable[i + 1:])
+        path.pop()
+
+    dfs(1, 1 << 1, range(2, params.order))
+    return FreeSetResult(*best, True, len(held)), held
+
+
+@pytest.mark.parametrize(
+    "p, d", [(3, 2), (5, 2)] + [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+)
+def test_bitset_search_matches_list_search(p, d):
+    """Under every node budget up to exhaustion the bitset frames stop where
+    the list frames stop, with the same size, witness and node count."""
+    params = GroupParams(p, d)
+    full, held = _list_search(params)
+    for max_nodes in range(1, full.nodes):
+        got = max_zero_sum_free(params, SearchBudget(max_nodes=max_nodes))
+        assert got == FreeSetResult(*held[max_nodes], False, max_nodes + 1), max_nodes
+    assert max_zero_sum_free(params, SearchBudget(max_nodes=full.nodes)) == full
+    if params.order <= 16:
+        assert full.size == naive_max_zero_sum_free(params).size
 
 
 def _run_script(script, *flags):
@@ -307,7 +360,12 @@ def _run_script(script, *flags):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        # no .pyc files: an -O child would leave *.opt-1.pyc files in src
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
 
 
@@ -340,6 +398,48 @@ def test_zero_sum_sequence_past_the_bound_memory_bounded():
     verified, before, after = proc.stdout.split()
     assert verified == "True"
     assert int(after) - int(before) < 20 * 1024, f"peak RSS grew by {(int(after) - int(before)) // 1024} MB"
+
+
+OLSON_RSS_SCRIPT = (
+    "from zerosum.group import GroupParams\n"
+    "from zerosum.subsums import SearchBudget, olson_constant\n"
+    "def peak_kb():\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM'))\n"
+    "before = peak_kb()\n"
+    "res = olson_constant(GroupParams(101, 3), SearchBudget(max_nodes=30))\n"
+    "print(res.exact, res.nodes, before, peak_kb())\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_olson_search_memory_bounded():
+    """A frame of the F_101^3 search is two 1,030,301-bit ints, 129 KB each,
+    so 30 nodes hold a few MB; frames that listed their addable candidates
+    held about 10^6 Python ints each and grew the peak by 321 MB."""
+    proc = _run_script(OLSON_RSS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    exact, nodes, before, after = proc.stdout.split()
+    assert (exact, nodes) == ("False", "31")
+    assert int(after) - int(before) < 32 * 1024, f"peak RSS grew by {(int(after) - int(before)) // 1024} MB"
+
+
+DEEP_SEARCH_SCRIPT = (
+    "import sys\n"
+    "from zerosum.group import GroupParams\n"
+    "from zerosum.subsums import SearchBudget, max_zero_sum_free\n"
+    "sys.setrecursionlimit(100)\n"
+    "res = max_zero_sum_free(GroupParams(20011, 1), SearchBudget(max_nodes=400))\n"
+    "print(res.size, res.nodes, res.exact)\n"
+)
+
+
+def test_search_depth_needs_no_recursion():
+    """The search dives to {1, ..., 199} in F_20011 first: 199 frames, past
+    a recursion limit of 100, which a search of one call per frame hits."""
+    proc = _run_script(DEEP_SEARCH_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["199", "401", "False"]
 
 
 SEED_CHECK_SCRIPT = (
