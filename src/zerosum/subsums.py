@@ -307,10 +307,18 @@ class FreeSetResult:
 
 
 def _is_zero_sum_free(points, params: GroupParams) -> bool:
-    """By `naive_subsums`: the oracle of `naive_max_zero_sum_free` only."""
-    if not points:
-        return True
-    return params.zero() not in naive_subsums(GroupMultiset.from_points(params, points))
+    """No nonempty subset of `points` sums to zero, by direct enumeration:
+    the subsets holding the i-th point are those of the points before it,
+    each with it added, so each subset's sum is one addition, and the first
+    zero sum returns.  The oracle of `naive_max_zero_sum_free` only."""
+    zero = params.zero()
+    sums = [zero]  # the sums of the subsets of the points so far, empty included
+    for x in points:
+        grown = [params.add(s, x) for s in sums]
+        if zero in grown:
+            return False
+        sums += grown
+    return True
 
 
 def naive_max_zero_sum_free(params: GroupParams) -> FreeSetResult:

@@ -37,20 +37,21 @@ only after a sweep that dropped points; `StrongDecomposition.validate`
 always rescans every one.  The cumulative tables are linear in the
 multiset and the parts are disjoint, so a union's is the sum of its parts':
 `_UnionTables` builds each part's over all canonical directions once.  The
-sweep reduces the unions a block at a time (`_UnionTables.blocks`): the
-unions of a block share their high mask bits, their tables are the low
-parts' subset sums, built once per walk, plus the high parts' running sum,
-and `_tube_reduce`, which reduces a batch of sets (a single set is a batch
-of one), reads one window, one `_maxima` and one `_pick` per level for the
-whole block.  The rescans walk the unions one at a time along one running
-sum (`_UnionTables.walk`).  Directions keep canonical order, so the scans
-pick the same functionals as a scan of the union itself.  The tables serve
-the union walks only: a part's hull scan is always its own (`_plain_scan`).
-They take about p^(d+1)/2 cells each, m + 2 of them at once, and a block's
-three arrays at most 8 _BLOCK_CELLS bytes each; past _UNION_TABLE_BYTES
-each union is scanned on its own, block by block, with the same results.
-A decomposition artifact whose certificate count is wrong builds no
-table.
+sweep and the rescans both read the unions a block at a time
+(`_UnionTables.blocks`): the unions of a block share their high mask bits,
+and their tables are the low parts' subset sums, built once per pass, plus
+the high parts' running sum.  `_tube_reduce`, which reduces a batch of
+sets (a single set is a batch of one), reads one window, one `_maxima` and
+one `_pick` per level for the whole block; `_rescan` reads one per radius
+and l among the block's certificates.  Directions keep canonical order, so
+the scans pick the same functionals as a scan of the union itself.  The
+tables serve the union blocks only: a part's hull scan is always its own
+(`_plain_scan`).  They take about p^(d+1)/2 cells each, m + 2 of them at
+once, and a block's three arrays at most 8 _BLOCK_CELLS bytes each; past
+_UNION_TABLE_BYTES each block is one union, folded from its parts and
+scanned on its own, direction block by direction block, with the same
+results.  A decomposition artifact whose certificate count is wrong builds
+no table.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -547,37 +548,48 @@ class TubularCertificate:
     delta: Fraction
     functionals: Tuple[LinearFunctional, ...]
 
-    def validate(self, X: GroupMultiset, scan=None):
+    def validate(self, X: GroupMultiset):
         """(ok, achieved outside-fraction, worst functional) by full rescan.
 
         A singular psi, or a point mapped outside the box, gives
-        (False, 0, None); a psi of the wrong shape raises ValueError.
+        (False, 0, None) (`_kernel`); a psi of the wrong shape raises
+        ValueError.
 
         The rescan pulls psi back rather than mapping X: the functionals
         non-constant on the fiber factor pull back through psi = (M, s) to
         exactly the directions of X outside the span of M's first l rows,
         and s only moves the constant term, which the scan maximises over.
         So X is scanned over the directions non-constant on the kernel of
-        those rows, and `worst` is in X's coordinates.  `scan(K, basis)`,
-        when given, stands in for `_plain_scan(X)` and must agree with it
-        (a union's scan off `_UnionTables.walk`).
+        those rows, and `worst` is in X's coordinates.
         """
+        kernel = self._kernel(X.arrays()[0])
+        if kernel is None:
+            return False, Fraction(0), None
+        if self.l == self.params.d:
+            return True, Fraction(1), None
+        return self._verdict(_plain_scan(X)(min(self.K_prime, self.params.p), kernel), len(X))
+
+    def _kernel(self, points: np.ndarray):
+        """psi's checks on a set whose support is the rows of `points`: the
+        kernel of psi's first l rows, over which the rescan runs, or None
+        when psi is singular or maps a point outside the box [-K, K]^l.  A
+        psi of the wrong shape raises ValueError."""
         p, d, l = self.params.p, self.params.d, self.l
         psi = self.psi.reduced(p, d)
         if linalg.invert_matrix(psi.matrix, p) is None:
-            return False, Fraction(0), None
+            return None
         lead = np.array(psi.matrix[:l], dtype=np.int64).reshape(l, d)
         shift = np.array(psi.shift[:l], dtype=np.int64)
-        pts, _ = X.arrays()
-        if not _in_slab((pts @ lead.T + shift) % p, self.K, p).all():
-            return False, Fraction(0), None
-        if l == d:
-            return True, Fraction(1), None
-        n = len(X)
+        if not _in_slab((points @ lead.T + shift) % p, self.K, p).all():
+            return None
+        return linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
+
+    def _verdict(self, found, n: int):
+        """(ok, outside fraction, worst functional) of the rescan `found`
+        on n points; ValueError when there are none."""
         if n == 0:
             raise ValueError("empty multiset")
-        kernel = linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
-        frac, worst = _outside((scan or _plain_scan(X))(self.K_prime, kernel), n)
+        frac, worst = _outside(found, n)
         return frac >= self.delta, frac, worst
 
 
@@ -592,7 +604,7 @@ def tube_decompose(
     is (g(K), delta)-tubular via the coordinate change sending xi_1..xi_l to
     the first l coordinates.
     """
-    Y, cert, _last = _tube_reduce(_alone(X, delta), K0, g)[0]
+    Y, cert, _last = _tube_reduce(_alone(X), [delta], K0, g)[0]
     Y = X if Y is None else Y
     # validate's ok is frac >= delta: it reports 0 when a point leaves the
     # box, and delta > 0
@@ -604,32 +616,31 @@ def tube_decompose(
 @dataclass
 class _Batch:
     """Multisets X_0, X_1, ... that one `_tube_reduce` call reduces
-    together: their sizes and deltas; scan(K, active, kernels), the `_scan`
-    of each X_j with j in `active` at radius K over the canonical directions
-    non-constant on its kernel (kernels aligned with active, all of one
-    size); and union(j), which builds X_j."""
+    together, or one `_rescan` rescans: their sizes; scan(K, active,
+    kernels), the `_scan` of each X_j with j in `active` at radius K over
+    the canonical directions non-constant on its kernel (kernels aligned
+    with active, all of one size); and union(j), which builds X_j."""
 
     params: GroupParams
     sizes: List[int]
-    deltas: List[Fraction]
     scan: Callable[[int, List[int], list], List[Optional[Tuple[int, Vec, int]]]]
     union: Callable[[int], GroupMultiset]
 
 
-def _alone(X: GroupMultiset, delta: Fraction) -> _Batch:
+def _alone(X: GroupMultiset) -> _Batch:
     """A batch of X alone, scanned as `_plain_scan(X)` scans it."""
     scan = _plain_scan(X)
-    return _Batch(X.params, [len(X)], [delta], lambda K, active, kernels: [scan(K, kernels[0])], lambda j: X)
+    return _Batch(X.params, [len(X)], lambda K, active, kernels: [scan(K, kernels[0])], lambda j: X)
 
 
 def _tube_reduce(
-    batch: _Batch, K0: int, g: GrowthFunction
+    batch: _Batch, deltas: Sequence[Fraction], K0: int, g: GrowthFunction
 ) -> List[Tuple[Optional[GroupMultiset], TubularCertificate, Optional[Tuple[int, Vec, int]]]]:
-    """`tube_decompose` of every multiset X_j of a batch without the
-    rescan, level i of all those still choosing read off one batch.scan at
-    g^i(K0): for each X_j (Y, or None when the tube keeps all of X_j;
-    certificate; the scan that ended the reduction, or None when all d
-    levels chose).
+    """`tube_decompose` of every multiset X_j of a batch at deltas[j]
+    without the rescan, level i of all those still choosing read off one
+    batch.scan at g^i(K0): for each X_j (Y, or None when the tube keeps all
+    of X_j; certificate; the scan that ended the reduction, or None when all
+    d levels chose).
 
     A level whose functional holds every point of X_j in its slab needs no
     delta test, and the slab at K = g^l(K0) >= g^i(K0) holds them too; so
@@ -643,7 +654,7 @@ def _tube_reduce(
     for l = d both are 1."""
     params = batch.params
     d, p = params.d, params.p
-    deltas = [Fraction(delta) for delta in batch.deltas]
+    deltas = [Fraction(delta) for delta in deltas]
     bound = Fraction(1, 2 ** (d + 1))
     if not all(0 < delta < bound for delta in deltas):
         raise ValueError("tube reduction requires 0 < delta < 2^-(d+1)")
@@ -896,34 +907,6 @@ def decompose(
 # ---------------------------------------------------------------------------
 
 
-def _mask_unions(parts: Sequence[GroupMultiset], start: int = 1):
-    """(mask, X_S) for every mask from `start` to 2^m - 1 in increasing
-    order, X_S the union of the parts whose bits are set in mask.
-
-    The walk splits on the top bit first, so each union is built as its
-    higher bits' union plus the part of its lowest bit: one merge per mask,
-    and at most m unions held at a time.  Masks below `start` are skipped
-    with every merge that only they need.  The parts must not change during
-    a walk; a caller that shrinks one starts a new walk.
-    """
-
-    def walk(high: int, X_high: GroupMultiset, bits: int):
-        # the masks high | low for 0 < low < 2^bits, in increasing order
-        if bits == 0:
-            return
-        top = 1 << (bits - 1)
-        if high | (top - 1) >= start:
-            yield from walk(high, X_high, bits - 1)
-        if high | top | (top - 1) >= start:
-            X_top = X_high.union(parts[bits - 1])
-            if high | top >= start:
-                yield high | top, X_top
-            yield from walk(high | top, X_top, bits - 1)
-
-    if parts:
-        yield from walk(0, GroupMultiset.empty(parts[0].params), len(parts))
-
-
 def _block_scan(window: np.ndarray, p: int, d: int, columns, kernels) -> List[Optional[Tuple[int, Vec, int]]]:
     """`_scan` of each union whose in-tube window over all canonical
     directions is column block j of `window` ([a0, c-1, j, i], or [a0, c-1,
@@ -955,8 +938,8 @@ class _UnionTables:
     Each part keeps its cumulative table (`_cumulative_table`), which serves
     every radius, in the smallest unsigned dtype that holds its counts.  The
     table is linear in the multiset and the parts are disjoint, so a union's
-    is the sum of its parts' (`walk`, `blocks`).  `replace` drops a part's
-    table.  The tables are built when a walk first reads them.
+    is the sum of its parts' (`blocks`).  `replace` drops a part's table.
+    The tables are built when `blocks` first reads them.
 
     When they would pass _UNION_TABLE_BYTES, `alone` is set: no table is
     built and every union's scan is `_plain_scan` of its multiset, the same
@@ -1002,35 +985,6 @@ class _UnionTables:
             move = np.add if (mask >> i) & 1 else np.subtract
             move(running, self.part_table(i), out=running)
 
-    def walk(self, start: int = 1):
-        """(mask, X_S, scan) for every mask from `start` on, as
-        `_mask_unions` gives (mask, X_S), with scan(K, basis) equal to
-        `_plain_scan(X_S)(K, basis)` and valid until the walk moves on.
-
-        The scans read one running sum, held while the walk runs and moved
-        from mask to mask by adding and subtracting the parts that differ:
-        about two per mask.  Its dtype holds all the parts' counts; the
-        window derived from it at each radius (`scaling_window_table`) has
-        the same.
-        """
-        if self.alone:
-            for mask, X_S in _mask_unions(self.parts, start):
-                yield mask, X_S, _plain_scan(X_S)
-            return
-        p, d = self.parts[0].params.p, self.parts[0].params.d
-        held, running = 0, None
-        for mask, X_S in _mask_unions(self.parts, start):
-            if running is None:
-                running = np.zeros_like(self.part_table(0), dtype=self._dtype())
-                out = np.empty_like(running)
-            self._move(running, held, mask)
-            held = mask
-
-            def scan(K: int, basis) -> Optional[Tuple[int, Vec, int]]:
-                return _block_scan(scaling_window_table(running, K, out), p, d, [0], [basis])[0]
-
-            yield mask, X_S, scan
-
     def _low_bits(self) -> int:
         """b, the low mask bits one block covers: as many, up to m, as keep
         its 2^b union tables within 8 _BLOCK_CELLS bytes (256 KB), or 0 when
@@ -1038,7 +992,7 @@ class _UnionTables:
 
         A block holds three such arrays (the low sums, its tables and their
         window).  Nine single points of F_31^2 get b = 4; six lines of
-        F_61^2 get b = 0, the memory of a walk.  Larger blocks timed no
+        F_61^2 get b = 0, one union per block.  Larger blocks timed no
         faster on the structural_grid round."""
         union = self._union_bytes()
         bits = 0
@@ -1046,24 +1000,27 @@ class _UnionTables:
             bits += 1
         return bits
 
-    def blocks(self, start: int, schedule):
+    def blocks(self, start: int):
         """(masks, batch) for the masks from `start` on, in increasing order
-        and in blocks: batch is the `_Batch` of their unions X_S, at delta
-        schedule(mask), and valid until the walk moves on.
+        and in blocks: batch is the `_Batch` of their unions X_S.  The parts
+        must not change while the blocks are drawn; a caller that shrinks one
+        calls `blocks` again.
 
         A block's masks share their high bits, from bit b = `_low_bits()`
         on.  The sums of the low parts' tables over all 2^b subsets are built
-        once per walk, by doubling; the high parts' sum is moved from block
-        to block as `walk` moves its running sum; and a block's tables, laid
-        out [a0, c-1, low bits, direction], are the low sums plus the high
-        sum.  So one window and one `_block_scan` serve a level of every
-        union in the block; columns below `start`, and the empty union, are
-        read by none.  With `alone` set, each block is one union, scanned
-        on its own.
+        once per call, by doubling; the high parts' sum is one running sum,
+        moved from block to block by adding and subtracting the parts that
+        differ (`_move`); and a block's tables, laid out [a0, c-1, low bits,
+        direction], are the low sums plus the high sum, summed at the
+        block's first scan, so a block that is never scanned costs none.
+        One window and one `_block_scan` serve a scan of every union in the
+        block at one radius; columns below `start`, and the empty union, are
+        read by none.  With `alone` set, each block is one union, folded
+        from its parts and scanned on its own.
         """
-        if self.alone:
-            for mask, X_S in _mask_unions(self.parts, start):
-                yield [mask], _alone(X_S, schedule(mask))
+        if self.alone or not self.parts:
+            for mask in range(start, 2 ** len(self.parts)):
+                yield [mask], _alone(_fold(self.parts[0].params, self.parts, _subset(mask)))
             return
         params = self.parts[0].params
         p, d, m = params.p, params.d, len(self.parts)
@@ -1074,19 +1031,21 @@ class _UnionTables:
             lows = np.zeros(running.shape[:2] + (2 ** bits,) + running.shape[2:], dtype=dtype)
             for k in range(bits):
                 np.add(lows[:, :, : 2 ** k], self.part_table(k)[:, :, None], out=lows[:, :, 2 ** k : 2 ** (k + 1)])
-            summed = np.empty_like(lows)
+            summed = lows.copy()  # the tables of the block of high bits 0
         out = np.empty_like(summed)
         sizes = [len(part) for part in self.parts]
         held = 0
         for high in range(start >> bits << bits, 2 ** m, 2 ** bits):
-            self._move(running, held, high)
-            held = high
-            if bits:
-                np.add(lows, running[:, :, None], out=summed)
             first = max(start, high, 1) - high
             masks = list(range(high + first, high + 2 ** bits))
 
-            def scan(K: int, active, kernels, first=first):
+            def scan(K: int, active, kernels, high=high, first=first):
+                nonlocal held
+                if held != high:
+                    self._move(running, held, high)
+                    held = high
+                    if bits:
+                        np.add(lows, running[:, :, None], out=summed)
                 window = scaling_window_table(summed, K, out)
                 return _block_scan(window, p, d, [first + j for j in active], kernels)
 
@@ -1096,7 +1055,6 @@ class _UnionTables:
             yield masks, _Batch(
                 params,
                 [sum(sizes[i] for i in _subset(mask)) for mask in masks],
-                [schedule(mask) for mask in masks],
                 scan,
                 union,
             )
@@ -1126,30 +1084,49 @@ def _delta_schedule(eps: Fraction, mu0: Fraction, delta0: Fraction, m: int, d: i
 def _rescan(tables: _UnionTables, Kp: int, certs):
     """Bullets 2 and 3 of a strong decomposition, re-derived from its parts:
     `_part_scan` at Kp, then for every mask in increasing order
-    (mask, certs[S], certs[S].cert rescanned on X_S) -- or None in place of
-    that list when the certificates are not one per union.  `validate` runs
-    it on every artifact; the builder only after a sweep that dropped
-    points (`_settle`).
+    (mask, certs[S], certs[S].cert rescanned on X_S, as
+    `TubularCertificate.validate` gives it) -- or None in place of that
+    list when the certificates are not one per union.  `validate` runs it
+    on every artifact; the builder only after a sweep that dropped points
+    (`_settle`).
 
-    A count other than 2^m - 1 returns before the walk, so a forged part
+    A count other than 2^m - 1 returns before any block, so a forged part
     count can neither start 2^m unions nor build m tables: the count bounds
-    m by the artifact's size.  Each rescan pulls psi back onto X_S (see
-    `TubularCertificate.validate`) and reads the union's table off the walk,
-    so no union is projected; psi's invertibility and box checks still run
-    on each X_S, and `worst` comes in X's coordinates.  The tables serve
-    every radius, so a certificate's K' costs one window derivation
-    whatever its value.
+    m by the artifact's size.  The unions are read a block at a time
+    (`_UnionTables.blocks`).  psi's checks run on each union's parts'
+    points (`TubularCertificate._kernel`), so no union is built on the
+    tabled path; the unions of a block that pass them are rescanned
+    together, one `batch.scan` per (radius, l), and each scan pulls psi
+    back, so `worst` comes in X's coordinates.  The tables serve every
+    radius, so a certificate's K' costs at most one window derivation
+    whatever its value, and it is read through min(K', p).
     """
     parts = tables.parts
     scans, delta = _part_scan(parts, Kp)
     if len(certs) != 2 ** len(parts) - 1:
         return scans, delta, None
+    points = [part.arrays()[0] for part in parts]
     rescans = []
-    for mask, X_S, scan in tables.walk():
-        sc = certs.get(_subset(mask))
-        if sc is None:
-            return scans, delta, None
-        rescans.append((mask, sc, sc.cert.validate(X_S, scan)))
+    for masks, batch in tables.blocks(1):
+        scs, verdicts, groups = [], [None] * len(masks), {}
+        for j, mask in enumerate(masks):
+            sc = certs.get(_subset(mask))
+            if sc is None:
+                return scans, delta, None
+            scs.append(sc)
+            cert = sc.cert
+            kernel = cert._kernel(np.concatenate([points[i] for i in _subset(mask)]))
+            if kernel is None:
+                verdicts[j] = False, Fraction(0), None
+            elif cert.l == batch.params.d:
+                verdicts[j] = True, Fraction(1), None
+            else:
+                groups.setdefault((min(cert.K_prime, batch.params.p), cert.l), []).append((j, kernel))
+        for (K, _l), members in groups.items():
+            active = [j for j, _ in members]
+            for j, top in zip(active, batch.scan(K, active, [kernel for _, kernel in members])):
+                verdicts[j] = scs[j].cert._verdict(top, batch.sizes[j])
+        rescans.extend(zip(masks, scs, verdicts))
     return scans, delta, rescans
 
 
@@ -1235,9 +1212,9 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     level read off the block's tables (`blocks`).
 
     The union's points outside its tube leave their parts.  A union that
-    drops points ends its block and the walk: the unions after it in the
-    block are dropped unrecorded, the shrunken parts' tables are rebuilt and
-    the next walk starts at the following mask.  Each certificate is
+    drops points ends its block and the pass over the blocks: the unions
+    after it in the block are dropped unrecorded, the shrunken parts' tables
+    are rebuilt and the next pass starts at the following mask.  Each certificate is
     recorded at half its sweep delta, with achieved the outside fraction of
     the scan that ended its reduction: its rescan on X_S (`_tube_reduce`),
     which holds on the final union unless some union dropped points.
@@ -1247,10 +1224,11 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
     removed: List[GroupMultiset] = []
     mask = 0
     while mask + 1 < 2 ** len(tables.parts):
-        for masks, batch in tables.blocks(mask + 1, schedule):
+        for masks, batch in tables.blocks(mask + 1):
             dropped = None
-            for j, (Y, cert, last) in enumerate(_tube_reduce(batch, K, g)):
-                mask, n, delta_j = masks[j], batch.sizes[j], batch.deltas[j]
+            deltas = [schedule(mask) for mask in masks]
+            for j, (Y, cert, last) in enumerate(_tube_reduce(batch, deltas, K, g)):
+                mask, n, delta_j = masks[j], batch.sizes[j], deltas[j]
                 subset = _subset(mask)
                 certs[subset] = SubsetCertificate(
                     subset, replace(cert, delta=delta_j / 2), delta_j, _outside(last, n)[0]

@@ -321,27 +321,10 @@ def test_strong_decompose_removal_accounting():
     assert all(ok for _, ok in sdec.validate(X))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mask_unions_match_plain_folds(data):
-    """The walk yields every mask from `start` on, in increasing order, each
-    with the multiset of all points of the parts whose bits it sets."""
-    params = GroupParams(5, 2)
-    point = st.tuples(st.integers(0, 4), st.integers(0, 4))
-    lists = data.draw(st.lists(st.lists(point, max_size=5), min_size=1, max_size=6))
-    m = len(lists)
-    parts = [ms(params, pts) for pts in lists]
-    start = data.draw(st.integers(1, 2 ** m + 1))
-    walked = list(thickness._mask_unions(parts, start))
-    assert [mask for mask, _ in walked] == list(range(start, 2 ** m))
-    for mask, X_S in walked:
-        assert X_S == ms(params, [pt for i in range(m) if (mask >> i) & 1 for pt in lists[i]])
-
-
 def _plain_tube(X, K, delta, g):
     """A tube reduction of X alone, over `_plain_scan(X)`, without the
     rescan `tube_decompose` adds."""
-    Y, cert, _last = thickness._tube_reduce(thickness._alone(X, delta), K, g)[0]
+    Y, cert, _last = thickness._tube_reduce(thickness._alone(X), [delta], K, g)[0]
     return (X if Y is None else Y), cert
 
 
@@ -442,9 +425,9 @@ def test_strong_sweep_restarts_after_a_drop():
         Y, cert = _plain_tube(X_S, K, delta, g)
         return Y.select([e != z for e in Y.support()]), cert
 
-    def trimming_reduce(batch, K, g):
+    def trimming_reduce(batch, deltas, K, g):
         reduced = []
-        for j, (Y, cert, last) in enumerate(real_reduce(batch, K, g)):
+        for j, (Y, cert, last) in enumerate(real_reduce(batch, deltas, K, g)):
             X_S = batch.union(j)
             for i in (1, 2):
                 for basis in ([(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 1)]):
@@ -523,8 +506,9 @@ def test_unions_scanned_alone_match_summed_tables(monkeypatch, p, d, n_fibers):
 
 
 def test_validate_with_wrong_certificate_count_builds_no_table(monkeypatch):
-    """A certificate count that cannot be 2^m - 1 stops the walk before it
-    starts, and the part scans, always each part's own, build no table."""
+    """A certificate count that cannot be 2^m - 1 stops `_rescan` before its
+    first block, and the part scans, always each part's own, build no
+    table."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
     del sdec.subset_certs[(0, 1, 2)]
@@ -551,7 +535,9 @@ STRONG_RSS_SCRIPT = (
     "X = fiber_union(GroupParams(p, d), n, seed=0, offset=1)\n"
     "before = peak_kb()\n"
     "sdec = strong_decompose(X, 0, Fraction(1, 4), GrowthFunction('affine', 1, 1))\n"
-    "print(sdec.m, before, peak_kb())\n"
+    "swept = peak_kb()\n"
+    "valid = all(ok for _, ok in sdec.validate(X))\n"
+    "print(sdec.m, before, swept, peak_kb(), int(valid))\n"
 )
 
 
@@ -568,7 +554,9 @@ def test_strong_decompose_memory_bounded(tmp_path, p, d, n_fibers, bound_mb):
     its modules: 0.9 MB and 5.3-5.9 MB over the peak before the call;
     int64 tables take 7.7 MB and 19.1 MB.  Three planes of F_41^3 would
     need 17 MB of tables, past _UNION_TABLE_BYTES, so each union is scanned
-    on its own: 1.1-1.3 MB, against 15.1 MB summed."""
+    on its own: 1.1-1.3 MB, against 15.1 MB summed.  `validate` then reads
+    the same blocks, and its peak stays under the same bound: it added
+    0-90 KB to the sweep's in each case."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", STRONG_RSS_SCRIPT, str(p), str(d), str(n_fibers)],
@@ -580,9 +568,10 @@ def test_strong_decompose_memory_bounded(tmp_path, p, d, n_fibers, bound_mb):
         env={**os.environ, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
-    m, before, after = map(int, proc.stdout.split())
-    assert m == n_fibers
-    assert after - before < bound_mb * 1024, f"peak RSS grew by {(after - before) // 1024} MB"
+    m, before, swept, validated, valid = map(int, proc.stdout.split())
+    assert m == n_fibers and valid
+    assert swept - before < bound_mb * 1024, f"peak RSS grew by {(swept - before) // 1024} MB"
+    assert validated - before < bound_mb * 1024, f"validate's peak RSS grew by {(validated - before) // 1024} MB"
 
 
 def test_strong_decompose_subset_budget_error():
@@ -624,27 +613,66 @@ def _direct_windows(X, K, dirs):
 @given(st.data())
 def test_union_tables_sum_their_parts(data):
     """The in-tube windows of a sum of part tables count the union's points
-    directly, at every radius from 0 to p + 1 and at 2^64, and a walk's
-    scans are the scans of each union.  Multiplicities up to 200 make a
-    union of two parts overflow one byte."""
+    directly, at every radius from 0 to p + 1 and at 2^64, and `blocks`
+    yields every mask from `start` on, in increasing order, with its union
+    and scans that are the scans of each union, whichever blocks were left
+    unscanned before it: with each size of union block (`_union_blocks`),
+    with one low bit per block, and with each union on its own.
+    Multiplicities up to 200 make a union of two parts overflow one
+    byte."""
     params = GroupParams(5, 2)
     point = st.tuples(st.integers(0, 4), st.integers(0, 4))
     entries = data.draw(
         st.lists(st.dictionaries(point, st.integers(1, 200), min_size=1, max_size=4), min_size=1, max_size=5)
     )
-    parts = [GroupMultiset(params, e) for e in entries]
-    tables = thickness._UnionTables(parts)
+    parts, m = [GroupMultiset(params, e) for e in entries], len(entries)
     dirs = thickness._canonical_directions(5, 2)
     dtype = np.min_scalar_type(sum(len(part) for part in parts))
     bases = st.sampled_from([[(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 2)]])
-    for mask, X_S, scan in tables.walk(data.draw(st.integers(1, 2 ** len(parts) - 1))):
-        summed = sum(tables.part_table(i).astype(dtype) for i in thickness._subset(mask))
-        for r in list(range(7)) + [2 ** 64]:
-            window = thickness.scaling_window_table(summed, r)
-            assert window.dtype == dtype
-            assert (window == _direct_windows(X_S, r, dirs)).all()
-        K, basis = data.draw(st.integers(0, 6)), data.draw(bases)
-        assert scan(K, basis) == thickness._plain_scan(X_S)(K, basis)
+    start = data.draw(st.integers(1, 2 ** m + 1))
+
+    def union(mask):
+        points = {}
+        for i in thickness._subset(mask):
+            for x, mult in entries[i].items():
+                points[x] = points.get(x, 0) + mult
+        return GroupMultiset(params, points)
+
+    def walk(windows):
+        tables, masks_seen = thickness._UnionTables(parts), []
+        for masks, batch in tables.blocks(start):
+            masks_seen += masks
+            for j, mask in enumerate(masks):
+                X_S = batch.union(j)
+                assert X_S == union(mask) and batch.sizes[j] == len(X_S)
+                if windows:
+                    summed = sum(tables.part_table(i).astype(dtype) for i in thickness._subset(mask))
+                    for r in list(range(7)) + [2 ** 64]:
+                        window = thickness.scaling_window_table(summed, r)
+                        assert window.dtype == dtype
+                        assert (window == _direct_windows(X_S, r, dirs)).all()
+            if not data.draw(st.booleans()):
+                continue  # a block left unscanned
+            for j in range(len(masks)):
+                K, basis = data.draw(st.integers(0, 6)), data.draw(bases)
+                assert batch.scan(K, [j], [basis]) == [thickness._plain_scan(batch.union(j))(K, basis)]
+            # several columns of a block in one scan
+            active = data.draw(st.lists(st.integers(0, len(masks) - 1), min_size=1, unique=True))
+            K, basis = data.draw(st.integers(0, 6)), data.draw(bases)
+            plain = [thickness._plain_scan(batch.union(j))(K, basis) for j in active]
+            assert batch.scan(K, active, [basis] * len(active)) == plain
+        assert masks_seen == list(range(start, 2 ** m))
+
+    for bits in _union_blocks():
+        walk(windows=bits(m) is None)
+    with pytest.MonkeyPatch.context() as mp:
+        # one low bit: blocks of two unions, each past the first on moved
+        # high sums
+        mp.setattr(thickness, "_BLOCK_CELLS", -(-thickness._UnionTables(parts)._union_bytes() // 4))
+        assert thickness._UnionTables(parts)._low_bits() == min(m, 1)
+        walk(windows=False)
+        mp.setattr(thickness, "_UNION_TABLE_BYTES", 0)
+        walk(windows=False)
 
 
 def test_union_scans_read_scaling_window_table(monkeypatch):
@@ -661,9 +689,9 @@ def test_union_scans_read_scaling_window_table(monkeypatch):
     per_block = []
     real_reduce = thickness._tube_reduce
 
-    def reducing(batch, K, g):
+    def reducing(batch, deltas, K, g):
         before = len(calls)
-        found = real_reduce(batch, K, g)
+        found = real_reduce(batch, deltas, K, g)
         per_block.append((len(batch.sizes), len(calls) - before))
         return found
 
@@ -755,13 +783,76 @@ def test_certificate_rescan_matches_fiber_scan_of_image(shape, data):
 
 
 def _check_rescans(tables, certs, Kp):
-    """`_rescan` agrees with `TubularCertificate.validate` on every union."""
-    _scans, _delta, rescans = thickness._rescan(tables, Kp, certs)
-    for (mask, sc, (ok, frac, worst)), (_, X_S) in zip(rescans, thickness._mask_unions(tables.parts)):
-        assert (ok, frac) == sc.cert.validate(X_S)[:2]
+    """`_rescan` gives `TubularCertificate.validate` of every union X_S,
+    folded from the current parts, in mask order: on `tables`, and again
+    with each union scanned on its own (_UNION_TABLE_BYTES = 0).  No window
+    is derived at a radius past p, however large a K' is, other than the
+    part scans' at Kp."""
+    parts = tables.parts
+    params = parts[0].params
+    unions = {mask: thickness._fold(params, parts, thickness._subset(mask)) for mask in range(1, 2 ** len(parts))}
+    want = [(mask, certs[thickness._subset(mask)]) for mask in unions]
+    verdicts = [sc.cert.validate(unions[mask]) for mask, sc in want]
+    real_window, radii = thickness.scaling_window_table, []
+
+    def recording(C, K, out=None):
+        radii.append(K)
+        return real_window(C, K, out)
+
+    for alone in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if alone:
+                mp.setattr(thickness, "_UNION_TABLE_BYTES", 0)
+                tables = thickness._UnionTables(parts)
+                assert tables.alone
+            mp.setattr(thickness, "scaling_window_table", recording)
+            _scans, _delta, rescans = thickness._rescan(tables, Kp, certs)
+        assert [(mask, sc) for mask, sc, _ in rescans] == want
+        assert [verdict for _, _, verdict in rescans] == verdicts
+        assert all(K <= max(params.p, Kp) for K in radii)
+    for (mask, sc), (ok, frac, worst) in zip(want, verdicts):
         if worst is not None:  # in X's coordinates, it attains the fraction
+            X_S = unions[mask]
             n = len(X_S)
             assert Fraction(n - inside_count(X_S, worst, sc.cert.K_prime), n) == frac
+
+
+def test_rescan_block_mixes_forged_certificates():
+    """One block holds all 15 unions of four lines of F_11^2, and their
+    certificates mix every way a forged one can go: a singular psi, a psi
+    that maps a point outside the box, l = d, and K' of 0, (p-1)/2 and
+    2^64, the radii shared across values of l.  Each union's rescan is
+    `TubularCertificate.validate` on the union, with each size of union
+    block and with each union on its own (`_check_rescans`).  An artifact
+    with no parts has no union to rescan."""
+    p = 11
+    params = GroupParams(p, 2)
+    parts = [ms(params, [(x, y) for y in range(p)]) for x in range(4)]
+    identity = AffineIso(((1, 0), (0, 1)), (0, 0))
+    swap = AffineIso(((0, 1), (1, 3)), (2, 5))
+
+    def cert(l, psi, K, K_prime, delta=Fraction(1, 8)):
+        return TubularCertificate(params, l, psi, K, K_prime, delta, ())
+
+    kinds = [
+        cert(1, AffineIso(((1, 2), (2, 4)), (0, 0)), p, 1),  # singular
+        cert(1, identity, 0, 1),  # x = 1, 2, 3 leave [-0, 0]
+        cert(2, identity, p, 3),  # l = d
+        cert(0, swap, 0, 0),
+        cert(1, identity, 5, 0),
+        cert(1, swap, p, (p - 1) // 2),
+        cert(0, identity, 3, 2 ** 64),
+        cert(1, swap, p, 2 ** 64, delta=Fraction(1)),
+    ]
+    certs = {}
+    for mask in range(1, 2 ** 4):
+        subset = thickness._subset(mask)
+        certs[subset] = thickness.SubsetCertificate(subset, kinds[mask % len(kinds)], Fraction(1, 4), Fraction(0))
+    for bits in _union_blocks():
+        tables = thickness._UnionTables(parts)
+        assert bits(4) is not None or [len(masks) for masks, _ in tables.blocks(1)] == [15]
+        _check_rescans(tables, certs, 1)
+    assert thickness._rescan(thickness._UnionTables([]), 1, {}) == ([], 1, [])
 
 
 def _sweep_against_oracle(params, parts, K, g, schedule, data=None, bits=None):
