@@ -46,9 +46,13 @@ _OPS = {
 }
 
 
-def _check(name: str, lhs, op: str, rhs, context: str = "") -> None:
-    """Raise InvariantError unless `lhs op rhs`."""
+def _check(name: str, lhs, op: str, rhs, context: str = "", shown=None) -> None:
+    """Raise InvariantError unless `lhs op rhs`.  A check made on integers
+    that stand for fractions (both sides scaled by one positive number)
+    passes `shown`, which returns the (lhs, rhs) fractions to report."""
     if not _OPS[op](lhs, rhs):
+        if shown is not None:
+            lhs, rhs = shown()
         raise InvariantError(name, lhs, op, rhs, context)
 
 

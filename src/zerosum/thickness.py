@@ -43,15 +43,19 @@ and their tables are the low parts' subset sums, built once per pass, plus
 the high parts' running sum.  `_tube_reduce`, which reduces a batch of
 sets (a single set is a batch of one), reads one window, one `_maxima` and
 one `_pick` per level for the whole block; `_rescan` reads one per radius
-and l among the block's certificates.  Directions keep canonical order, so
-the scans pick the same functionals as a scan of the union itself.  The
-tables serve the union blocks only: a part's hull scan is always its own
-(`_plain_scan`).  They take about p^(d+1)/2 cells each, m + 2 of them at
-once, and a block's three arrays at most 8 _BLOCK_CELLS bytes each; past
-_UNION_TABLE_BYTES each block is one union, folded from its parts and
-scanned on its own, direction block by direction block, with the same
-results.  A decomposition artifact whose certificate count is wrong builds
-no table.
+and l among the block's certificates.  Around the scans, each union's
+bookkeeping is in integers (`_thin_at`, the tube_mass and union_tubular
+checks cross-multiplied), and its kernels, psi and functionals are built
+once per distinct tuple of chosen functionals in a reduction, as psi's
+checks are once per distinct psi in a rescan.  Directions keep canonical
+order, so the scans pick the same functionals as a scan of the union
+itself.  The tables serve the union blocks only: a part's hull scan is
+always its own (`_plain_scan`).  They take about p^(d+1)/2 cells each,
+m + 2 of them at once, and a block's three arrays at most 8 _BLOCK_CELLS
+bytes each; past _UNION_TABLE_BYTES each block is one union, folded from
+its parts and scanned on its own, direction block by direction block, with
+the same results.  A decomposition artifact whose certificate count is
+wrong builds no table.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -60,7 +64,7 @@ through floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -407,6 +411,14 @@ def _thin(found, n: int, delta: Fraction) -> Optional[LinearFunctional]:
     return LinearFunctional(found[2], found[1])
 
 
+def _thin_at(count: int, n: int, delta: Tuple[int, int], i: int) -> bool:
+    """`_thin`'s test on integers: whether n - count < 2^i delta n for an
+    in-tube count of n points and delta = a/b given as (a, b), b > 0, made
+    as (n - count) b < (a << i) n."""
+    a, b = delta
+    return (n - count) * b < (a << i) * n
+
+
 def _outside(found, n: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
     """(outside fraction, functional) of a `_scan` result on n points, and
     (1, None) for an empty family: vacuous thickness."""
@@ -552,8 +564,8 @@ class TubularCertificate:
         """(ok, achieved outside-fraction, worst functional) by full rescan.
 
         A singular psi, or a point mapped outside the box, gives
-        (False, 0, None) (`_kernel`); a psi of the wrong shape raises
-        ValueError.
+        (False, 0, None) (`_frame`, `_in_box`); a psi of the wrong shape
+        raises ValueError.
 
         The rescan pulls psi back rather than mapping X: the functionals
         non-constant on the fiber factor pull back through psi = (M, s) to
@@ -562,27 +574,33 @@ class TubularCertificate:
         So X is scanned over the directions non-constant on the kernel of
         those rows, and `worst` is in X's coordinates.
         """
-        kernel = self._kernel(X.arrays()[0])
-        if kernel is None:
+        frame = self._frame()
+        if frame is None or not self._in_box(frame, X.arrays()[0]):
             return False, Fraction(0), None
         if self.l == self.params.d:
             return True, Fraction(1), None
-        return self._verdict(_plain_scan(X)(min(self.K_prime, self.params.p), kernel), len(X))
+        return self._verdict(_plain_scan(X)(min(self.K_prime, self.params.p), frame[2]), len(X))
 
-    def _kernel(self, points: np.ndarray):
-        """psi's checks on a set whose support is the rows of `points`: the
-        kernel of psi's first l rows, over which the rescan runs, or None
-        when psi is singular or maps a point outside the box [-K, K]^l.  A
-        psi of the wrong shape raises ValueError."""
+    def _frame(self):
+        """psi's checks that read no point: (psi's first l rows, their
+        shift, the kernel of those rows, over which the rescan runs), or
+        None when psi is singular.  A psi of the wrong shape raises
+        ValueError.  It depends on params, psi and l alone, so a rescan of
+        many certificates runs it once per distinct (params, psi, l)."""
         p, d, l = self.params.p, self.params.d, self.l
         psi = self.psi.reduced(p, d)
         if linalg.invert_matrix(psi.matrix, p) is None:
             return None
         lead = np.array(psi.matrix[:l], dtype=np.int64).reshape(l, d)
         shift = np.array(psi.shift[:l], dtype=np.int64)
-        if not _in_slab((points @ lead.T + shift) % p, self.K, p).all():
-            return None
-        return linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
+        return lead, shift, linalg.kernel_basis(psi.matrix[:l], p) if l else linalg.identity(d)
+
+    def _in_box(self, frame, points: np.ndarray) -> bool:
+        """Whether psi, through its `_frame`, maps every row of `points`
+        into the box [-K, K]^l."""
+        lead, shift, _kernel = frame
+        p = self.params.p
+        return bool(_in_slab((points @ lead.T + shift) % p, self.K, p).all())
 
     def _verdict(self, found, n: int):
         """(ok, outside fraction, worst functional) of the rescan `found`
@@ -634,18 +652,29 @@ def _alone(X: GroupMultiset) -> _Batch:
 
 
 def _tube_reduce(
-    batch: _Batch, deltas: Sequence[Fraction], K0: int, g: GrowthFunction
+    batch: _Batch,
+    deltas: Sequence[Fraction],
+    K0: int,
+    g: GrowthFunction,
+    recorded: Optional[Sequence[Fraction]] = None,
 ) -> List[Tuple[Optional[GroupMultiset], TubularCertificate, Optional[Tuple[int, Vec, int]]]]:
     """`tube_decompose` of every multiset X_j of a batch at deltas[j]
     without the rescan, level i of all those still choosing read off one
     batch.scan at g^i(K0): for each X_j (Y, or None when the tube keeps all
     of X_j; certificate; the scan that ended the reduction, or None when all
-    d levels chose).
+    d levels chose).  Each certificate records deltas[j], or recorded[j]
+    when given.
 
     A level whose functional holds every point of X_j in its slab needs no
     delta test, and the slab at K = g^l(K0) >= g^i(K0) holds them too; so
     only an X_j with points outside some chosen slab is built (batch.union)
     and has its tube selected.
+
+    The bookkeeping of each X_j is in integers: with delta = a/b, the level
+    test is `_thin_at` and the tube_mass check compares (n - |Y|) b with
+    (a << (d+1)) n.  The functionals, kernel bases and psi are built once
+    per distinct tuple of chosen functionals in a call, so the unions of a
+    block that choose alike share them.
 
     That last scan is the certificate's rescan on X_j: it read radius
     g^(l+1)(K0) = K', over the directions outside the span of the chosen
@@ -655,15 +684,17 @@ def _tube_reduce(
     params = batch.params
     d, p = params.d, params.p
     deltas = [Fraction(delta) for delta in deltas]
-    bound = Fraction(1, 2 ** (d + 1))
-    if not all(0 < delta < bound for delta in deltas):
+    ratios = [(delta.numerator, delta.denominator) for delta in deltas]
+    if not all(0 < a and a << (d + 1) < b for a, b in ratios):
         raise ValueError("tube reduction requires 0 < delta < 2^-(d+1)")
     if not all(batch.sizes):
         raise ValueError("empty multiset")
 
-    chosen: List[List[LinearFunctional]] = [[] for _ in deltas]
-    # the directions outside span(chosen) are those non-constant on its kernel
+    # (linear, a0) of each functional chosen so far; the directions outside
+    # their span are those non-constant on the kernel of the linear parts
+    picks: List[Tuple[Tuple[Vec, int], ...]] = [()] * len(deltas)
     kernels = [linalg.identity(d)] * len(deltas)
+    kernel_of: Dict[tuple, tuple] = {}
     last: List[Optional[Tuple[int, Vec, int]]] = [None] * len(deltas)
     outside = [False] * len(deltas)
     radii = [K0]
@@ -675,38 +706,50 @@ def _tube_reduce(
         found = batch.scan(radii[i], active, [kernels[j] for j in active])
         going = []
         for j, top in zip(active, found):
-            if top is not None and top[0] == batch.sizes[j]:
-                thin = LinearFunctional(top[2], top[1])
-            else:
-                thin = _thin(top, batch.sizes[j], (2 ** i) * deltas[j])
-                if thin is None:
-                    last[j] = top
-                    continue
-                outside[j] = True
-            chosen[j].append(thin)
+            n = batch.sizes[j]
+            if top is None or top[0] < n and not _thin_at(top[0], n, ratios[j], i):
+                last[j] = top
+                continue
+            outside[j] = outside[j] or top[0] < n
+            chosen = picks[j] = picks[j] + (top[1:],)
             if i < d:
-                kernels[j] = linalg.kernel_basis(tuple(f.linear for f in chosen[j]), p)
+                kernel = kernel_of.get(chosen)
+                if kernel is None:
+                    kernel = kernel_of[chosen] = linalg.kernel_basis(tuple(lin for lin, _ in chosen), p)
+                kernels[j] = kernel
             going.append(j)
         active = going
 
+    frames: Dict[tuple, Tuple[Tuple[LinearFunctional, ...], AffineIso]] = {}
     reduced = []
-    for j, (n, delta) in enumerate(zip(batch.sizes, deltas)):
-        l = len(chosen[j])
+    for j, (n, (a, b)) in enumerate(zip(batch.sizes, ratios)):
+        chosen = picks[j]
+        l = len(chosen)
         K = radii[l]
-        Y = None
+        if l + 1 == len(radii):
+            radii.append(g(K))
+        frame = frames.get(chosen)
+        if frame is None:
+            functionals = tuple(LinearFunctional(a0, lin) for lin, a0 in chosen)
+            if l > 0:
+                matrix = linalg.complete_basis(tuple(lin for lin, _ in chosen), p)
+                shift = tuple(a0 % p for _, a0 in chosen) + (0,) * (d - l)
+            else:
+                matrix = linalg.identity(d)
+                shift = (0,) * d
+            frame = frames[chosen] = functionals, AffineIso(matrix, shift)
+        functionals, psi = frame
+        Y, kept = None, n
         if outside[j]:
             X = batch.union(j)
-            Y = X.select(_in_slab(_values(X, chosen[j]), K, p).all(axis=1))
-        _check("tube_mass", Fraction(n if Y is None else len(Y)), ">=", n - 2 ** (d + 1) * n * delta)
-        if l > 0:
-            matrix = linalg.complete_basis(tuple(f.linear for f in chosen[j]), p)
-            shift = tuple(f.a0 % p for f in chosen[j]) + (0,) * (d - l)
-        else:
-            matrix = linalg.identity(d)
-            shift = (0,) * d
-        psi = AffineIso(matrix, shift)
-        K_prime = radii[l + 1] if l + 1 < len(radii) else g(K)
-        reduced.append((Y, TubularCertificate(params, l, psi, K, K_prime, delta, tuple(chosen[j])), last[j]))
+            Y = X.select(_in_slab(_values(X, functionals), K, p).all(axis=1))
+            kept = len(Y)
+        _check(
+            "tube_mass", kept * b, ">=", (b - (a << (d + 1))) * n,
+            shown=lambda: (Fraction(kept), n - 2 ** (d + 1) * n * deltas[j]),
+        )
+        delta = deltas[j] if recorded is None else recorded[j]
+        reduced.append((Y, TubularCertificate(params, l, psi, K, radii[l + 1], delta, functionals), last[j]))
     return reduced
 
 
@@ -1093,11 +1136,12 @@ def _rescan(tables: _UnionTables, Kp: int, certs):
     A count other than 2^m - 1 returns before any block, so a forged part
     count can neither start 2^m unions nor build m tables: the count bounds
     m by the artifact's size.  The unions are read a block at a time
-    (`_UnionTables.blocks`).  psi's checks run on each union's parts'
-    points (`TubularCertificate._kernel`), so no union is built on the
-    tabled path; the unions of a block that pass them are rescanned
-    together, one `batch.scan` per (radius, l), and each scan pulls psi
-    back, so `worst` comes in X's coordinates.  The tables serve every
+    (`_UnionTables.blocks`).  psi's matrix checks (`_frame`) run once per
+    distinct psi, and its box test (`_in_box`) once per part: a union's
+    points are its parts', so no union is built on the tabled path.  The
+    unions of a block that pass them are rescanned together, one
+    `batch.scan` per (radius, l), and each scan pulls psi back, so `worst`
+    comes in X's coordinates.  The tables serve every
     radius, so a certificate's K' costs at most one window derivation
     whatever its value, and it is read through min(K', p).
     """
@@ -1106,25 +1150,44 @@ def _rescan(tables: _UnionTables, Kp: int, certs):
     if len(certs) != 2 ** len(parts) - 1:
         return scans, delta, None
     points = [part.arrays()[0] for part in parts]
+    frames: Dict[tuple, Optional[tuple]] = {}
+    boxed: Dict[tuple, List[bool]] = {}
+
+    def kernel(cert: TubularCertificate, subset: Tuple[int, ...]):
+        """`_frame`'s kernel when psi passes its checks on the parts of
+        subset, else None: the frame once per (params, psi, l), and the box
+        test of every part once per (params, psi, l, K)."""
+        key = (cert.params, cert.psi, cert.l)
+        if key not in frames:
+            frames[key] = cert._frame()
+        frame = frames[key]
+        if frame is None:
+            return None
+        inside = boxed.get(key + (cert.K,))
+        if inside is None:
+            inside = boxed[key + (cert.K,)] = [cert._in_box(frame, pts) for pts in points]
+        return frame[2] if all(inside[i] for i in subset) else None
+
     rescans = []
     for masks, batch in tables.blocks(1):
         scs, verdicts, groups = [], [None] * len(masks), {}
         for j, mask in enumerate(masks):
-            sc = certs.get(_subset(mask))
+            subset = _subset(mask)
+            sc = certs.get(subset)
             if sc is None:
                 return scans, delta, None
             scs.append(sc)
             cert = sc.cert
-            kernel = cert._kernel(np.concatenate([points[i] for i in _subset(mask)]))
-            if kernel is None:
+            basis = kernel(cert, subset)
+            if basis is None:
                 verdicts[j] = False, Fraction(0), None
             elif cert.l == batch.params.d:
                 verdicts[j] = True, Fraction(1), None
             else:
-                groups.setdefault((min(cert.K_prime, batch.params.p), cert.l), []).append((j, kernel))
+                groups.setdefault((min(cert.K_prime, batch.params.p), cert.l), []).append((j, basis))
         for (K, _l), members in groups.items():
             active = [j for j, _ in members]
-            for j, top in zip(active, batch.scan(K, active, [kernel for _, kernel in members])):
+            for j, top in zip(active, batch.scan(K, active, [basis for _, basis in members])):
                 verdicts[j] = scs[j].cert._verdict(top, batch.sizes[j])
         rescans.extend(zip(masks, scs, verdicts))
     return scans, delta, rescans
@@ -1227,12 +1290,11 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
         for masks, batch in tables.blocks(mask + 1):
             dropped = None
             deltas = [schedule(mask) for mask in masks]
-            for j, (Y, cert, last) in enumerate(_tube_reduce(batch, deltas, K, g)):
-                mask, n, delta_j = masks[j], batch.sizes[j], deltas[j]
+            halves = [delta / 2 for delta in deltas]
+            for j, (Y, cert, last) in enumerate(_tube_reduce(batch, deltas, K, g, halves)):
+                mask, n = masks[j], batch.sizes[j]
                 subset = _subset(mask)
-                certs[subset] = SubsetCertificate(
-                    subset, replace(cert, delta=delta_j / 2), delta_j, _outside(last, n)[0]
-                )
+                certs[subset] = SubsetCertificate(subset, cert, deltas[j], _outside(last, n)[0])
                 if Y is not None and len(Y) < n:
                     dropped = batch.union(j).minus(Y)
                     break
@@ -1266,7 +1328,11 @@ def _settle(tables: _UnionTables, Kp: int, certs, dropped: bool, delta0: Fractio
             sc.achieved = frac
     _check("part_thickness", delta, ">=", delta0 / 2)
     for sc in certs.values():
-        _check("union_tubular", sc.achieved, ">=", sc.cert.delta, f"union {sc.subset}")
+        achieved, half = sc.achieved, sc.cert.delta
+        _check(
+            "union_tubular", achieved.numerator * half.denominator, ">=", half.numerator * achieved.denominator,
+            f"union {sc.subset}", shown=lambda: (achieved, half),
+        )
     return delta, _least_share(tables.parts, n, [sc.achieved for sc in certs.values()])
 
 

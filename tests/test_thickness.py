@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import linalg, thickness
-from zerosum.generators import fiber_union
+from zerosum.generators import box, fiber_union
 from zerosum.group import AffineIso, GroupParams, LinearFunctional, canonical_linear_parts, in_interval
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import (
@@ -425,9 +425,9 @@ def test_strong_sweep_restarts_after_a_drop():
         Y, cert = _plain_tube(X_S, K, delta, g)
         return Y.select([e != z for e in Y.support()]), cert
 
-    def trimming_reduce(batch, deltas, K, g):
+    def trimming_reduce(batch, deltas, K, g, recorded=None):
         reduced = []
-        for j, (Y, cert, last) in enumerate(real_reduce(batch, deltas, K, g)):
+        for j, (Y, cert, last) in enumerate(real_reduce(batch, deltas, K, g, recorded)):
             X_S = batch.union(j)
             for i in (1, 2):
                 for basis in ([(1, 0), (0, 1)], [(1, 0)], [(0, 1)], [(1, 1)]):
@@ -689,9 +689,9 @@ def test_union_scans_read_scaling_window_table(monkeypatch):
     per_block = []
     real_reduce = thickness._tube_reduce
 
-    def reducing(batch, deltas, K, g):
+    def reducing(batch, deltas, K, g, recorded=None):
         before = len(calls)
-        found = real_reduce(batch, deltas, K, g)
+        found = real_reduce(batch, deltas, K, g, recorded)
         per_block.append((len(batch.sizes), len(calls) - before))
         return found
 
@@ -902,6 +902,41 @@ def test_sweep_matches_per_union_oracle(family, K, g, k, data):
     for bits in _union_blocks():
         _sweep_against_oracle(params, parts, K, g, schedule, data, bits(len(parts)))
 
+
+
+def test_sweep_matches_per_union_oracle_on_a_box():
+    """`part_families` draws at most four parts.  The box [-1, 1]^2 of
+    F_11^2 decomposes into nine single points, so its sweep reduces 511
+    unions, in blocks of 256, in one block and one by one, and every union
+    chooses the same two functionals: one psi serves them all, built once
+    per block, against a psi built per union by the oracle."""
+    X = box(GroupParams(11, 2), 1)
+    eps, d = Fraction(1, 4), 2
+    dec = decompose(X, 0, eps / 2, IteratedGrowth(G1, d + 1))
+    assert dec.m == 9 and all(len(part) == 1 for part in dec.parts)
+    schedule = thickness._delta_schedule(eps, dec.mu, dec.delta, dec.m, d)
+    for bits in _union_blocks():
+        assert _sweep_against_oracle(X.params, dec.parts, dec.K, G1, schedule, None, bits(9)) == 0
+    certs, _dropped = thickness._sweep(thickness._UnionTables(dec.parts), dec.K, G1, schedule)
+    assert len(certs) == 511 and len({sc.cert.psi for sc in certs.values()}) == 1
+
+
+def test_union_tubular_check_reports_fractions():
+    """`_settle` compares each union's achieved fraction with its
+    certificate's delta on integers, and a failure reports the two
+    Fractions themselves."""
+    params = GroupParams(7, 2)
+    parts = [ms(params, [(0, y) for y in range(7)])]
+    cert = TubularCertificate(params, 0, AffineIso(((1, 0), (0, 1)), (0, 0)), 0, 1, Fraction(3, 14), ())
+    certs = {(0,): thickness.SubsetCertificate((0,), cert, Fraction(3, 7), Fraction(3, 14))}
+    assert thickness._settle(thickness._UnionTables(parts), 1, certs, False, Fraction(1, 2), 7)[0] == Fraction(1, 2)
+    certs[(0,)].achieved = Fraction(1, 5)
+    with pytest.raises(thickness.InvariantError) as info:
+        thickness._settle(thickness._UnionTables(parts), 1, certs, False, Fraction(1, 2), 7)
+    exc = info.value
+    assert (exc.name, exc.lhs, exc.op, exc.rhs) == ("union_tubular", Fraction(1, 5), ">=", Fraction(3, 14))
+    assert type(exc.lhs) is type(exc.rhs) is Fraction
+    assert str(exc) == "invariant union_tubular failed: 1/5 >= 3/14 (union (0,))"
 
 def _settled_against_rescan(params, parts, K, g, schedule):
     """Sweeps the parts and settles the builder's numbers as

@@ -255,6 +255,22 @@ def test_empty_direction_family():
     assert hull_thickness(_multiset(7, 2, [((1, 2), 3)]), 1) == (Fraction(1), None)
 
 
+def _run_optimized(script: str) -> str:
+    """The standard output of `script` run by a `python -O` child, which
+    must exit 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        # no .pyc files for src: the memory tests' children start as a fresh checkout does
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    return out.stdout.strip()
+
+
 def test_invariant_check_survives_optimize_flag():
     """Under python -O a failed certificate rescan still raises InvariantError."""
     script = """
@@ -272,14 +288,68 @@ except InvariantError as exc:
 else:
     raise SystemExit("tube_decompose accepted a failed rescan")
 """
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        # no .pyc files for src: the memory tests' children start as a fresh checkout does
-        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.strip() == "raised tube_rescan 0 >= 1/16"
+    assert _run_optimized(script) == "raised tube_rescan 0 >= 1/16"
+
+
+def test_tube_mass_check_survives_optimize_flag():
+    """Under python -O a tube that keeps no point fails tube_mass, a check
+    made on integers, with the fractions |Y| >= n - 2^(d+1) n delta: the
+    line x = 0 of F_11^2 and two points off it, n = 13, is thin along x
+    at delta = 1/9, and with `_in_slab` patched its tube keeps nothing, so
+    0 >= 13 - 8 * 13/9 = 13/9."""
+    script = """
+from fractions import Fraction
+import numpy as np
+from zerosum import thickness
+from zerosum.group import GroupParams
+from zerosum.multiset import GroupMultiset
+from zerosum.thickness import GrowthFunction, InvariantError, tube_decompose
+if __debug__:
+    raise SystemExit("not running under -O")
+X = GroupMultiset.from_points(GroupParams(11, 2), [(0, y) for y in range(11)] + [(1, 3), (3, 7)])
+thickness._in_slab = lambda residues, K, p: np.zeros(residues.shape, dtype=bool)
+try:
+    tube_decompose(X, 0, Fraction(1, 9), GrowthFunction("affine", 1, 1))
+except InvariantError as exc:
+    print("raised", exc.name, repr(exc.lhs), exc.op, repr(exc.rhs))
+else:
+    raise SystemExit("tube_decompose accepted an empty tube")
+"""
+    assert _run_optimized(script) == "raised tube_mass Fraction(0, 1) >= Fraction(13, 9)"
+
+
+@st.composite
+def thin_cases(draw):
+    """(in-tube count, n, delta, level i) for `_tube_reduce`'s level test:
+    delta below 2^-(d+1), either any fraction or a sweep delta from
+    `_delta_schedule` with m up to 12, whose denominator runs to thousands
+    of bits.  Half the cases sit at the boundary n - count = 2^i delta n,
+    or one point either side of it."""
+    d = draw(st.integers(1, 3))
+    i = draw(st.integers(1, d))
+    bound = Fraction(1, 2 ** (d + 1))
+    unit = st.fractions(min_value=Fraction(1, 1000), max_value=1)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 12))
+        schedule = thickness._delta_schedule(draw(unit), draw(unit), draw(unit), m, d)
+        delta = schedule(draw(st.integers(1, 2 ** m - 1)))
+    else:
+        delta = draw(st.fractions(min_value=0, max_value=bound).filter(lambda x: 0 < x < bound))
+    if draw(st.booleans()):
+        n = delta.denominator * draw(st.integers(1, 4))  # 2^i delta n is an integer
+        count = n - 2 ** i * delta * n + draw(st.sampled_from([-1, 0, 1]))
+        count = int(min(max(count, 0), n))
+    else:
+        n = draw(st.integers(1, 10 ** 6))
+        count = draw(st.integers(0, n))
+    return count, n, delta, i
+
+
+@settings(max_examples=150, deadline=None)
+@given(thin_cases())
+def test_integer_thin_test_matches_fraction_test(case):
+    """`_thin_at`, the level test `_tube_reduce` makes on integers, agrees
+    with `_thin`'s Fraction test at 2^i delta, strict inequality included."""
+    count, n, delta, i = case
+    by_fractions = thickness._thin((count, (1,), 0), n, 2 ** i * delta) is not None
+    assert thickness._thin_at(count, n, (delta.numerator, delta.denominator), i) == by_fractions
