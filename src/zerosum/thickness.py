@@ -8,8 +8,8 @@ histograms of a block of canonical directions (leading coefficient 1); one
 gather through a cached index expands them to the scalar multiples
 c <= (p-1)/2 -- scaling is not a symmetry here, since [-K, K] pulls back
 along c to an arithmetic progression, while -c gives the same counts as c --
-and one cumulative sum makes a table that serves every radius
-(`_cumulative_table`).  The window at radius K (`scaling_window_table`)
+and p - 1 in-place row adds make a cumulative table that serves every
+radius (`_cumulative_table`).  The window at radius K (`scaling_window_table`)
 takes differences of its rows and holds the in-tube count of every
 (constant term, scaling, direction); `_maxima` and `_pick` read the best
 functional off it.  `inside_count` reads one cell of a window, and
@@ -34,28 +34,28 @@ the set's coordinates.  The strengthened decomposition needs a tube
 reduction of each of the 2^m - 1 unions of its parts.  The scan that ends
 a reduction is its certificate's rescan, so the builder rescans the unions
 only after a sweep that dropped points; `StrongDecomposition.validate`
-always rescans every one.  The cumulative tables are linear in the
-multiset and the parts are disjoint, so a union's is the sum of its parts':
+always rescans every one.  Value histograms are linear in the multiset
+and the parts are disjoint, so a union's are the sum of its parts':
 `_UnionTables` builds each part's over all canonical directions once.  The
 sweep and the rescans both read the unions a block at a time
 (`_UnionTables.blocks`): the unions of a block share their high mask bits,
-and their tables are the low parts' subset sums, built once per pass, plus
-the high parts' running sum.  `_tube_reduce`, which reduces a batch of
-sets (a single set is a batch of one), reads one window, one `_maxima` and
-one `_pick` per level for the whole block; `_rescan` reads one per radius
-and l among the block's certificates.  Around the scans, each union's
-bookkeeping is in integers (`_thin_at`, the tube_mass and union_tubular
-checks cross-multiplied), and its kernels, psi and functionals are built
-once per distinct tuple of chosen functionals in a reduction, as psi's
-checks are once per distinct psi in a rescan.  Directions keep canonical
-order, so the scans pick the same functionals as a scan of the union
-itself.  The tables serve the union blocks only: a part's hull scan is
-always its own (`_plain_scan`).  They take about p^(d+1)/2 cells each,
-m + 2 of them at once, and a block's three arrays at most 8 _BLOCK_CELLS
-bytes each; past _UNION_TABLE_BYTES each block is one union, folded from
-its parts and scanned on its own, direction block by direction block, with
-the same results.  A decomposition artifact whose certificate count is
-wrong builds no table.
+and their histograms are the low parts' subset sums, built once per pass,
+plus the high parts' running sum; a block's tables are `_cumulative_table`
+of those sums, the kernel single scans use.  `_tube_reduce`, which reduces
+a batch of sets (a single set is a batch of one), reads one window, one
+`_maxima` and one `_pick` per level for the whole block; `_rescan` reads
+one per radius and l among the block's certificates.  Around the scans,
+each union's bookkeeping is in integers (`_thin_at`, the tube_mass and
+union_tubular checks cross-multiplied), and its kernels, psi and
+functionals are built once per distinct tuple of chosen functionals in a
+reduction, as psi's checks are once per distinct psi in a rescan.
+Directions keep canonical order, so the scans pick the same functionals as
+a scan of the union itself.  The histograms serve the union blocks only: a
+part's hull scan is always its own (`_plain_scan`).  They take p cells per
+direction each, m + 2 of them at once, and a block's tables and window at
+most 8 _BLOCK_CELLS bytes each: a union whose table passes that is scanned
+one direction slice at a time.  A decomposition artifact whose certificate
+count is wrong builds no histogram.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -283,17 +283,22 @@ def _scaling_index(p: int) -> np.ndarray:
 
 def _cumulative_table(hists: np.ndarray, p: int) -> np.ndarray:
     """C[j, c-1, i] = #{x : c * linear_i(x) in {0, -1, ..., -j}} for
-    c <= (p-1)/2, from the (L, p) value histograms of a block of directions:
-    the histogram of c * linear is the c-permutation of linear's, so one
-    gather through `_scaling_index` and one cumulative sum build it.  It
-    serves every radius (`scaling_window_table`).
+    c <= (p-1)/2, in hists' dtype, from the (L, p) value histograms of a
+    block of directions: the histogram of c * linear is the c-permutation
+    of linear's, so one gather through `_scaling_index` and p - 1 in-place
+    row adds build it (`np.cumsum` along the first axis ran 4-9 times
+    slower on tables past about 30K cells).  It serves every radius
+    (`scaling_window_table`).
 
     Scalings matter: [-K, K] pulls back along c to an arithmetic
     progression, not an interval, so thickness along a direction says
     nothing about its multiples.  The other half needs no table: [-K, K] is
     symmetric, so p-c gives the same counts as c, one row later.
     """
-    return np.cumsum(hists.T[_scaling_index(p)], axis=0)
+    C = hists.T[_scaling_index(p)]
+    for j in range(1, p):
+        np.add(C[j], C[j - 1], out=C[j])
+    return C
 
 
 def scaling_window_table(
@@ -327,13 +332,13 @@ def scaling_window_table(
     return out
 
 
-def _cumulative_blocks(X: GroupMultiset, dirs: np.ndarray):
-    """(start, `_cumulative_table` of X along the block of dirs from start)
+def _histogram_blocks(X: GroupMultiset, dirs: np.ndarray):
+    """(start, `value_histogram` of X along the block of dirs from start)
     for each block, in order, blocks sized by _BLOCK_CELLS."""
     p = X.params.p
     block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
     for start in range(0, len(dirs), block):
-        yield start, _cumulative_table(value_histogram(X, dirs[start : start + block]), p)
+        yield start, value_histogram(X, dirs[start : start + block])
 
 
 def _maxima(window: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -357,7 +362,7 @@ def _scan(
     if len(dirs) == 0:
         return None
     rows = slice(0, 1 if zero_constant_term else p)
-    maxima = [_maxima(scaling_window_table(C, K)[rows]) for _, C in _cumulative_blocks(X, dirs)]
+    maxima = [_maxima(scaling_window_table(_cumulative_table(h, p), K)[rows]) for _, h in _histogram_blocks(X, dirs)]
     count, c, a0 = maxima[0] if len(maxima) == 1 else map(np.concatenate, zip(*maxima))
     return _pick(count[None], c[None], a0[None], dirs, p)[0]
 
@@ -402,19 +407,10 @@ def _pick(count, c, a0, dirs: np.ndarray, p: int, allowed=None) -> List[Optional
     ]
 
 
-def _thin(found, n: int, delta: Fraction) -> Optional[LinearFunctional]:
-    """The functional of a `_scan` result when it is (K, delta)-thin on n
-    points, else None: thinness only grows with the in-tube count, so the
-    best functional is thin or none is."""
-    if found is None or not Fraction(n - found[0]) < delta * n:
-        return None
-    return LinearFunctional(found[2], found[1])
-
-
 def _thin_at(count: int, n: int, delta: Tuple[int, int], i: int) -> bool:
-    """`_thin`'s test on integers: whether n - count < 2^i delta n for an
-    in-tube count of n points and delta = a/b given as (a, b), b > 0, made
-    as (n - count) b < (a << i) n."""
+    """Whether a functional with an in-tube count of n points is
+    (K, 2^i delta)-thin, n - count < 2^i delta n, on integers: with
+    delta = a/b given as (a, b), b > 0, it is (n - count) b < (a << i) n."""
     a, b = delta
     return (n - count) * b < (a << i) * n
 
@@ -510,8 +506,14 @@ def find_thin_functional(
     |X ∩ H(xi, K)|.  Among thin functionals the largest in-tube count wins,
     ties broken by the lexicographic encoding.  Returns None when X is thick
     along every functional of the family, or the family is empty.
+    Thinness only grows with the in-tube count, so the best functional is
+    thin or none is.
     """
-    return _thin(_scan(X, K, linear_parts), len(X), delta)
+    found = _scan(X, K, linear_parts)
+    delta = Fraction(delta)
+    if found is None or not _thin_at(found[0], len(X), (delta.numerator, delta.denominator), 0):
+        return None
+    return LinearFunctional(found[2], found[1])
 
 
 def min_outside_fraction(
@@ -950,70 +952,57 @@ def decompose(
 # ---------------------------------------------------------------------------
 
 
-def _block_scan(window: np.ndarray, p: int, d: int, columns, kernels) -> List[Optional[Tuple[int, Vec, int]]]:
+def _block_scan(windows, p: int, d: int, columns, kernels) -> List[Optional[Tuple[int, Vec, int]]]:
     """`_scan` of each union whose in-tube window over all canonical
-    directions is column block j of `window` ([a0, c-1, j, i], or [a0, c-1,
-    i] for one union), for j in `columns`, over the directions non-constant
-    on the aligned kernel: one `_maxima` and one `_pick` for them all."""
+    directions is column block j of `windows`, for j in `columns`, over the
+    directions non-constant on the aligned kernel.  Each window covers one
+    slice of the directions, in order, laid out [a0, c-1, j, i]; their
+    `_maxima` are joined along the directions, and one `_pick` serves them
+    all."""
     dirs = _canonical_directions(p, d)
-    count, c, a0 = (a.reshape(-1, len(dirs))[columns] for a in _maxima(window.reshape(p, (p - 1) // 2, -1)))
+    maxima = [[a.reshape(w.shape[2:]) for a in _maxima(w.reshape(p, (p - 1) // 2, -1))] for w in windows]
+    joined = maxima[0] if len(maxima) == 1 else [np.concatenate(a, axis=1) for a in zip(*maxima)]
+    count, c, a0 = (a[columns] for a in joined)
     bases = np.asarray(kernels, dtype=np.int64).reshape(len(kernels), -1, d)
     return _pick(count, c, a0, dirs, p, _nonconstant_rows(p, d, bases))
 
 
-# The union tables' bytes at most: one table per part, the running sum, its
-# window and one more as headroom for the scans' temporaries, all counted at
-# the running sum's dtype; a sweep's union blocks add at most three arrays
-# of 8 _BLOCK_CELLS bytes (`_UnionTables._low_bits`).  Past it each union is
-# scanned on its own, in _BLOCK_CELLS blocks of the same kernel.
-# Measured on one strong_decompose call on a 2-core VM, tables against each
-# union on its own (time, VmHWM over the peak before the call): three
-# planes of F_31^3, 0.39 s and 6.1 MB against 1.00 s and 1.4 MB; three of
-# F_41^3, past the bound, 0.85 s and 15.1 MB against 3.14 s and 1.6 MB;
-# two of F_61^3, 2.55 s and 54.9 MB against 5.74 s and 1.9 MB.
-_UNION_TABLE_BYTES = 2 ** 24
-
-
 class _UnionTables:
     """In-tube tables of the unions of disjoint parts, over all canonical
-    directions, from one table per part.
+    directions, from one set of value histograms per part.
 
-    Each part keeps its cumulative table (`_cumulative_table`), which serves
-    every radius, in the smallest unsigned dtype that holds its counts.  The
-    table is linear in the multiset and the parts are disjoint, so a union's
-    is the sum of its parts' (`blocks`).  `replace` drops a part's table.
-    The tables are built when `blocks` first reads them.
-
-    When they would pass _UNION_TABLE_BYTES, `alone` is set: no table is
-    built and every union's scan is `_plain_scan` of its multiset, the same
-    kernel block by block, so the bound picks memory, not an algorithm.
+    Each part keeps its value histograms over all canonical directions,
+    laid out [value, direction], in the dtype of every union's counts
+    (`_dtype`).  Histograms are linear in the multiset and the parts are
+    disjoint, so a union's are the sum of its parts', and its cumulative
+    table, which serves every radius, is `_cumulative_table` of that sum
+    (`blocks`).  `replace` drops a part's histograms.  They are built when
+    `blocks` first reads them.
     """
 
     def __init__(self, parts: Sequence[GroupMultiset]):
         self.parts = list(parts)
-        self._tables: Dict[int, np.ndarray] = {}
-        self.alone = False
-        if self.parts:
-            self.alone = (len(self.parts) + 3) * self._union_bytes() > _UNION_TABLE_BYTES
+        self._hists: Dict[int, np.ndarray] = {}
 
-    def part_table(self, i: int) -> np.ndarray:
-        table = self._tables.get(i)
-        if table is None:
+    def part_histograms(self, i: int) -> np.ndarray:
+        hists = self._hists.get(i)
+        if hists is None:
             X = self.parts[i]
             p, d = X.params.p, X.params.d
             dirs = _canonical_directions(p, d)
-            table = np.empty((p, (p - 1) // 2, len(dirs)), dtype=np.min_scalar_type(len(X)))
-            for start, C in _cumulative_blocks(X, dirs):
-                table[:, :, start : start + C.shape[2]] = C
-            self._tables[i] = table
-        return table
+            hists = np.empty((p, len(dirs)), dtype=self._dtype())
+            for start, H in _histogram_blocks(X, dirs):
+                hists[:, start : start + len(H)] = H.T
+            self._hists[i] = hists
+        return hists
 
     def replace(self, i: int, part: GroupMultiset) -> None:
         self.parts[i] = part
-        self._tables.pop(i, None)
+        self._hists.pop(i, None)
 
     def _dtype(self):
-        """The dtype of every sum of part tables: it holds all the parts' counts."""
+        """The dtype of every sum of part histograms and of its table: it
+        holds all the parts' counts."""
         return np.min_scalar_type(sum(len(part) for part in self.parts))
 
     def _union_bytes(self) -> int:
@@ -1022,26 +1011,37 @@ class _UnionTables:
         return p * ((p - 1) // 2) * len(_canonical_directions(p, d)) * self._dtype().itemsize
 
     def _move(self, running: np.ndarray, held: int, mask: int) -> None:
-        """Turns running, the sum of the tables of the parts in `held`, into
-        that of the parts in `mask`: one add or subtract per differing part."""
+        """Turns running, the sum of the histograms of the parts in `held`,
+        into that of the parts in `mask`: one add or subtract per differing
+        part."""
         for i in _subset(held ^ mask):
             move = np.add if (mask >> i) & 1 else np.subtract
-            move(running, self.part_table(i), out=running)
+            move(running, self.part_histograms(i), out=running)
 
     def _low_bits(self) -> int:
         """b, the low mask bits one block covers: as many, up to m, as keep
         its 2^b union tables within 8 _BLOCK_CELLS bytes (256 KB), or 0 when
         one union's table alone passes that.
 
-        A block holds three such arrays (the low sums, its tables and their
-        window).  Nine single points of F_31^2 get b = 4; six lines of
-        F_61^2 get b = 0, one union per block.  Larger blocks timed no
-        faster on the structural_grid round."""
+        A block holds two such arrays (its tables and their window), and its
+        histograms and the low sums, (p-1)/2 times smaller.  Nine single
+        points of F_31^2 get b = 4; six lines of F_61^2 get b = 0, one union
+        per block.  Larger blocks timed no faster on the structural_grid
+        round."""
         union = self._union_bytes()
         bits = 0
         while bits < len(self.parts) and union << (bits + 1) <= 8 * _BLOCK_CELLS:
             bits += 1
         return bits
+
+    def _slices(self) -> List[slice]:
+        """The slices of the canonical directions a block's tables are built
+        in: as wide as keep one union's table within 8 _BLOCK_CELLS bytes,
+        so a block of more than one union (`_low_bits`) has one."""
+        p, d = self.parts[0].params.p, self.parts[0].params.d
+        L = len(_canonical_directions(p, d))
+        width = max(1, 8 * _BLOCK_CELLS * L // self._union_bytes())
+        return [slice(s, s + width) for s in range(0, L, width)]
 
     def blocks(self, start: int):
         """(masks, batch) for the masks from `start` on, in increasing order
@@ -1050,47 +1050,59 @@ class _UnionTables:
         calls `blocks` again.
 
         A block's masks share their high bits, from bit b = `_low_bits()`
-        on.  The sums of the low parts' tables over all 2^b subsets are built
-        once per call, by doubling; the high parts' sum is one running sum,
-        moved from block to block by adding and subtracting the parts that
-        differ (`_move`); and a block's tables, laid out [a0, c-1, low bits,
-        direction], are the low sums plus the high sum, summed at the
-        block's first scan, so a block that is never scanned costs none.
-        One window and one `_block_scan` serve a scan of every union in the
-        block at one radius; columns below `start`, and the empty union, are
-        read by none.  With `alone` set, each block is one union, folded
-        from its parts and scanned on its own.
+        on.  The sums of the low parts' histograms over all 2^b subsets are
+        built once per call, by doubling; the high parts' sum is one running
+        sum, moved from block to block by adding and subtracting the parts
+        that differ (`_move`).  A block's histograms are the low sums plus
+        the high sum, and its tables, laid out [a0, c-1, low bits,
+        direction], are their `_cumulative_table`, built at the block's
+        first scan and kept for its later ones, so a block that is never
+        scanned costs none.  One window and one `_block_scan` serve a scan
+        of every union in the block at one radius; columns below `start`,
+        and the empty union, are read by none.  A union whose table passes
+        8 _BLOCK_CELLS bytes is a block of its own, and each of its scans
+        builds its tables one direction slice at a time (`_slices`) and
+        keeps none.
         """
-        if self.alone or not self.parts:
-            for mask in range(start, 2 ** len(self.parts)):
-                yield [mask], _alone(_fold(self.parts[0].params, self.parts, _subset(mask)))
+        if not self.parts:
             return
         params = self.parts[0].params
         p, d, m = params.p, params.d, len(self.parts)
-        dtype, bits = self._dtype(), self._low_bits()
-        running = np.zeros_like(self.part_table(0), dtype=dtype)
-        summed = running
+        dtype, bits, slices = self._dtype(), self._low_bits(), self._slices()
+        running = np.zeros((p, len(_canonical_directions(p, d))), dtype=dtype)
+        lows = None
         if bits:
-            lows = np.zeros(running.shape[:2] + (2 ** bits,) + running.shape[2:], dtype=dtype)
+            lows = np.zeros((p, 2 ** bits, running.shape[1]), dtype=dtype)
             for k in range(bits):
-                np.add(lows[:, :, : 2 ** k], self.part_table(k)[:, :, None], out=lows[:, :, 2 ** k : 2 ** (k + 1)])
-            summed = lows.copy()  # the tables of the block of high bits 0
-        out = np.empty_like(summed)
+                np.add(lows[:, : 2 ** k], self.part_histograms(k)[:, None], out=lows[:, 2 ** k : 2 ** (k + 1)])
         sizes = [len(part) for part in self.parts]
-        held = 0
+        held, table, out = 0, None, None
+
+        def tables():
+            """The held block's tables, one direction slice at a time."""
+            hists = running[:, None] if lows is None else lows + running[:, None]
+            for directions in slices:
+                sliced = hists[:, :, directions]
+                C = _cumulative_table(sliced.reshape(p, -1).T, p)
+                yield C.reshape((p, (p - 1) // 2) + sliced.shape[1:])
+
         for high in range(start >> bits << bits, 2 ** m, 2 ** bits):
             first = max(start, high, 1) - high
             masks = list(range(high + first, high + 2 ** bits))
 
             def scan(K: int, active, kernels, high=high, first=first):
-                nonlocal held
+                nonlocal held, table, out
                 if held != high:
                     self._move(running, held, high)
-                    held = high
-                    if bits:
-                        np.add(lows, running[:, :, None], out=summed)
-                window = scaling_window_table(summed, K, out)
-                return _block_scan(window, p, d, [first + j for j in active], kernels)
+                    held, table = high, None
+                if len(slices) > 1:
+                    windows = (scaling_window_table(C, K) for C in tables())
+                else:
+                    if table is None:
+                        table = next(tables())
+                        out = np.empty_like(table) if out is None else out
+                    windows = [scaling_window_table(table, K, out)]
+                return _block_scan(windows, p, d, [first + j for j in active], kernels)
 
             def union(j: int, masks=masks) -> GroupMultiset:
                 return _fold(params, self.parts, _subset(masks[j]))
@@ -1117,11 +1129,17 @@ def _fold(params: GroupParams, parts: Sequence[GroupMultiset], subset: Sequence[
     return out
 
 
+def _schedule_shift(m: int, d: int, mask: int) -> int:
+    """e with delta_j = eps mu0 delta0 / 2^e, the sweep's delta for the
+    union of mask j: e = d + 2 + m + (d + m + 4) j."""
+    return d + 2 + m + (d + m + 4) * mask
+
+
 def _delta_schedule(eps: Fraction, mu0: Fraction, delta0: Fraction, m: int, d: int):
     """mask -> the sweep's delta_j = eps mu0 delta0 2^{-d-2-m} 2^{-(d+m+4) j}
     for the union of mask j, the product eps mu0 delta0 taken once."""
     base = eps * mu0 * delta0
-    return lambda mask: Fraction(base.numerator, base.denominator << (d + 2 + m + (d + m + 4) * mask))
+    return lambda mask: Fraction(base.numerator, base.denominator << _schedule_shift(m, d, mask))
 
 
 def _rescan(tables: _UnionTables, Kp: int, certs):
@@ -1134,16 +1152,16 @@ def _rescan(tables: _UnionTables, Kp: int, certs):
     (`_settle`).
 
     A count other than 2^m - 1 returns before any block, so a forged part
-    count can neither start 2^m unions nor build m tables: the count bounds
-    m by the artifact's size.  The unions are read a block at a time
-    (`_UnionTables.blocks`).  psi's matrix checks (`_frame`) run once per
-    distinct psi, and its box test (`_in_box`) once per part: a union's
-    points are its parts', so no union is built on the tabled path.  The
-    unions of a block that pass them are rescanned together, one
-    `batch.scan` per (radius, l), and each scan pulls psi back, so `worst`
-    comes in X's coordinates.  The tables serve every
-    radius, so a certificate's K' costs at most one window derivation
-    whatever its value, and it is read through min(K', p).
+    count can neither start 2^m unions nor build m parts' histograms: the
+    count bounds m by the artifact's size.  The unions are read a block at
+    a time (`_UnionTables.blocks`).  psi's matrix checks (`_frame`) run once
+    per distinct psi, and its box test (`_in_box`) once per part: a union's
+    points are its parts', so no union is built.  The unions of a block
+    that pass them are rescanned together, one `batch.scan` per (radius,
+    l), and each scan pulls psi back, so `worst` comes in X's coordinates.
+    A block's tables serve every radius, so a certificate's K' costs one
+    window derivation per direction slice whatever its value, and it is
+    read through min(K', p).
     """
     parts = tables.parts
     scans, delta = _part_scan(parts, Kp)
@@ -1230,7 +1248,9 @@ class StrongDecomposition:
         """The partition checks, K tied to K0 and l (through min(., p)),
         bullets 2 and 3 rescanned, then the recorded numbers re-derived:
         delta, mu and each union's achieved fraction from the rescans, and
-        each delta_schedule from eps, mu0 delta0, m, d and its mask.
+        each delta_schedule from eps, mu0 delta0, m, d and its mask, on
+        cross-multiplied integers, as its certificate's delta is with half
+        of it.
         removed_in_sweeps is only bounded, by |x0| and eps|X|/2, and mu0
         and delta0 enter only through their product and delta0/2.
         A union certificate passes only with its radii tied to K, as the
@@ -1247,11 +1267,14 @@ class StrongDecomposition:
         scans, delta, rescans = _rescan(_UnionTables(self.parts), Kp, self.subset_certs)
         whole = rescans is not None
         rescans = rescans or []
-        delta_j = _delta_schedule(self.epsilon, self.mu0, self.delta0, m, d)
-        schedule = self.mu0 * self.delta0 > 0 and all(
-            sc.delta_schedule == delta_j(mask) and sc.cert.delta == sc.delta_schedule / 2
-            for mask, sc, _ in rescans
-        )
+        base = self.epsilon * self.mu0 * self.delta0
+
+        def scheduled(mask: int, sc: SubsetCertificate) -> bool:
+            a, b, half = sc.delta_schedule.numerator, sc.delta_schedule.denominator, sc.cert.delta
+            on_schedule = (a * base.denominator) << _schedule_shift(m, d, mask) == base.numerator * b
+            return on_schedule and half.numerator * b << 1 == a * half.denominator
+
+        schedule = self.mu0 * self.delta0 > 0 and all(scheduled(mask, sc) for mask, sc, _ in rescans)
         certified = whole and all(ok and radii(sc.cert) for _, sc, (ok, _, _) in rescans)
         fracs = [frac for _, _, (_, frac, _) in rescans]
         removed = self.removed_in_sweeps
@@ -1276,11 +1299,12 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
 
     The union's points outside its tube leave their parts.  A union that
     drops points ends its block and the pass over the blocks: the unions
-    after it in the block are dropped unrecorded, the shrunken parts' tables
-    are rebuilt and the next pass starts at the following mask.  Each certificate is
-    recorded at half its sweep delta, with achieved the outside fraction of
-    the scan that ended its reduction: its rescan on X_S (`_tube_reduce`),
-    which holds on the final union unless some union dropped points.
+    after it in the block are dropped unrecorded, the shrunken parts'
+    histograms are rebuilt and the next pass starts at the following mask.
+    Each certificate is recorded at half its sweep delta, with achieved the
+    outside fraction of the scan that ended its reduction: its rescan on
+    X_S (`_tube_reduce`), which holds on the final union unless some union
+    dropped points.
     """
     owner = {elem: i for i, part in enumerate(tables.parts) for elem in part.support()}
     certs: Dict[Tuple[int, ...], SubsetCertificate] = {}

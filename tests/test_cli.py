@@ -884,6 +884,30 @@ def test_verify_non_finite_number_exits_1(tmp_path, capsys):
         assert f"non-finite number {number}" in captured.err
 
 
+def test_expansion_failure_re_violates(tmp_path, capsys):
+    """A run that fails in the thinning stage's expansion branch: the
+    fibers of this cloud carry too few pairs for the cover to grow.  Its
+    failure re-evaluates to a violated inequality, in process and in the
+    trace that `verify` re-checks."""
+    X = random_cloud(GroupParams(31, 2), 50, seed=0)
+    res = find_zero_sum(X, PipelineConfig(seed=0))
+    failure = res.failure
+    assert not res.ok
+    assert (failure.stage, failure.name) == ("expansion", "cover_growth")
+    assert failure.context["reason"] == "no available pairs"
+    assert failure.holds() is False
+
+    xpath = write_instance(tmp_path, X)
+    tpath = str(tmp_path / "trace.json")
+    code, out = run_cli(capsys, "pipeline", "--input", xpath, "--seed", "0", "--trace", tpath)
+    assert code == 2
+    assert json.loads(out)["result"]["failure"] == failure.as_dict()
+    code, out = run_cli(capsys, "verify", "--input", tpath)
+    assert code == 0
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["result"]["checks"]}
+    assert checks["expansion:failure_re_violates"] and all(checks.values())
+
+
 def _failing_trace(tmp_path, capsys):
     xpath = write_instance(tmp_path, random_cloud(GroupParams(31, 2), 8, seed=2))
     tpath = str(tmp_path / "fail_trace.json")

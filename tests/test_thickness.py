@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import linalg, thickness
-from zerosum.generators import box, fiber_union
+from zerosum.generators import box, fiber_union, random_cloud
 from zerosum.group import AffineIso, GroupParams, LinearFunctional, canonical_linear_parts, in_interval
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import (
@@ -270,6 +270,42 @@ def test_decompose_idempotent_on_parts():
         assert again.m == 1 and len(again.x0) == 0
 
 
+@pytest.mark.parametrize("case", ["trims", "re_slices"])
+def test_decompose_trims_and_re_slices(monkeypatch, case):
+    """Two branches of `decompose` that no other test reaches.  Slicing a
+    cloud of F_11^2 with growth 4K+4 leaves points outside the slab, and
+    they go to x0.  Ten points of F_11^2 with growth K+1 hold a part,
+    certified at an early iterate, that the re-verification sweep finds
+    thin at the final one (fraction 0), so it is sliced again on what is
+    left of the x0 allowance.  Either way every check of `validate` passes
+    and x0 stays within eps|X|."""
+    params, eps = GroupParams(11, 2), Fraction(1, 2)
+    if case == "trims":
+        X, g = random_cloud(params, 33, seed=0), G44
+    else:
+        pts = [(0, 9), (3, 0), (3, 9), (3, 10), (4, 9), (4, 10), (5, 0), (5, 9), (5, 10), (7, 3)]
+        X, g = ms(params, pts), G1
+    trimmed, sweeps = [], []
+    real_slab, real_part_scan = thickness._in_slab, thickness._part_scan
+
+    def slab(residues, K, p):
+        keep = real_slab(residues, K, p)
+        trimmed.append(not keep.all())
+        return keep
+
+    def part_scan(parts, Kp):
+        sweeps.append(len(parts))
+        return real_part_scan(parts, Kp)
+
+    monkeypatch.setattr(thickness, "_in_slab", slab)
+    monkeypatch.setattr(thickness, "_part_scan", part_scan)
+    dec = decompose(X, 0, eps, g)
+    assert any(trimmed)
+    assert len(sweeps) >= (2 if case == "re_slices" else 1)
+    assert all(ok for _, ok in dec.validate(X)), dec.validate(X)
+    assert Fraction(len(dec.x0)) <= eps * len(X)
+
+
 def test_strong_decompose_single_part():
     params = GroupParams(31, 2)
     rng = random.Random(5)
@@ -394,9 +430,10 @@ def test_strong_decompose_without_drops_rescans_nothing(monkeypatch):
 
 def _union_blocks():
     """Runs the body of a loop over it three times: with the module's union
-    blocks, and with _BLOCK_CELLS forced so that a block holds one union or
-    all 2^m - 1 of them.  Yields m -> the low bits a block then covers
-    (`_low_bits`), or None for the module's own."""
+    blocks, and with _BLOCK_CELLS forced so that a block holds one union,
+    scanned one direction slice at a time, or all 2^m - 1 of them.  Yields
+    m -> the low bits a block then covers (`_low_bits`), or None for the
+    module's own."""
     for cells, bits in ((None, lambda m: None), (1, lambda m: 0), (2 ** 40, lambda m: m)):
         with pytest.MonkeyPatch.context() as mp:
             if cells is not None:
@@ -409,10 +446,10 @@ def test_strong_sweep_restarts_after_a_drop():
     reduction is patched to trim one point z of the second part from every
     union that holds it.  The first such union is mask 2; mask 3 is built on
     mask 2's union, so a walk that went on after the drop would hand the
-    reduction a stale union that still holds z, and tables not rebuilt after
-    it would scan a union that still counts z.  The patched reduction trims
-    every union of its block, so a sweep that recorded a union past a drop
-    in its block would record a stale one, and a second drop.  It runs
+    reduction a stale union that still holds z, and histograms not rebuilt
+    after it would scan a union that still counts z.  The patched reduction
+    trims every union of its block, so a sweep that recorded a union past a
+    drop in its block would record a stale one, and a second drop.  It runs
     with each size of union block (`_union_blocks`)."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     eps = Fraction(1, 4)
@@ -467,23 +504,23 @@ def test_strong_sweep_restarts_after_a_drop():
 
 
 def test_validate_builds_one_table_per_part(monkeypatch):
-    """Forged radii cost no tables: `validate` builds each part's table once,
-    however many distinct K' the union certificates carry, and still
-    re-derives every achieved fraction."""
+    """Forged radii cost no tables: `validate` builds each part's
+    histograms once, however many distinct K' the union certificates
+    carry, and still re-derives every achieved fraction."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
     for k, sc in enumerate(sdec.subset_certs.values()):
         sc.cert = replace(sc.cert, K_prime=sdec.K + 4 + k)
         sc.achieved = sc.cert.validate(sdec.union(sc.subset))[1]
     built = []
-    real = thickness._UnionTables.part_table
+    real = thickness._UnionTables.part_histograms
 
     def recording(self, i):
-        if i not in self._tables:
+        if i not in self._hists:
             built.append(i)
         return real(self, i)
 
-    monkeypatch.setattr(thickness._UnionTables, "part_table", recording)
+    monkeypatch.setattr(thickness._UnionTables, "part_histograms", recording)
     checks = dict(sdec.validate(X))
     assert not checks["tubular_certs"] and checks["achieved"]
     assert sorted(built) == [0, 1, 2]
@@ -491,14 +528,15 @@ def test_validate_builds_one_table_per_part(monkeypatch):
 
 @pytest.mark.parametrize("p, d, n_fibers", [(31, 2, 3), (61, 2, 6), (31, 3, 2)])
 def test_unions_scanned_alone_match_summed_tables(monkeypatch, p, d, n_fibers):
-    """Past _UNION_TABLE_BYTES each union is scanned on its own: the
-    decomposition, every certificate and every achieved fraction agree with
-    the tables', and so does `validate`."""
+    """With _BLOCK_CELLS = 1 each union is a block of its own, scanned one
+    direction at a time: the decomposition, every certificate and every
+    achieved fraction agree with the module's blocks, and so does
+    `validate`."""
     X = fiber_union(GroupParams(p, d), n_fibers, seed=0, offset=1)
     tabled = strong_decompose(X, 0, Fraction(1, 4), G1)
-    assert not thickness._UnionTables(tabled.parts).alone
-    monkeypatch.setattr(thickness, "_UNION_TABLE_BYTES", 0)
-    assert thickness._UnionTables(tabled.parts).alone
+    monkeypatch.setattr(thickness, "_BLOCK_CELLS", 1)
+    tables = thickness._UnionTables(tabled.parts)
+    assert tables._low_bits() == 0 and len(tables._slices()) == len(thickness._canonical_directions(p, d))
     alone = strong_decompose(X, 0, Fraction(1, 4), G1)
     assert alone == tabled
     assert tabled.validate(X) == alone.validate(X)
@@ -508,12 +546,12 @@ def test_unions_scanned_alone_match_summed_tables(monkeypatch, p, d, n_fibers):
 def test_validate_with_wrong_certificate_count_builds_no_table(monkeypatch):
     """A certificate count that cannot be 2^m - 1 stops `_rescan` before its
     first block, and the part scans, always each part's own, build no
-    table."""
+    union histogram."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
     del sdec.subset_certs[(0, 1, 2)]
     monkeypatch.setattr(
-        thickness._UnionTables, "part_table", lambda self, i: pytest.fail("table built")
+        thickness._UnionTables, "part_histograms", lambda self, i: pytest.fail("histograms built")
     )
     checks = dict(sdec.validate(X))
     assert checks["part_thickness"] and checks["delta"]
@@ -522,8 +560,11 @@ def test_validate_with_wrong_certificate_count_builds_no_table(monkeypatch):
 
 # The peak is read from VmHWM, not getrusage: a child's ru_maxrss starts at
 # the RSS of the process that forked it, so under pytest it hides the peak.
+# VmHWM also holds the compiler's transient, so the child reports the
+# `tracemalloc` peaks of the two calls as well, which count numpy's buffers
+# and nothing allocated before each call.
 STRONG_RSS_SCRIPT = (
-    "import sys\n"
+    "import sys, tracemalloc\n"
     "from fractions import Fraction\n"
     "from zerosum.generators import fiber_union\n"
     "from zerosum.group import GroupParams\n"
@@ -534,10 +575,13 @@ STRONG_RSS_SCRIPT = (
     "p, d, n = map(int, sys.argv[1:])\n"
     "X = fiber_union(GroupParams(p, d), n, seed=0, offset=1)\n"
     "before = peak_kb()\n"
+    "tracemalloc.start()\n"
     "sdec = strong_decompose(X, 0, Fraction(1, 4), GrowthFunction('affine', 1, 1))\n"
-    "swept = peak_kb()\n"
+    "swept, traced_sweep = peak_kb(), tracemalloc.get_traced_memory()[1]\n"
+    "tracemalloc.reset_peak()\n"
     "valid = all(ok for _, ok in sdec.validate(X))\n"
-    "print(sdec.m, before, swept, peak_kb(), int(valid))\n"
+    "traced_validate = tracemalloc.get_traced_memory()[1]\n"
+    "print(sdec.m, before, swept, peak_kb(), int(valid), traced_sweep // 1024, traced_validate // 1024)\n"
 )
 
 
@@ -546,17 +590,22 @@ STRONG_RSS_SCRIPT = (
     "p, d, n_fibers, bound_mb", [(61, 2, 6, 2), (31, 3, 3, 8), (41, 3, 3, 3)]
 )
 def test_strong_decompose_memory_bounded(tmp_path, p, d, n_fibers, bound_mb):
-    """The sweep holds one cumulative table per part, one running union sum
-    and one window, in the smallest unsigned dtype: one byte a cell for the
-    61-point lines of F_61^2, two for the 961-point planes of F_31^3.  One
-    union's table there passes half the union block's budget, so a block is
-    one union (`_UnionTables._low_bits`).  Measured in a child that compiles
-    its modules: 0.9 MB and 5.3-5.9 MB over the peak before the call;
-    int64 tables take 7.7 MB and 19.1 MB.  Three planes of F_41^3 would
-    need 17 MB of tables, past _UNION_TABLE_BYTES, so each union is scanned
-    on its own: 1.1-1.3 MB, against 15.1 MB summed.  `validate` then reads
-    the same blocks, and its peak stays under the same bound: it added
-    0-90 KB to the sweep's in each case."""
+    """The sweep holds each part's value histograms, p cells per direction,
+    a running union sum, and one union block's table and window, in the
+    smallest unsigned dtype: one byte a cell for the 61-point lines of
+    F_61^2, two for the planes of F_31^3 and F_41^3.  One union's table
+    there passes half the union block's budget, so a block is one union
+    (`_UnionTables._low_bits`), and in d = 3 it passes the whole budget, so
+    each scan builds its tables one direction slice at a time.  Measured in
+    a child that compiles its modules, as VmHWM growth over the peak before
+    the call and as the sweep's `tracemalloc` peak, for 61-2-6, 31-3-3 and
+    41-3-3: 0.89, 0.90 and 1.58 MB, and 0.68, 1.48 and 2.08 MB.  With
+    per-part cumulative tables, as before, they were 0.84, 5.35 and 1.12
+    MB, and 1.56, 5.76 and 1.96 MB (three planes of F_41^3 were then past
+    the tables' bound and each union was folded and projected on its own).
+    `validate` reads the same blocks, and both its peaks stay under the
+    same bound: 0.89, 0.97 and 1.64 MB of VmHWM growth, and `tracemalloc`
+    peaks of 0.69, 1.35 and 1.94 MB."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", STRONG_RSS_SCRIPT, str(p), str(d), str(n_fibers)],
@@ -568,10 +617,12 @@ def test_strong_decompose_memory_bounded(tmp_path, p, d, n_fibers, bound_mb):
         env={**os.environ, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
-    m, before, swept, validated, valid = map(int, proc.stdout.split())
+    m, before, swept, validated, valid, traced_sweep, traced_validate = map(int, proc.stdout.split())
     assert m == n_fibers and valid
     assert swept - before < bound_mb * 1024, f"peak RSS grew by {(swept - before) // 1024} MB"
     assert validated - before < bound_mb * 1024, f"validate's peak RSS grew by {(validated - before) // 1024} MB"
+    assert traced_sweep < bound_mb * 1024, f"the sweep's traced peak is {traced_sweep // 1024} MB"
+    assert traced_validate < bound_mb * 1024, f"validate's traced peak is {traced_validate // 1024} MB"
 
 
 def test_strong_decompose_subset_budget_error():
@@ -612,12 +663,13 @@ def _direct_windows(X, K, dirs):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_union_tables_sum_their_parts(data):
-    """The in-tube windows of a sum of part tables count the union's points
-    directly, at every radius from 0 to p + 1 and at 2^64, and `blocks`
-    yields every mask from `start` on, in increasing order, with its union
-    and scans that are the scans of each union, whichever blocks were left
-    unscanned before it: with each size of union block (`_union_blocks`),
-    with one low bit per block, and with each union on its own.
+    """The in-tube windows of `_cumulative_table` of a sum of part
+    histograms count the union's points directly, at every radius from 0
+    to p + 1 and at 2^64, and `blocks` yields every mask from `start` on,
+    in increasing order, with its union and scans that are the scans of
+    each union, whichever blocks were left unscanned before it: with each
+    size of union block (`_union_blocks`), with one low bit per block, and
+    with each union scanned in slices of four directions, the last of two.
     Multiplicities up to 200 make a union of two parts overflow one
     byte."""
     params = GroupParams(5, 2)
@@ -646,7 +698,8 @@ def test_union_tables_sum_their_parts(data):
                 X_S = batch.union(j)
                 assert X_S == union(mask) and batch.sizes[j] == len(X_S)
                 if windows:
-                    summed = sum(tables.part_table(i).astype(dtype) for i in thickness._subset(mask))
+                    hists = sum(tables.part_histograms(i).astype(dtype) for i in thickness._subset(mask))
+                    summed = thickness._cumulative_table(hists.T, 5)
                     for r in list(range(7)) + [2 ** 64]:
                         window = thickness.scaling_window_table(summed, r)
                         assert window.dtype == dtype
@@ -671,7 +724,11 @@ def test_union_tables_sum_their_parts(data):
         mp.setattr(thickness, "_BLOCK_CELLS", -(-thickness._UnionTables(parts)._union_bytes() // 4))
         assert thickness._UnionTables(parts)._low_bits() == min(m, 1)
         walk(windows=False)
-        mp.setattr(thickness, "_UNION_TABLE_BYTES", 0)
+        # a slice holds four of the six directions: 8 _BLOCK_CELLS bytes
+        # are four directions' p (p-1)/2 cells
+        mp.setattr(thickness, "_BLOCK_CELLS", 5 * dtype.itemsize)
+        tables = thickness._UnionTables(parts)
+        assert tables._low_bits() == 0 and tables._slices() == [slice(0, 4), slice(4, 8)]
         walk(windows=False)
 
 
@@ -785,9 +842,9 @@ def test_certificate_rescan_matches_fiber_scan_of_image(shape, data):
 def _check_rescans(tables, certs, Kp):
     """`_rescan` gives `TubularCertificate.validate` of every union X_S,
     folded from the current parts, in mask order: on `tables`, and again
-    with each union scanned on its own (_UNION_TABLE_BYTES = 0).  No window
-    is derived at a radius past p, however large a K' is, other than the
-    part scans' at Kp."""
+    with each union a block of its own, scanned one direction at a time
+    (_BLOCK_CELLS = 1).  No window is derived at a radius past p, however
+    large a K' is, other than the part scans' at Kp."""
     parts = tables.parts
     params = parts[0].params
     unions = {mask: thickness._fold(params, parts, thickness._subset(mask)) for mask in range(1, 2 ** len(parts))}
@@ -799,12 +856,12 @@ def _check_rescans(tables, certs, Kp):
         radii.append(K)
         return real_window(C, K, out)
 
-    for alone in (False, True):
+    for sliced in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            if alone:
-                mp.setattr(thickness, "_UNION_TABLE_BYTES", 0)
+            if sliced:
+                mp.setattr(thickness, "_BLOCK_CELLS", 1)
                 tables = thickness._UnionTables(parts)
-                assert tables.alone
+                assert len(tables._slices()) == len(thickness._canonical_directions(params.p, params.d))
             mp.setattr(thickness, "scaling_window_table", recording)
             _scans, _delta, rescans = thickness._rescan(tables, Kp, certs)
         assert [(mask, sc) for mask, sc, _ in rescans] == want
@@ -823,8 +880,9 @@ def test_rescan_block_mixes_forged_certificates():
     that maps a point outside the box, l = d, and K' of 0, (p-1)/2 and
     2^64, the radii shared across values of l.  Each union's rescan is
     `TubularCertificate.validate` on the union, with each size of union
-    block and with each union on its own (`_check_rescans`).  An artifact
-    with no parts has no union to rescan."""
+    block and with each union scanned a direction at a time
+    (`_check_rescans`).  An artifact with no parts has no union to
+    rescan."""
     p = 11
     params = GroupParams(p, 2)
     parts = [ms(params, [(x, y) for y in range(p)]) for x in range(4)]
@@ -861,12 +919,11 @@ def _sweep_against_oracle(params, parts, K, g, schedule, data=None, bits=None):
     the same chosen functionals), and rescans that agree with
     `TubularCertificate.validate` on each final union: for the sweep's
     certificates and, when `data` is given, for ones with a random
-    invertible psi and any K'.  With _UNION_TABLE_BYTES patched to 0 each
-    union is scanned on its own; otherwise a block covers `bits` low mask
-    bits, when given.  Returns the number of unions that dropped points."""
+    invertible psi and any K'.  A block covers `bits` low mask bits, when
+    given.  Returns the number of unions that dropped points."""
     p, d = params.p, params.d
     tables = thickness._UnionTables(parts)
-    assert tables.alone or bits is None or tables._low_bits() == bits
+    assert bits is None or tables._low_bits() == bits
     try:
         exp_parts, exp_dropped, exp_certs, _ = _plain_sweep(params, parts, K, g, schedule, _plain_tube)
     except ValueError:  # a part emptied by a drop leaves an empty union
@@ -979,21 +1036,22 @@ def test_builder_numbers_match_rescan(family, K, g, k):
     params, parts = family
     d = params.d
     for bits in _union_blocks():
-        if not thickness._UnionTables(parts).alone and bits(len(parts)) is not None:
+        if bits(len(parts)) is not None:
             assert thickness._UnionTables(parts)._low_bits() == bits(len(parts))
         _settled_against_rescan(params, parts, K, g, lambda mask: Fraction(1, 2 ** (d + 1) + k + mask))
 
 
-@pytest.mark.parametrize("tabled", [True, False])
-def test_sweep_that_drops_points_matches_oracle(monkeypatch, tabled):
+@pytest.mark.parametrize("whole", [True, False])
+def test_sweep_that_drops_points_matches_oracle(monkeypatch, whole):
     # the second part is a line and one point off it: each union holding it
     # is thin along x, and its tube leaves (3, 3) out; with blocks, the
-    # drop at mask 2 cuts the block of masks 1..3
+    # drop at mask 2 cuts the block of masks 1..3; without `whole` the
+    # first round of the loop scans one direction at a time
     params = GroupParams(7, 2)
     parts = [ms(params, [(0, y) for y in range(7)]), ms(params, [(1, y) for y in range(7)] + [(3, 3)])]
-    if not tabled:
-        monkeypatch.setattr(thickness, "_UNION_TABLE_BYTES", 0)
-    assert thickness._UnionTables(parts).alone is not tabled
+    if not whole:
+        monkeypatch.setattr(thickness, "_BLOCK_CELLS", 1)
+    assert (len(thickness._UnionTables(parts)._slices()) == 1) is whole
     for bits in _union_blocks():
         drops = _sweep_against_oracle(params, parts, 0, G1, lambda mask: Fraction(1, 9), bits=bits(2))
         assert drops > 0

@@ -348,8 +348,38 @@ def thin_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(thin_cases())
 def test_integer_thin_test_matches_fraction_test(case):
-    """`_thin_at`, the level test `_tube_reduce` makes on integers, agrees
-    with `_thin`'s Fraction test at 2^i delta, strict inequality included."""
+    """`_thin_at`, the thinness test `_tube_reduce` and
+    `find_thin_functional` make on integers, agrees with the Fraction
+    inequality n - count < 2^i delta n, strict inequality included."""
     count, n, delta, i = case
-    by_fractions = thickness._thin((count, (1,), 0), n, 2 ** i * delta) is not None
+    by_fractions = Fraction(n - count) < 2 ** i * delta * n
     assert thickness._thin_at(count, n, (delta.numerator, delta.denominator), i) == by_fractions
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 31]),
+    st.integers(1, 300),
+    st.sampled_from([np.int64, np.uint8, np.uint16, np.uint32]),
+    st.booleans(),
+    st.data(),
+)
+def test_cumulative_table_matches_cumsum(p, L, dtype, value_major, data):
+    """`_cumulative_table`'s p - 1 row adds against `np.cumsum` of the same
+    gather, the oracle kept here, in int64 and in the unsigned dtypes that
+    `_UnionTables` sums histograms in.  Rows run up to the dtype's largest
+    total, so a table in it must not wrap; value-major histograms are
+    passed as a transposed view, as the union blocks pass theirs.  The
+    table keeps the histograms' dtype and leaves them unchanged."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    top = np.iinfo(dtype).max // p
+    hists = rng.integers(0, top + 1, size=(L, p)).astype(dtype)
+    hists[rng.random(L) < 0.2] = top  # full rows
+    if value_major:
+        hists = np.ascontiguousarray(hists.T).T
+    before = hists.copy()
+    oracle = np.cumsum(hists.T[thickness._scaling_index(p)], axis=0)
+    table = thickness._cumulative_table(hists, p)
+    assert table.dtype == hists.dtype and table.shape == (p, (p - 1) // 2, L)
+    assert np.array_equal(table, oracle)
+    assert np.array_equal(hists, before)
