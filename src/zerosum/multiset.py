@@ -8,6 +8,9 @@ lexicographic everywhere, which keeps every downstream search deterministic.
 reduces and checks whatever it is given.  The operations below build their
 results canonical by construction and go through `_trusted`, which does
 neither; points are mapped as numpy rows of `arrays()`, never one by one.
+Being immutable, a multiset keeps what is derived from it alone, built at
+its first use: `arrays()`, its value histograms (`histograms()`, which every
+thickness scan of it reads) and its affine hull (`hull()`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .group import GroupParams, AffineIso, Vec
+from .group import GroupParams, AffineIso, Vec, affine_hull
 
 
 # multiplicities are held in int64 arrays (`arrays`), and len() must fit
@@ -26,7 +29,7 @@ _CARDINALITY_LIMIT = 2 ** 63
 
 
 class GroupMultiset:
-    __slots__ = ("params", "_entries", "_cardinality", "_arrays")
+    __slots__ = ("params", "_entries", "_cardinality", "_arrays", "_hists", "_hull")
 
     def __init__(self, params: GroupParams, entries: Dict[Vec, int]):
         clean: Dict[Vec, int] = {}
@@ -45,6 +48,8 @@ class GroupMultiset:
         if self._cardinality >= _CARDINALITY_LIMIT:
             raise ValueError("multiplicities sum to 2^63 or more")
         self._arrays: Optional[tuple] = None
+        self._hists: Optional[np.ndarray] = None
+        self._hull: Optional[tuple] = None
 
     @classmethod
     def from_points(cls, params: GroupParams, points: Iterable) -> "GroupMultiset":
@@ -71,6 +76,8 @@ class GroupMultiset:
         obj._entries = entries
         obj._cardinality = sum(entries.values())
         obj._arrays = arrays
+        obj._hists = None
+        obj._hull = None
         return obj
 
     @classmethod
@@ -135,6 +142,25 @@ class GroupMultiset:
                 mults = np.zeros((0,), dtype=np.int64)
             self._arrays = (pts, mults)
         return self._arrays
+
+    def histograms(self) -> np.ndarray:
+        """Value histograms along every canonical direction of F_p^d
+        (`canonical_linear_parts`), laid out [value, direction] in the
+        narrowest unsigned dtype that holds |X|: built once, read-only.
+        The thickness scans of this multiset over canonical directions all
+        read them."""
+        if self._hists is None:
+            from .thickness import _canonical_directions, _histograms  # thickness imports this module
+
+            self._hists = _histograms(self, _canonical_directions(self.params.p, self.params.d))
+        return self._hists
+
+    def hull(self) -> tuple:
+        """`affine_hull` of the support, (dimension, basepoint, basis):
+        built once."""
+        if self._hull is None:
+            self._hull = affine_hull(self.support(), self.params.p)
+        return self._hull
 
     def total(self) -> Vec:
         """Sum of all elements with multiplicity."""

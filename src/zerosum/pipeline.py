@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .expansion import ExpansionParams, ExpansionStagnation, expansion_cover
-from .group import _OPS, GroupParams, LinearFunctional, Vec, _check, affine_hull
+from .group import _OPS, GroupParams, LinearFunctional, Vec, _check
 from .multiset import GroupMultiset
 from .subsums import ZeroSumCertificate
 from .thickness import (
@@ -389,7 +389,7 @@ def _strong_decompose_stage(run: _Run):
 
 def _hyperplane_stage(run: _Run):
     """A hyperplane through the origin meeting every part's affine hull."""
-    run.hulls = [affine_hull(part.support(), run.p) for part in run.sdec.parts]
+    run.hulls = [part.hull() for part in run.sdec.parts]
     dims = [h[0] for h in run.hulls]
     if min(dims) < 1:
         return None, StageFailure(

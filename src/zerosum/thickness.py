@@ -3,21 +3,27 @@
 A multiset X is (K, delta)-thick along a functional xi when at least a
 delta-fraction of X (with multiplicity) lies outside the slab H(xi, K).
 Everything below is built from exhaustive scans over a family of directions
-at once, and every scan reads one kernel.  One bincount gives the value
-histograms of a block of canonical directions (leading coefficient 1); one
-gather through a cached index expands them to the scalar multiples
-c <= (p-1)/2 -- scaling is not a symmetry here, since [-K, K] pulls back
-along c to an arithmetic progression, while -c gives the same counts as c --
-and p - 1 in-place row adds make a cumulative table that serves every
-radius (`_cumulative_table`).  The window at radius K (`scaling_window_table`)
-takes differences of its rows and holds the in-tube count of every
-(constant term, scaling, direction); `_maxima` and `_pick` read the best
-functional off it.  `inside_count` reads one cell of a window, and
+at once, and every scan reads one kernel.  A multiset projects itself once:
+`GroupMultiset.histograms` holds its value histograms along every canonical
+direction (leading coefficient 1), p cells per direction in the narrowest
+unsigned dtype that holds |X|, read-only (`_histograms`, blocks of
+`value_histogram` calls).  One gather through a cached index expands them to
+the scalar multiples c <= (p-1)/2 -- scaling is not a symmetry here, since
+[-K, K] pulls back along c to an arithmetic progression, while -c gives the
+same counts as c -- and p - 1 in-place row adds make a cumulative table that
+serves every radius (`_cumulative_table`), built a slice of directions at a
+time within 8 _BLOCK_CELLS bytes (`_Tables`).  The window at radius K
+(`scaling_window_table`) takes differences of its rows and holds the
+in-tube count of every (constant term, scaling, direction); `_maxima` and
+`_pick` read the best functional off it (`_read`), over the directions a
+row mask allows.  `inside_count` reads one cell of a window, and
 `min_outside_fraction(zero_constant_term=True)` its row a0 = 0.
 
 Every family comes from one rule, `nonconstant_directions`: the canonical
 directions non-constant on the span of a basis, picked by one array mask
-over a cached array of all of them.  The basis is a part's affine hull
+over a cached array of all of them; the scans read the mask itself
+(`_nonconstant_rows`), and a family handed in as directions is turned
+back into one (`_family_rows`).  The basis is a part's affine hull
 (decompositions), the kernel of a tube certificate's leading rows (its
 rescan), or the kernel of the directions a tube reduction has already
 chosen, whose non-constant directions are exactly those outside their span.
@@ -36,7 +42,7 @@ a reduction is its certificate's rescan, so the builder rescans the unions
 only after a sweep that dropped points; `StrongDecomposition.validate`
 always rescans every one.  Value histograms are linear in the multiset
 and the parts are disjoint, so a union's are the sum of its parts':
-`_UnionTables` builds each part's over all canonical directions once.  The
+`_UnionTables` reads each part's own, the ones its scans read.  The
 sweep and the rescans both read the unions a block at a time
 (`_UnionTables.blocks`): the unions of a block share their high mask bits,
 and their histograms are the low parts' subset sums, built once per pass,
@@ -50,12 +56,15 @@ union_tubular checks cross-multiplied), and its kernels, psi and
 functionals are built once per distinct tuple of chosen functionals in a
 reduction, as psi's checks are once per distinct psi in a rescan.
 Directions keep canonical order, so the scans pick the same functionals as
-a scan of the union itself.  The histograms serve the union blocks only: a
-part's hull scan is always its own (`_plain_scan`).  They take p cells per
-direction each, m + 2 of them at once, and a block's tables and window at
-most 8 _BLOCK_CELLS bytes each: a union whose table passes that is scanned
-one direction slice at a time.  A decomposition artifact whose certificate
-count is wrong builds no histogram.
+a scan of the union itself.  A single set is a block of one union over its
+own histograms (`_set_scanner`), read by the same window, `_maxima` and
+`_pick`; when one slice holds its table, the table is kept across the
+levels of a tube reduction, and the certificate's rescan when the tube
+keeps the whole set.  Histograms take p cells per
+direction each, a sweep's m + 2 at once, and a table and its window at most
+8 _BLOCK_CELLS bytes each: a set or union whose table passes that is
+scanned one direction slice at a time.  A decomposition artifact whose
+certificate count is wrong starts no union block.
 
 Deltas and epsilons are Fractions throughout; no comparison ever goes
 through floating point.
@@ -79,7 +88,6 @@ from .group import (
     LinearFunctional,
     Vec,
     _check,
-    affine_hull,
     canonical_linear_parts,
 )
 from .multiset import GroupMultiset
@@ -232,11 +240,13 @@ class ThicknessParams:
 # ---------------------------------------------------------------------------
 
 
-# Directions scanned per block: a block's (n, L) projection stays under 2^15
-# cells, and its (p, (p-1)/2, L) gather, cumulative table and window under
-# 2^14 each (128 KB of int64).  Halving the block measured 5-8% slower on
-# the structural workloads and doubling it no faster; unblocked, d = 3 scans
-# of large sets would hold an n x L projection of tens of MB.
+# The scans' unit of memory.  A `value_histogram` call projects a block of
+# directions whose (support, block) projection and (block, p) histograms stay
+# within _BLOCK_CELLS cells (`_histograms`); unblocked, d = 3 scans of large
+# sets would hold an n x L projection of tens of MB.  Cumulative tables and
+# their windows, p (p-1)/2 cells per direction in the narrowest unsigned
+# dtype that holds the counts, are built one slice of directions at a time,
+# within 8 _BLOCK_CELLS bytes (256 KB) each (`_direction_slices`).
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -332,13 +342,62 @@ def scaling_window_table(
     return out
 
 
-def _histogram_blocks(X: GroupMultiset, dirs: np.ndarray):
-    """(start, `value_histogram` of X along the block of dirs from start)
-    for each block, in order, blocks sized by _BLOCK_CELLS."""
+def _histograms(X: GroupMultiset, dirs: np.ndarray) -> np.ndarray:
+    """The value histograms of X along dirs, laid out [value, direction],
+    in the narrowest unsigned dtype that holds |X|, read-only: one
+    `value_histogram` per block of directions, blocks sized by
+    _BLOCK_CELLS.  `GroupMultiset.histograms` keeps those along all
+    canonical directions."""
     p = X.params.p
-    block = max(1, _BLOCK_CELLS // max(p * (p - 1), X.support_size()))
+    hists = np.empty((p, len(dirs)), dtype=np.min_scalar_type(len(X)))
+    block = max(1, _BLOCK_CELLS // max(p, X.support_size()))
     for start in range(0, len(dirs), block):
-        yield start, value_histogram(X, dirs[start : start + block])
+        hists[:, start : start + block] = value_histogram(X, dirs[start : start + block]).T
+    hists.setflags(write=False)
+    return hists
+
+
+def _direction_slices(p: int, L: int, dtype) -> List[slice]:
+    """The slices of L directions that tables are built in: as wide as keep
+    one set's table, p (p-1)/2 cells per direction in dtype, within
+    8 _BLOCK_CELLS bytes."""
+    width = max(1, 8 * _BLOCK_CELLS // (p * ((p - 1) // 2) * np.dtype(dtype).itemsize))
+    return [slice(s, s + width) for s in range(0, L, width)]
+
+
+class _Tables:
+    """The in-tube windows, at any radius, of value histograms laid out
+    [value, ..., direction]: their `_cumulative_table`, laid out
+    [j, c-1, ..., direction], is built one direction slice at a time
+    (`_direction_slices`) and each slice's window read off it.  A table
+    that one slice holds is built at the first scan, and kept, with a
+    buffer its windows are derived into, until `drop`."""
+
+    def __init__(self, p: int, slices: List[slice]):
+        self.p, self.slices = p, slices
+        self.table: Optional[np.ndarray] = None
+        self.out: Optional[np.ndarray] = None
+
+    def _build(self, hists: np.ndarray):
+        p = self.p
+        for directions in self.slices:
+            sliced = hists[..., directions]
+            C = _cumulative_table(sliced.reshape(p, -1).T, p)
+            yield C.reshape((p, (p - 1) // 2) + sliced.shape[1:])
+
+    def windows(self, K: int, hists: Callable[[], np.ndarray]):
+        """The windows at radius K, one per slice, in order; hists() gives
+        the histograms, and is called only when a table is built."""
+        if len(self.slices) > 1:
+            return (scaling_window_table(C, K) for C in self._build(hists()))
+        if self.table is None:
+            self.table = next(self._build(hists()))
+            if self.out is None:
+                self.out = np.empty_like(self.table)
+        return [scaling_window_table(self.table, K, self.out)]
+
+    def drop(self) -> None:
+        self.table = None
 
 
 def _maxima(window: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,20 +410,78 @@ def _maxima(window: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best[c, at], c, window[:, c, at].argmax(axis=0)
 
 
+def _read(windows, p: int, dirs: np.ndarray, columns, allowed=None) -> List[Optional[Tuple[int, Vec, int]]]:
+    """The scan of each set whose in-tube window over the directions `dirs`
+    is column block j of `windows`, for j in `columns`, over the directions
+    `allowed` marks, one row of marks per column (all when None).  Each
+    window covers one slice of dirs, in order, laid out [a0, c-1, j, i],
+    and may hold only the first rows a0; their `_maxima` are joined along
+    the directions, and one `_pick` serves them all."""
+    maxima = [[a.reshape(w.shape[2:]) for a in _maxima(w.reshape(len(w), (p - 1) // 2, -1))] for w in windows]
+    joined = maxima[0] if len(maxima) == 1 else [np.concatenate(a, axis=1) for a in zip(*maxima)]
+    count, c, a0 = (a[columns] for a in joined)
+    return _pick(count, c, a0, dirs, p, allowed)
+
+
+def _scanner(X: GroupMultiset, dirs: np.ndarray, hists: Callable[[], np.ndarray], slices: List[slice]):
+    """scan(K, allowed, rows): the `_scan` of X at radius K over the
+    directions of dirs that `allowed` marks (all when None), reading the
+    rows a0 < rows of each window (all when None); hists() gives X's value
+    histograms along dirs (`_histograms`).  Tables are built in `slices`;
+    a table that one slice holds is built at the first scan and kept for
+    the later ones."""
+    p = X.params.p
+    tables = _Tables(p, slices)
+
+    def scan(K: int, allowed, rows) -> Optional[Tuple[int, Vec, int]]:
+        if allowed is not None and not allowed.any():
+            return None
+        windows = (w[:rows] for w in tables.windows(K, lambda: hists()[:, None]))
+        return _read(windows, p, dirs, [0], None if allowed is None else allowed[None])[0]
+
+    return scan
+
+
+# The last `_set_scanner`, with the set and the direction slices it scans
+# in: a tube reduction scans one set at each level, and `tube_decompose`
+# rescans it for the certificate through `TubularCertificate.validate`, so
+# their scans share one kept table.
+_last_scanner: list = [None, None, None]
+
+
+def _set_scanner(X: GroupMultiset):
+    """The `_scanner` of X over all canonical directions, read off X's
+    histograms (`GroupMultiset.histograms`); the last one built is reused
+    while the set and its slices stay the same."""
+    p, d = X.params.p, X.params.d
+    dirs = _canonical_directions(p, d)
+    slices = _direction_slices(p, len(dirs), np.min_scalar_type(len(X)))
+    if _last_scanner[0] is not X or _last_scanner[1] != slices:
+        _last_scanner[:] = [X, slices, _scanner(X, dirs, X.histograms, slices)]
+    return _last_scanner[2]
+
+
 def _scan(
     X: GroupMultiset, K: int, directions, zero_constant_term: bool = False
 ) -> Optional[Tuple[int, Vec, int]]:
     """(largest in-tube count over all scalings c*lam + a0 of all directions,
     lex-min c*lam, its a0), or None for an empty family; a0 = 0 throughout
-    with zero_constant_term, which reads row a0 = 0 of each window."""
+    with zero_constant_term, which reads row a0 = 0 of each window.
+
+    A family of canonical directions (rows reduced mod p) is a mask over
+    X's histograms (`_set_scanner`).  Any other direction's scalings are
+    not those of a canonical one, so such a family is projected afresh and
+    scanned as given."""
     p, d = X.params.p, X.params.d
     dirs = np.asarray(directions, dtype=np.int64).reshape(-1, d)
     if len(dirs) == 0:
         return None
-    rows = slice(0, 1 if zero_constant_term else p)
-    maxima = [_maxima(scaling_window_table(_cumulative_table(h, p), K)[rows]) for _, h in _histogram_blocks(X, dirs)]
-    count, c, a0 = maxima[0] if len(maxima) == 1 else map(np.concatenate, zip(*maxima))
-    return _pick(count[None], c[None], a0[None], dirs, p)[0]
+    rows = 1 if zero_constant_term else None
+    allowed = _family_rows(p, d, dirs)
+    if allowed is not None:
+        return _set_scanner(X)(K, allowed, rows)
+    hists = _histograms(X, dirs)
+    return _scanner(X, dirs, lambda: hists, _direction_slices(p, len(dirs), hists.dtype))(K, None, rows)
 
 
 @lru_cache(maxsize=64)
@@ -425,9 +542,10 @@ def _outside(found, n: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
 
 def _plain_scan(X: GroupMultiset):
     """scan(K, basis): `_scan` of X at radius K over the directions
-    non-constant on span(basis)."""
+    non-constant on span(basis) (`_set_scanner`)."""
     p, d = X.params.p, X.params.d
-    return lambda K, basis: _scan(X, K, nonconstant_directions(p, d, basis))
+    scan = _set_scanner(X)
+    return lambda K, basis: scan(K, _nonconstant_rows(p, d, basis), None)
 
 
 def _values(X: GroupMultiset, functionals: Sequence[LinearFunctional]) -> np.ndarray:
@@ -494,6 +612,22 @@ def _nonconstant_rows(p: int, d: int, basis) -> np.ndarray:
     return ((B @ _canonical_directions(p, d).T) % p).any(axis=-2)
 
 
+def _family_rows(p: int, d: int, dirs: np.ndarray) -> Optional[np.ndarray]:
+    """The mask over the canonical directions of those among the rows of
+    dirs, reduced mod p, or None when some row is not canonical.  Canonical
+    order is lex order, so the canonical directions' places in it
+    (`_lex_weights`) are sorted."""
+    weights = _lex_weights(p, d)
+    canon = _canonical_directions(p, d) @ weights
+    ranks = (dirs % p) @ weights
+    at = np.minimum(np.searchsorted(canon, ranks), len(canon) - 1)
+    if not (canon[at] == ranks).all():
+        return None
+    rows = np.zeros(len(canon), dtype=bool)
+    rows[at] = True
+    return rows
+
+
 def find_thin_functional(
     X: GroupMultiset, K: int, delta: Fraction, linear_parts: Sequence[Vec]
 ) -> Optional[LinearFunctional]:
@@ -501,17 +635,23 @@ def find_thin_functional(
     of canonical directions (as from `nonconstant_directions`) and all their
     scalar multiples.
 
-    The directions are scanned in blocks and expanded to all scalar multiples
-    through histogram permutations; the constant term is chosen to maximise
-    |X ∩ H(xi, K)|.  Among thin functionals the largest in-tube count wins,
-    ties broken by the lexicographic encoding.  Returns None when X is thick
-    along every functional of the family, or the family is empty.
+    The directions are read off X's histograms (`_scan`) and expanded to all
+    scalar multiples through histogram permutations; the constant term is
+    chosen to maximise |X ∩ H(xi, K)|.  Among thin functionals the largest
+    in-tube count wins, ties broken by the lexicographic encoding.  Returns
+    None when X is thick along every functional of the family, or the
+    family is empty.
     Thinness only grows with the in-tube count, so the best functional is
     thin or none is.
     """
-    found = _scan(X, K, linear_parts)
+    return _thin(_scan(X, K, linear_parts), len(X), delta)
+
+
+def _thin(found, n: int, delta) -> Optional[LinearFunctional]:
+    """The functional of a `_scan` result on n points when it is
+    (K, delta)-thin, else None, as is an empty family's."""
     delta = Fraction(delta)
-    if found is None or not _thin_at(found[0], len(X), (delta.numerator, delta.denominator), 0):
+    if found is None or not _thin_at(found[0], n, (delta.numerator, delta.denominator), 0):
         return None
     return LinearFunctional(found[2], found[1])
 
@@ -539,7 +679,7 @@ def min_outside_fraction(
 def hull_thickness(X: GroupMultiset, K: int) -> Tuple[Fraction, Optional[LinearFunctional]]:
     """Worst outside-fraction at radius K over directions non-constant on the
     affine hull of X; a single point's hull has none, so it gives (1, None)."""
-    _dim, _base, basis = affine_hull(X.support(), X.params.p)
+    _dim, _base, basis = X.hull()
     return _outside(_plain_scan(X)(K, basis), len(X))
 
 
@@ -860,7 +1000,7 @@ def decompose(
     if len(X) == 0:
         raise ValueError("cannot decompose an empty multiset")
     params = X.params
-    p, d = params.p, params.d
+    p = params.p
 
     exponent = 0
     parts: List[GroupMultiset] = []
@@ -872,12 +1012,12 @@ def decompose(
             raise DecompositionBudgetError(
                 f"iterate exponent exceeded n_cap={n_cap}; growth {g.describe()}"
             )
-        dim, _base, basis = affine_hull(P.support(), p)
+        dim, _base, basis = P.hull()
         if dim == 0:
             parts.append(P)
             return
         K_search = g.iterate(exponent + 1, K0)
-        thin = find_thin_functional(P, K_search, eps_lvl / 2, nonconstant_directions(p, d, basis))
+        thin = _thin(_plain_scan(P)(K_search, basis), len(P), eps_lvl / 2)
         if thin is None:
             parts.append(P)
             return
@@ -952,53 +1092,21 @@ def decompose(
 # ---------------------------------------------------------------------------
 
 
-def _block_scan(windows, p: int, d: int, columns, kernels) -> List[Optional[Tuple[int, Vec, int]]]:
-    """`_scan` of each union whose in-tube window over all canonical
-    directions is column block j of `windows`, for j in `columns`, over the
-    directions non-constant on the aligned kernel.  Each window covers one
-    slice of the directions, in order, laid out [a0, c-1, j, i]; their
-    `_maxima` are joined along the directions, and one `_pick` serves them
-    all."""
-    dirs = _canonical_directions(p, d)
-    maxima = [[a.reshape(w.shape[2:]) for a in _maxima(w.reshape(p, (p - 1) // 2, -1))] for w in windows]
-    joined = maxima[0] if len(maxima) == 1 else [np.concatenate(a, axis=1) for a in zip(*maxima)]
-    count, c, a0 = (a[columns] for a in joined)
-    bases = np.asarray(kernels, dtype=np.int64).reshape(len(kernels), -1, d)
-    return _pick(count, c, a0, dirs, p, _nonconstant_rows(p, d, bases))
-
-
 class _UnionTables:
     """In-tube tables of the unions of disjoint parts, over all canonical
     directions, from one set of value histograms per part.
 
-    Each part keeps its value histograms over all canonical directions,
-    laid out [value, direction], in the dtype of every union's counts
-    (`_dtype`).  Histograms are linear in the multiset and the parts are
-    disjoint, so a union's are the sum of its parts', and its cumulative
-    table, which serves every radius, is `_cumulative_table` of that sum
-    (`blocks`).  `replace` drops a part's histograms.  They are built when
-    `blocks` first reads them.
+    Each part's value histograms over all canonical directions are its
+    own (`GroupMultiset.histograms`), read-only, laid out [value,
+    direction].  Histograms are linear in the multiset and the parts are
+    disjoint, so a union's are the sum of its parts', summed in the dtype
+    of every union's counts (`_dtype`), and its cumulative table, which
+    serves every radius, is `_cumulative_table` of that sum (`blocks`).  A
+    part that shrinks is a new multiset, with histograms of its own.
     """
 
     def __init__(self, parts: Sequence[GroupMultiset]):
         self.parts = list(parts)
-        self._hists: Dict[int, np.ndarray] = {}
-
-    def part_histograms(self, i: int) -> np.ndarray:
-        hists = self._hists.get(i)
-        if hists is None:
-            X = self.parts[i]
-            p, d = X.params.p, X.params.d
-            dirs = _canonical_directions(p, d)
-            hists = np.empty((p, len(dirs)), dtype=self._dtype())
-            for start, H in _histogram_blocks(X, dirs):
-                hists[:, start : start + len(H)] = H.T
-            self._hists[i] = hists
-        return hists
-
-    def replace(self, i: int, part: GroupMultiset) -> None:
-        self.parts[i] = part
-        self._hists.pop(i, None)
 
     def _dtype(self):
         """The dtype of every sum of part histograms and of its table: it
@@ -1016,7 +1124,7 @@ class _UnionTables:
         part."""
         for i in _subset(held ^ mask):
             move = np.add if (mask >> i) & 1 else np.subtract
-            move(running, self.part_histograms(i), out=running)
+            move(running, self.parts[i].histograms(), out=running)
 
     def _low_bits(self) -> int:
         """b, the low mask bits one block covers: as many, up to m, as keep
@@ -1036,12 +1144,10 @@ class _UnionTables:
 
     def _slices(self) -> List[slice]:
         """The slices of the canonical directions a block's tables are built
-        in: as wide as keep one union's table within 8 _BLOCK_CELLS bytes,
-        so a block of more than one union (`_low_bits`) has one."""
+        in (`_direction_slices`), so a block of more than one union
+        (`_low_bits`) has one."""
         p, d = self.parts[0].params.p, self.parts[0].params.d
-        L = len(_canonical_directions(p, d))
-        width = max(1, 8 * _BLOCK_CELLS * L // self._union_bytes())
-        return [slice(s, s + width) for s in range(0, L, width)]
+        return _direction_slices(p, len(_canonical_directions(p, d)), self._dtype())
 
     def blocks(self, start: int):
         """(masks, batch) for the masks from `start` on, in increasing order
@@ -1056,53 +1162,45 @@ class _UnionTables:
         that differ (`_move`).  A block's histograms are the low sums plus
         the high sum, and its tables, laid out [a0, c-1, low bits,
         direction], are their `_cumulative_table`, built at the block's
-        first scan and kept for its later ones, so a block that is never
-        scanned costs none.  One window and one `_block_scan` serve a scan
-        of every union in the block at one radius; columns below `start`,
-        and the empty union, are read by none.  A union whose table passes
-        8 _BLOCK_CELLS bytes is a block of its own, and each of its scans
-        builds its tables one direction slice at a time (`_slices`) and
-        keeps none.
+        first scan and kept for its later ones (`_Tables`), so a block that
+        is never scanned costs none.  One window and one `_read` serve a
+        scan of every union in the block at one radius; columns below
+        `start`, and the empty union, are read by none.  A union whose table
+        passes 8 _BLOCK_CELLS bytes is a block of its own, and each of its
+        scans builds its tables one direction slice at a time (`_slices`)
+        and keeps none.
         """
         if not self.parts:
             return
         params = self.parts[0].params
         p, d, m = params.p, params.d, len(self.parts)
-        dtype, bits, slices = self._dtype(), self._low_bits(), self._slices()
-        running = np.zeros((p, len(_canonical_directions(p, d))), dtype=dtype)
+        dtype, bits, dirs = self._dtype(), self._low_bits(), _canonical_directions(p, d)
+        running = np.zeros((p, len(dirs)), dtype=dtype)
         lows = None
         if bits:
-            lows = np.zeros((p, 2 ** bits, running.shape[1]), dtype=dtype)
+            lows = np.zeros((p, 2 ** bits, len(dirs)), dtype=dtype)
             for k in range(bits):
-                np.add(lows[:, : 2 ** k], self.part_histograms(k)[:, None], out=lows[:, 2 ** k : 2 ** (k + 1)])
+                np.add(lows[:, : 2 ** k], self.parts[k].histograms()[:, None], out=lows[:, 2 ** k : 2 ** (k + 1)])
         sizes = [len(part) for part in self.parts]
-        held, table, out = 0, None, None
+        tables, held = _Tables(p, self._slices()), 0
 
-        def tables():
-            """The held block's tables, one direction slice at a time."""
-            hists = running[:, None] if lows is None else lows + running[:, None]
-            for directions in slices:
-                sliced = hists[:, :, directions]
-                C = _cumulative_table(sliced.reshape(p, -1).T, p)
-                yield C.reshape((p, (p - 1) // 2) + sliced.shape[1:])
+        def hists():
+            """The held block's histograms, [value, low bits, direction]."""
+            return running[:, None] if lows is None else lows + running[:, None]
 
         for high in range(start >> bits << bits, 2 ** m, 2 ** bits):
             first = max(start, high, 1) - high
             masks = list(range(high + first, high + 2 ** bits))
 
             def scan(K: int, active, kernels, high=high, first=first):
-                nonlocal held, table, out
+                nonlocal held
                 if held != high:
                     self._move(running, held, high)
-                    held, table = high, None
-                if len(slices) > 1:
-                    windows = (scaling_window_table(C, K) for C in tables())
-                else:
-                    if table is None:
-                        table = next(tables())
-                        out = np.empty_like(table) if out is None else out
-                    windows = [scaling_window_table(table, K, out)]
-                return _block_scan(windows, p, d, [first + j for j in active], kernels)
+                    held = high
+                    tables.drop()
+                bases = np.asarray(kernels, dtype=np.int64).reshape(len(kernels), -1, d)
+                allowed = _nonconstant_rows(p, d, bases)
+                return _read(tables.windows(K, hists), p, dirs, [first + j for j in active], allowed)
 
             def union(j: int, masks=masks) -> GroupMultiset:
                 return _fold(params, self.parts, _subset(masks[j]))
@@ -1152,8 +1250,8 @@ def _rescan(tables: _UnionTables, Kp: int, certs):
     (`_settle`).
 
     A count other than 2^m - 1 returns before any block, so a forged part
-    count can neither start 2^m unions nor build m parts' histograms: the
-    count bounds m by the artifact's size.  The unions are read a block at
+    count cannot start 2^m unions: the count bounds m by the artifact's
+    size.  The unions are read a block at
     a time (`_UnionTables.blocks`).  psi's matrix checks (`_frame`) run once
     per distinct psi, and its box test (`_in_box`) once per part: a union's
     points are its parts', so no union is built.  The unions of a block
@@ -1326,7 +1424,7 @@ def _sweep(tables: _UnionTables, K: int, g: GrowthFunction, schedule):
                 removed.append(dropped)
                 pieces = dropped.split([owner[elem] for elem in dropped.support()])
                 for i, piece in pieces.items():
-                    tables.replace(i, tables.parts[i].minus(piece))
+                    tables.parts[i] = tables.parts[i].minus(piece)
                 break
     return certs, removed
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerosum import linalg, thickness
+from zerosum import linalg, multiset, thickness
 from zerosum.generators import box, fiber_union, random_cloud
 from zerosum.group import AffineIso, GroupParams, LinearFunctional, canonical_linear_parts, in_interval
 from zerosum.multiset import GroupMultiset
@@ -208,6 +208,24 @@ def test_tube_mass_bound_exact():
         assert Fraction(len(Y)) >= (1 - Fraction(2 ** 3) * delta) * len(X)
         ok, _, _ = cert.validate(Y)
         assert ok
+
+
+def test_tube_reduction_reads_one_kept_table(monkeypatch):
+    """When one direction slice holds a set's table, a tube reduction's
+    levels, and the certificate's rescan of a tube that keeps the whole
+    set, read one table built once: two lines of F_31^2 choose at level 1,
+    stop at level 2 and are rescanned (three windows), and a 3 x 3 box of
+    F_11^2 chooses at both levels (two windows)."""
+    built, real_table = [], thickness._cumulative_table
+    windows, real_window = [], thickness.scaling_window_table
+    monkeypatch.setattr(thickness, "_cumulative_table", lambda h, p: built.append(p) or real_table(h, p))
+    monkeypatch.setattr(thickness, "scaling_window_table", lambda *a: windows.append(a[1]) or real_window(*a))
+    lines = fiber_union(GroupParams(31, 2), 2, seed=0, offset=1)
+    for X, K0, levels in ((lines, 0, 3), (box(GroupParams(11, 2), 1), 1, 2)):
+        built.clear()
+        windows.clear()
+        Y, cert = tube_decompose(X, K0, Fraction(1, 16), G1)
+        assert Y is X and len(built) == 1 and len(windows) == levels
 
 
 def test_tube_requires_small_delta():
@@ -504,26 +522,93 @@ def test_strong_sweep_restarts_after_a_drop():
 
 
 def test_validate_builds_one_table_per_part(monkeypatch):
-    """Forged radii cost no tables: `validate` builds each part's
-    histograms once, however many distinct K' the union certificates
-    carry, and still re-derives every achieved fraction."""
+    """Forged radii cost no tables: `validate` projects each part once,
+    into the histograms that every scan of it reads
+    (`GroupMultiset.histograms`), however many distinct K' the union
+    certificates carry, and still re-derives every achieved fraction.  The
+    parts are rebuilt first, so none holds the histograms the build left on
+    it; at p = 31 one `value_histogram` call covers every direction."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
     for k, sc in enumerate(sdec.subset_certs.values()):
         sc.cert = replace(sc.cert, K_prime=sdec.K + 4 + k)
         sc.achieved = sc.cert.validate(sdec.union(sc.subset))[1]
-    built = []
-    real = thickness._UnionTables.part_histograms
-
-    def recording(self, i):
-        if i not in self._hists:
-            built.append(i)
-        return real(self, i)
-
-    monkeypatch.setattr(thickness._UnionTables, "part_histograms", recording)
+    sdec.parts = tuple(GroupMultiset(part.params, dict(part.items())) for part in sdec.parts)
+    projected = _count_projections(monkeypatch)
     checks = dict(sdec.validate(X))
     assert not checks["tubular_certs"] and checks["achieved"]
-    assert sorted(built) == [0, 1, 2]
+    assert len(projected) == 3 and all(Y is part for Y, part in zip(projected, sdec.parts))
+
+
+def _count_projections(monkeypatch) -> list:
+    """The multisets `value_histogram` projects from now on, one entry per
+    call, held so that their ids stay distinct."""
+    projected, real = [], thickness.value_histogram
+
+    def recording(X, directions):
+        projected.append(X)
+        return real(X, directions)
+
+    monkeypatch.setattr(thickness, "value_histogram", recording)
+    return projected
+
+
+def test_strong_decompose_projects_each_multiset_once(monkeypatch):
+    """Across `strong_decompose` and then `validate`, `value_histogram` runs
+    once per distinct multiset scanned: the sets `decompose` slices or
+    certifies, the re-verification sweeps over its parts, the union blocks'
+    part histograms and `validate`'s part scans and rescans all read the
+    histograms built on each set once.  At p <= 31 in d = 2 one call covers
+    every direction.  Each set's affine hull is found once as well
+    (`GroupMultiset.hull`): distinct sets here have distinct supports."""
+    projected = _count_projections(monkeypatch)
+    hulls, real_hull = [], multiset.affine_hull
+
+    def hull(points, p):
+        hulls.append(tuple(points))
+        return real_hull(points, p)
+
+    monkeypatch.setattr(multiset, "affine_hull", hull)
+    instances = [
+        fiber_union(GroupParams(31, 2), 3, seed=0, offset=1),
+        random_cloud(GroupParams(31, 2), 93, seed=4),
+        box(GroupParams(11, 2), 1),
+        random_cloud(GroupParams(17, 1), 8, seed=1),
+    ]
+    for X in instances:
+        sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
+        assert all(ok for _, ok in sdec.validate(X))
+        assert all(any(Y is part for Y in projected) for part in sdec.parts)
+        assert all(part.support() in hulls for part in sdec.parts)
+    assert len({id(Y) for Y in projected}) == len(projected)
+    assert len(set(hulls)) == len(hulls)
+
+
+def test_part_histograms_are_read_only():
+    """A multiset's histograms are read-only: an in-place write raises.  A
+    scan of every union block, with each size of block and with one low
+    bit per block, builds its sums in arrays of its own (`lows`, and the
+    running sum `_move` adds parts into and subtracts them from), and
+    leaves each part holding the same histograms with the same counts."""
+    params = GroupParams(7, 2)
+    parts = [ms(params, [(x, y) for y in range(7)] + [(x + 3, x)]) for x in range(3)]
+    hists = [part.histograms() for part in parts]
+    counts = [h.copy() for h in hists]
+    assert not any(h.flags.writeable for h in hists)
+    with pytest.raises(ValueError):
+        hists[0][0, 0] = 1
+    with pytest.raises(ValueError):
+        np.add(hists[0], 1, out=hists[0])
+    one_low_bit = -(-thickness._UnionTables(parts)._union_bytes() // 4)
+    for cells in (None, 1, 2 ** 40, one_low_bit):
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setattr(thickness, "_BLOCK_CELLS", cells)
+            for masks, batch in thickness._UnionTables(parts).blocks(1):
+                columns = list(range(len(masks)))
+                assert all(batch.scan(1, columns, [linalg.identity(2)] * len(masks)))
+        assert all(part.histograms() is h for part, h in zip(parts, hists))
+        assert all(np.array_equal(h, c) for h, c in zip(hists, counts))
 
 
 @pytest.mark.parametrize("p, d, n_fibers", [(31, 2, 3), (61, 2, 6), (31, 3, 2)])
@@ -545,14 +630,12 @@ def test_unions_scanned_alone_match_summed_tables(monkeypatch, p, d, n_fibers):
 
 def test_validate_with_wrong_certificate_count_builds_no_table(monkeypatch):
     """A certificate count that cannot be 2^m - 1 stops `_rescan` before its
-    first block, and the part scans, always each part's own, build no
-    union histogram."""
+    first block, and the part scans, which read each part's own
+    histograms, start no union block."""
     X = fiber_union(GroupParams(31, 2), 3, seed=0, offset=1)
     sdec = strong_decompose(X, 0, Fraction(1, 4), G1)
     del sdec.subset_certs[(0, 1, 2)]
-    monkeypatch.setattr(
-        thickness._UnionTables, "part_histograms", lambda self, i: pytest.fail("histograms built")
-    )
+    monkeypatch.setattr(thickness._UnionTables, "blocks", lambda self, start: pytest.fail("union block started"))
     checks = dict(sdec.validate(X))
     assert checks["part_thickness"] and checks["delta"]
     assert not checks["tubular_certs"] and not checks["achieved"]
@@ -591,21 +674,24 @@ STRONG_RSS_SCRIPT = (
 )
 def test_strong_decompose_memory_bounded(tmp_path, p, d, n_fibers, bound_mb):
     """The sweep holds each part's value histograms, p cells per direction,
-    a running union sum, and one union block's table and window, in the
-    smallest unsigned dtype: one byte a cell for the 61-point lines of
-    F_61^2, two for the planes of F_31^3 and F_41^3.  One union's table
-    there passes half the union block's budget, so a block is one union
-    (`_UnionTables._low_bits`), and in d = 3 it passes the whole budget, so
-    each scan builds its tables one direction slice at a time.  Measured in
-    a child that compiles its modules, as VmHWM growth over the peak before
-    the call and as the sweep's `tracemalloc` peak, for 61-2-6, 31-3-3 and
-    41-3-3: 0.89, 0.90 and 1.58 MB, and 0.68, 1.48 and 2.08 MB.  With
-    per-part cumulative tables, as before, they were 0.84, 5.35 and 1.12
-    MB, and 1.56, 5.76 and 1.96 MB (three planes of F_41^3 were then past
-    the tables' bound and each union was folded and projected on its own).
-    `validate` reads the same blocks, and both its peaks stay under the
-    same bound: 0.89, 0.97 and 1.64 MB of VmHWM growth, and `tracemalloc`
-    peaks of 0.69, 1.35 and 1.94 MB."""
+    and those of the input, which `decompose` scanned, a running union sum,
+    and one union block's table and window, in the smallest unsigned dtype:
+    one byte a cell for the 61-point lines of F_61^2, two for the planes of
+    F_31^3 and F_41^3.  One union's table there passes half the union
+    block's budget, so a block is one union (`_UnionTables._low_bits`), and
+    in d = 3 it passes the whole budget, so each scan builds its tables one
+    direction slice at a time.  Measured in a child that compiles its
+    modules, as VmHWM growth over the peak before the call and as the
+    sweep's `tracemalloc` peak, for 61-2-6, 31-3-3 and 41-3-3: 0.96, 1.21
+    and 1.81 MB, and 0.88, 1.54 and 2.22 MB.  When the hull scans projected
+    each set afresh and the union tables kept histograms of their own, they
+    were 0.89, 1.03 and 1.34 MB, and 0.68, 1.48 and 2.08 MB; with per-part
+    cumulative tables, before that, 0.84, 5.35 and 1.12 MB, and 1.56, 5.76
+    and 1.96 MB (three planes of F_41^3 were then past the tables' bound and
+    each union was folded and projected on its own).  `validate` reads the
+    same blocks, and both its peaks stay under the same bound: 0.96, 1.33
+    and 1.81 MB of VmHWM growth, and `tracemalloc` peaks of 0.90, 1.41 and
+    2.08 MB."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", STRONG_RSS_SCRIPT, str(p), str(d), str(n_fibers)],
@@ -647,17 +733,16 @@ def test_decompose_exponent_cap_error():
 
 def _direct_windows(X, K, dirs):
     """[a0, c-1, i] = the points of X, with multiplicity, at which
-    c * dirs[i] + a0 lies in [-K, K], counted point by point for every a0
-    and c <= (p-1)/2."""
+    c * dirs[i] + a0 lies in [-K, K], for every a0 and c <= (p-1)/2: the
+    value of every point under every such functional, in one broadcast."""
     p = X.params.p
-    out = np.zeros((p, (p - 1) // 2, len(dirs)), dtype=np.int64)
-    for x, mult in X.items():
-        for i, lam in enumerate(dirs.tolist()):
-            for c in range(1, (p + 1) // 2):
-                for a0 in range(p):
-                    if in_interval(LinearFunctional(a0, tuple(c * a for a in lam)).evaluate(x, p), K, p):
-                        out[a0, c - 1, i] += mult
-    return out
+    pts, mults = X.arrays()
+    a0 = np.arange(p)[:, None, None, None]
+    c = np.arange(1, (p + 1) // 2)[None, :, None, None]
+    values = (c * (dirs @ pts.T) + a0) % p  # [a0, c-1, i, point]
+    K = min(K, p)  # as in_interval reads it: past p every residue is inside
+    inside = (values <= K) | (values >= p - K)
+    return inside.astype(np.int64) @ mults
 
 
 @settings(max_examples=100, deadline=None)
@@ -698,7 +783,7 @@ def test_union_tables_sum_their_parts(data):
                 X_S = batch.union(j)
                 assert X_S == union(mask) and batch.sizes[j] == len(X_S)
                 if windows:
-                    hists = sum(tables.part_histograms(i).astype(dtype) for i in thickness._subset(mask))
+                    hists = sum(tables.parts[i].histograms().astype(dtype) for i in thickness._subset(mask))
                     summed = thickness._cumulative_table(hists.T, 5)
                     for r in list(range(7)) + [2 ** 64]:
                         window = thickness.scaling_window_table(summed, r)

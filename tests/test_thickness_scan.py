@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zerosum import linalg, thickness
-from zerosum.group import GroupParams, LinearFunctional, canonical_linear_parts
+from zerosum.group import GroupParams, LinearFunctional, affine_hull, canonical_linear_parts
 from zerosum.multiset import GroupMultiset
 from zerosum.thickness import (
     find_thin_functional,
@@ -163,11 +163,12 @@ def test_min_outside_fraction_matches_brute_force(block_cells, inst, zero_consta
 
 
 def test_scan_spans_several_blocks():
-    """A 400-point set of F_11^3 splits its 133 directions over two blocks."""
+    """A 400-point set of F_11^3 projects its 133 directions in two blocks
+    (`_histograms`)."""
     p, d = 11, 3
     pts = sorted(itertools.product(range(p), repeat=d), key=lambda v: (v[0] * 7 + v[1] * v[2]) % 29)
     X = _multiset(p, d, [(v, 1 + sum(v) % 2) for v in pts[:400]])
-    block = max(1, thickness._BLOCK_CELLS // max(p * (p - 1), X.support_size()))
+    block = max(1, thickness._BLOCK_CELLS // max(p, X.support_size()))
     parts = canonical_linear_parts(p, d)
     assert block < len(parts)
     for K in (0, 2, 5):
@@ -177,6 +178,95 @@ def test_scan_spans_several_blocks():
                 Fraction(len(X) - count, len(X)),
                 LinearFunctional(a0, linear),
             )
+
+
+def _explicit_scan(X, K, dirs, zero_constant_term=False):
+    """A scan as one projection of the explicit family: `value_histogram`
+    of X along dirs, in int64 and unblocked, then one cumulative table, one
+    window, `_maxima` and `_pick` over dirs as given; None for no
+    direction."""
+    p, d = X.params.p, X.params.d
+    dirs = np.asarray(dirs, dtype=np.int64).reshape(-1, d)
+    if len(dirs) == 0:
+        return None
+    hists = thickness.value_histogram(X, dirs)
+    window = thickness.scaling_window_table(thickness._cumulative_table(hists, p), K)
+    count, c, a0 = thickness._maxima(window[: 1 if zero_constant_term else p])
+    return thickness._pick(count[None], c[None], a0[None], dirs, p)[0]
+
+
+def _as_fraction(found, n):
+    return (Fraction(1), None) if found is None else (Fraction(n - found[0], n), LinearFunctional(found[2], found[1]))
+
+
+@st.composite
+def weighted_sets(draw):
+    """(X, K, K2) in F_p^d, d = 1..3, with multiplicities scaled so that
+    |X| passes 255 or 65535 at times, widening the histograms past uint8."""
+    p, d = draw(st.sampled_from([(5, 1), (13, 1), (5, 2), (7, 2), (11, 2), (5, 3), (7, 3)]))
+    scale = draw(st.sampled_from([1, 40, 3000]))
+    raw = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, p - 1)] * d), st.integers(1, 3)), min_size=1, max_size=25))
+    return _multiset(p, d, [(pt, mult * scale) for pt, mult in raw]), draw(st.integers(0, p)), draw(st.integers(0, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_sets(), families, st.fractions(min_value=Fraction(1, 50), max_value=1), st.data())
+def test_single_set_scans_match_explicit_projection(inst, family, delta, data):
+    """`_plain_scan`, `find_thin_functional`, `min_outside_fraction` with and
+    without zero_constant_term, and `hull_thickness`, all read off a set's
+    cached histograms, against `_explicit_scan` of the family they scan:
+    with _BLOCK_CELLS at its default, at 1 (one direction per projection
+    and per table slice), and where a table takes two slices.  Each setting
+    scans a fresh copy of X, so its histograms are built under it, and one
+    scanner at two radii, so a kept table serves both.  A family with
+    directions scaled off the canonical ones is scanned as given."""
+    X, K, K2 = inst
+    p, d = X.params.p, X.params.d
+    n, dtype = len(X), np.min_scalar_type(len(X))
+    basis, _admissible = _family(*family, p, d)
+    dirs = nonconstant_directions(p, d, basis)
+    L = len(thickness._canonical_directions(p, d))
+    half = -(-L // 2)  # ceil(L/2) directions a slice
+    two_slices = -(-half * p * ((p - 1) // 2) * dtype.itemsize // 8)  # their cells in 8 _BLOCK_CELLS bytes
+    hull = nonconstant_directions(p, d, affine_hull(X.support(), p)[2])
+    scales = np.array(data.draw(st.lists(st.integers(1, p - 1), min_size=len(dirs), max_size=len(dirs))), dtype=np.int64)
+    scaled = dirs * scales[:, None] % p
+    for cells, slices in ((None, None), (1, L), (two_slices, min(L, 2))):
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setattr(thickness, "_BLOCK_CELLS", cells)
+            assert slices is None or len(thickness._direction_slices(p, L, dtype)) == slices
+            Y = GroupMultiset(X.params, dict(X.items()))
+            scan = thickness._plain_scan(Y)
+            for radius in (K, K2):
+                expected = _explicit_scan(X, radius, dirs)
+                assert scan(radius, basis) == expected
+                thin = find_thin_functional(Y, radius, delta, dirs)
+                if expected is not None and Fraction(n - expected[0]) < delta * n:
+                    assert thin == LinearFunctional(expected[2], expected[1])
+                else:
+                    assert thin is None
+                for zero in (False, True):
+                    frac = min_outside_fraction(Y, radius, dirs, zero_constant_term=zero)
+                    assert frac == _as_fraction(_explicit_scan(X, radius, dirs, zero), n)
+                    frac = min_outside_fraction(Y, radius, scaled, zero_constant_term=zero)
+                    assert frac == _as_fraction(_explicit_scan(X, radius, scaled, zero), n)
+                assert hull_thickness(Y, radius) == _as_fraction(_explicit_scan(X, radius, hull), n)
+            assert Y.histograms().dtype == dtype
+
+
+def test_non_canonical_family_is_scanned_as_given():
+    """A direction off the canonical ones is scanned along its own
+    scalings, c * lam for c <= (p-1)/2, not read off the set's cached
+    histograms: along 3x in F_7 the set {0, 1, 2} is first held whole by
+    6x + 1, where along x it is by x + 6."""
+    X = _multiset(7, 1, [((0,), 1), ((1,), 1), ((2,), 1)])
+    assert min_outside_fraction(X, 1, [(3,)]) == (Fraction(0), LinearFunctional(1, (6,)))
+    assert min_outside_fraction(X, 1, [(1,)]) == (Fraction(0), LinearFunctional(6, (1,)))
+    assert min_outside_fraction(X, 1, [(3,)], zero_constant_term=True) == (Fraction(1, 3), LinearFunctional(0, (3,)))
+    Y = _multiset(7, 2, [((0, 0), 1), ((1, 2), 1), ((2, 4), 1), ((3, 1), 1), ((1, 1), 1)])
+    assert min_outside_fraction(Y, 1, [(2, 4), (1, 0)]) == (Fraction(0), LinearFunctional(1, (4, 1)))
+    assert min_outside_fraction(Y, 1, [(1, 2), (1, 0)]) == (Fraction(0), LinearFunctional(6, (3, 6)))
 
 
 def _lexsort_pick(count, c, a0, dirs, p):
