@@ -27,7 +27,7 @@ from . import __version__, generators, serialize, verify
 from .expansion import ExpansionParams, ExpansionStagnation, expansion_cover
 from .group import GroupParams, InvariantError
 from .multiset import GroupMultiset
-from .pipeline import PipelineConfig, find_zero_sum
+from .pipeline import N_CAP, PipelineConfig, find_zero_sum, iterate_cap_failure
 from .subsums import (
     OlsonResult,
     SearchBudget,
@@ -36,7 +36,7 @@ from .subsums import (
     naive_max_zero_sum_free,
     olson_constant,
 )
-from .thickness import GrowthFunction, decompose, tube_decompose
+from .thickness import DecompositionBudgetError, GrowthFunction, decompose, tube_decompose
 from .weighted import WeightedInstance, weighted_zero_sum
 
 SCHEMA_VERSION = 1
@@ -246,7 +246,13 @@ def cmd_find_zero_sum(args, started) -> int:
 def cmd_decompose(args, started) -> int:
     X = _load_instance(args.input)
     g = GrowthFunction.parse(args.growth)
-    dec = decompose(X, args.k0, Fraction(args.epsilon), g)
+    try:
+        dec = decompose(X, args.k0, Fraction(args.epsilon), g, N_CAP)
+    except DecompositionBudgetError as exc:
+        failure = iterate_cap_failure("decompose", exc)
+        result = {"status": "failure", "failure": failure.as_dict()}
+        _emit(serialize.dumps(_report("decompose", args, result, started)), args)
+        return 2
     result = serialize.decomposition_to_json(X, dec)
     _emit(serialize.dumps(_report("decompose", args, result, started)), args)
     return 0

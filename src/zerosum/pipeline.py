@@ -140,6 +140,19 @@ class StageFailure:
         }
 
 
+def iterate_cap_failure(stage: str, exc: DecompositionBudgetError) -> StageFailure:
+    """The failure of a stage whose decomposition ran past N_CAP."""
+    return StageFailure(
+        stage,
+        "iterate_exponent_within_cap",
+        N_CAP + 1,
+        "<=",
+        N_CAP,
+        "choose a slower-growing g",
+        {"error": str(exc)},
+    )
+
+
 @dataclass
 class PipelineResult:
     certificate: Optional[ZeroSumCertificate]
@@ -362,15 +375,7 @@ def _strong_decompose_stage(run: _Run):
             {"error": str(exc)},
         )
     except DecompositionBudgetError as exc:
-        return None, StageFailure(
-            "strong_decompose",
-            "iterate_exponent_within_cap",
-            N_CAP + 1,
-            "<=",
-            N_CAP,
-            "choose a slower-growing g",
-            {"error": str(exc)},
-        )
+        return None, iterate_cap_failure("strong_decompose", exc)
     run.sdec = sdec
     run.weights = tuple(len(part) for part in sdec.parts)
     run.total_w = sum(run.weights)  # |X'|, the points the parts retain

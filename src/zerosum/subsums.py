@@ -5,16 +5,21 @@ multiset, built by the incremental rule
 
     new = old | (old + x) | {x}
 
-processed one element copy at a time.  A first-reached-round array makes
-witness extraction a straight backtrack.
+processed one element copy at a time.  The DP holds the empty sum in its
+state, so (old + x) | {x} is one translation, (old | {0}) + x.  A
+first-reached-round array makes witness extraction a straight backtrack.
 
 There is one reach kernel, shared by the DP and the Olson search: a reach set
 is one Python int whose bit i is the state with C-order index i (the bitset
 `ReachabilityTable.to_bitset_bytes` emits).  Adding x permutes the state
 space, so (old + x) is a d-fold cyclic rotation of that int: along axis i,
 with stride st = p^(d-1-i) and shift s = x_i, the states whose i-th
-coordinate is below p - s move up by s*st and the others down by (p-s)*st,
-one masked pair of shifts.  The DP stops early once every state is reachable.
+coordinate is below p - s move up by s*st and the others down by (p-s)*st.
+On axes i > 0 that is a masked pair of shifts.  Axis 0 has the largest
+stride, so its shift is a cyclic rotation of the whole p^d-bit int and needs
+no mask; the caller's mask (all states for the DP, the free set for the
+Olson search) cuts its two halves.  The DP stops early once every state is
+reachable, and the zero-sum search once 0 is.
 
 On top of the kernel sit the ground-truth services: zero-sum witnesses of
 a multiset or a sequence, largest zero-sum-free sets (branch and bound), and
@@ -61,34 +66,44 @@ def _repunit(p: int, d: int, axis: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _axis_moves(p: int, d: int) -> Tuple[Tuple[Optional[Tuple[int, int, int]], ...], ...]:
-    """Per axis and shift s: (repunit, up shift s*st, down shift (p-s)*st),
-    None for s = 0.  The cache holds one repunit per (p, d, axis)."""
+def _axis_moves(p: int, d: int) -> Tuple[Tuple[tuple, ...], ...]:
+    """Per axis and shift s: on axis 0 the pair (up shift s*st, down shift
+    (p-s)*st), s = 0 included; on the others (repunit, up, down), None for
+    s = 0.  The cache holds one repunit per (p, d, axis > 0)."""
     out = []
     for axis in range(d):
         st = p ** (d - 1 - axis)
-        rep = _repunit(p, d, axis)
-        out.append((None,) + tuple((rep, s * st, (p - s) * st) for s in range(1, p)))
+        if axis == 0:
+            out.append(tuple((s * st, (p - s) * st) for s in range(p)))
+        else:
+            rep = _repunit(p, d, axis)
+            out.append((None,) + tuple((rep, s * st, (p - s) * st) for s in range(1, p)))
     return tuple(out)
 
 
-def _moves(p: int, d: int, x: Vec) -> Tuple[Tuple[int, int, int], ...]:
-    """The `_axis_moves` entries of x's nonzero coordinates."""
+def _moves(p: int, d: int, x: Vec):
+    """x's `_axis_moves` entries: the axis-0 pair, and the masked moves of
+    the other nonzero coordinates."""
     table = _axis_moves(p, d)
-    return tuple(table[axis][s] for axis, s in enumerate(x) if s)
+    return table[0][x[0]], tuple(table[axis][x[axis]] for axis in range(1, d) if x[axis])
 
 
-def _rotate(reach: int, moves) -> int:
-    """The reach set translated by x, given x's `_moves`.
+def _rotate(reach: int, moves, mask: int) -> int:
+    """The reach set translated by x, given x's `_moves`, cut to `mask`.
 
-    Along one axis the mask `lo` marks the states whose coordinate is below
-    p - s: a run of (p-s)*st ones at the start of each period of p*st bits.
+    Along axis i > 0 the mask `lo` marks the states whose coordinate is
+    below p - s: a run of (p-s)*st ones at the start of each period of p*st
+    bits.  Along axis 0 the period is the whole p^d-bit int, so the shift is
+    a cyclic rotation by up = s*st and needs no mask: the states below bit
+    p^d - up move up, the others down by p^d - up.  `mask` cuts each half
+    as it is taken, so no intermediate int grows past p^d bits.
     """
-    for rep, up, down in moves:
-        lo = (rep << down) - rep
+    (up, down), rest = moves
+    for rep, rest_up, rest_down in rest:
+        lo = (rep << rest_down) - rep
         kept = reach & lo
-        reach = (kept << up) | ((reach ^ kept) >> down)
-    return reach
+        reach = (kept << rest_up) | ((reach ^ kept) >> rest_down)
+    return (((mask >> up) & reach) << up) | ((reach >> down) & mask)
 
 
 def _bits(n: int, size: int) -> np.ndarray:
@@ -184,14 +199,21 @@ class ReachabilityTable:
                 break
             cur = pr.sub(cur, x)
             last = r
-        return GroupMultiset(pr, picked)
+        # the points come from `order`, a multiset's canonical keys
+        return GroupMultiset._trusted(pr, dict(sorted(picked.items())))
 
 
-def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
-    """Reachability table of all nonempty subsums of A.
+def _subsums(A: GroupMultiset, until_zero: bool) -> ReachabilityTable:
+    """The DP of `enumerate_subsums`; with until_zero, the table stops after
+    the first round that reaches 0 as a nonempty sum.
 
-    A growing step ORs its new states into the bit planes of its round
-    number plus one (`ReachabilityTable.rounds`).
+    The state holds the empty sum (bit 0, the zero state) from the start,
+    so one rotation adds reach + x and the singleton {x} together.  Its bit
+    never shows as new; the round that first reaches 0 as a nonempty sum is
+    the first whose rotation sets bit 0, and is tagged by hand.  Without a
+    nonempty zero sum the empty one is taken out at the end.  A growing step
+    ORs its new states into the bit planes of its round number plus one
+    (`ReachabilityTable.rounds`).
     """
     if len(A) == 0:
         raise ValueError("subsum enumeration needs at least one element")
@@ -200,19 +222,32 @@ def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
     p, d = params.p, params.d
     full = (1 << params.order) - 1
     planes = [0] * len(seq).bit_length()
-    reach = 0
+    reach = 1  # the empty sum
+    zero_reached = False
     for r, x in enumerate(seq):
-        if reach == full:
-            break
-        grown = reach | _rotate(reach, _moves(p, d, x)) | (1 << params.index(x))
+        rotated = _rotate(reach, _moves(p, d, x), full)
+        grown = reach | rotated
         new = grown ^ reach
+        if not zero_reached and rotated & 1:
+            new |= 1
+            zero_reached = True
         if new:
             tag = r + 1
             for b in range(tag.bit_length()):
                 if tag >> b & 1:
                     planes[b] |= new
             reach = grown
+        if zero_reached and (until_zero or reach == full):
+            break
+    if not zero_reached:
+        reach ^= 1
     return ReachabilityTable(params, reach, tuple(planes), tuple(seq))
+
+
+def enumerate_subsums(A: GroupMultiset) -> ReachabilityTable:
+    """Reachability table of all nonempty subsums of A.  The DP stops early
+    once every state is reachable."""
+    return _subsums(A, until_zero=False)
 
 
 def naive_subsums(A: GroupMultiset) -> set:
@@ -251,8 +286,13 @@ class ZeroSumCertificate:
 
 
 def find_zero_sum_subset(A: GroupMultiset) -> Optional[ZeroSumCertificate]:
-    """Certificate that 0 is a nonempty subsum of A, or None if it is not."""
-    table = enumerate_subsums(A)
+    """Certificate that 0 is a nonempty subsum of A, or None if it is not.
+
+    The DP stops at the first round that reaches 0: the backtrack from 0
+    only visits states reached in earlier rounds, so the witness is the one
+    the full table gives.
+    """
+    table = _subsums(A, until_zero=True)
     witness = table.witness(A.params.zero())
     if witness is None:
         return None
@@ -375,10 +415,10 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
     those not yet visited and walks them lowest bit first, the order of
     the state indices.  Adding x rotates the subsums of -S by -x; the free
     set, their complement, takes the same rotation, so the child's is
-    `free & _rotate(free, moves of -x)`.  A child is counted and tested in
-    its parent, and only a child that the size bound keeps gets a frame,
-    on an explicit stack: the depth is not bounded by Python's recursion
-    limit.
+    `_rotate(free, moves of -x, free)`, inlined: a call per node made the
+    d = 1 searches 7-10% slower.  A child is counted and tested in its
+    parent, and only a child that the size bound keeps gets a frame, on an
+    explicit stack: the depth is not bounded by Python's recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
@@ -429,7 +469,14 @@ def max_zero_sum_free(params: GroupParams, budget: Optional[SearchBudget] = None
             moves = moves_of.get(j)
             if moves is None:
                 moves = moves_of[j] = _moves(p, d, tuple(-c % p for c in params.unindex(j)))
-            child = free & _rotate(free, moves)
+            # _rotate(free, moves, free), inlined
+            (up, down), rest = moves
+            child = free
+            for rep, rest_up, rest_down in rest:
+                lo = (rep << rest_down) - rep
+                kept = child & lo
+                child = (kept << rest_up) | ((child ^ kept) >> rest_down)
+            child = (((free >> up) & child) << up) | ((child >> down) & free)
             nodes += 1
             if (
                 nodes > max_nodes

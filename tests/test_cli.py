@@ -157,6 +157,21 @@ def test_pipeline_huge_iterated_growth_fails_by_name(tmp_path, capsys):
     assert failure["inequality"]["name"] == "part_count_within_budget"
 
 
+def test_decompose_past_the_iterate_cap_fails_by_name(tmp_path, capsys):
+    # two offset fibers of F_31^3 push the default 4K+4 growth past the
+    # iterate cap; decompose reports it as pipeline does, not as a traceback
+    xpath = str(tmp_path / "X.json")
+    gen = ["gen", "--kind", "fiber-union", "--p", "31", "--d", "3", "--n-fibers", "2"]
+    assert main(gen + ["--offset", "1", "--seed", "1", "--output", xpath]) == 0
+    code = main(["decompose", "--input", xpath])
+    captured = capsys.readouterr()
+    assert code == 2
+    failure = json.loads(captured.out)["result"]["failure"]
+    assert failure["stage"] == "decompose"
+    assert failure["inequality"] == {"name": "iterate_exponent_within_cap", "lhs": 33, "op": "<=", "rhs": 32}
+    assert "Traceback" not in captured.err
+
+
 def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a produced certificate that fails its own check is a bug, not a usage
     # error: exit 3 with the failed invariant as JSON on stderr

@@ -21,6 +21,7 @@ from zerosum.subsums import (
     _frame_bytes,
     _moves,
     _rotate,
+    _subsums,
     enumerate_subsums,
     find_zero_sum_subset,
     max_zero_sum_free,
@@ -224,19 +225,26 @@ SHAPES = [(3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
 
 @st.composite
 def reach_and_shift(draw):
+    """A reach set, a shift x (its axis-0 coordinate zero in about half the
+    draws) and a mask, often the full one."""
     p, d = draw(st.sampled_from(SHAPES))
-    reach = draw(st.integers(0, (1 << p ** d) - 1))
+    size = p ** d
+    reach = draw(st.integers(0, (1 << size) - 1))
     x = draw(st.tuples(*[st.integers(0, p - 1)] * d))
-    return p, d, reach, x
+    if draw(st.booleans()):
+        x = (0,) + x[1:]
+    mask = draw(st.one_of(st.just((1 << size) - 1), st.integers(0, (1 << size) - 1)))
+    return p, d, reach, x, mask
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(reach_and_shift())
 def test_rotation_matches_np_roll(case):
-    p, d, reach, x = case
+    p, d, reach, x, mask = case
     table = np.array([reach >> i & 1 for i in range(p ** d)], dtype=bool).reshape((p,) * d)
     rolled = np.roll(table, shift=x, axis=tuple(range(d))).reshape(-1)
-    assert _rotate(reach, _moves(p, d, x)) == sum(1 << int(i) for i in np.flatnonzero(rolled))
+    expected = sum(1 << int(i) for i in np.flatnonzero(rolled)) & mask
+    assert _rotate(reach, _moves(p, d, x), mask) == expected
 
 
 @st.composite
@@ -259,6 +267,56 @@ def test_kernel_matches_naive_subsums(A):
         assert table.contains(target)
         w = table.witness(target)
         assert len(w) > 0 and A.contains_submultiset(w) and w.total() == target
+
+
+@st.composite
+def multisets_with_multiplicity(draw):
+    """A multiset over d in {1, 2, 3}, multiplicities up to 3.  In about half
+    the draws it is zero-sum-free by construction: its first coordinates are
+    positive and, with multiplicity, sum to less than p, so no nonempty
+    subsum has a zero first coordinate."""
+    p, d = draw(st.sampled_from(SHAPES))
+    point = st.tuples(*[st.integers(0, p - 1)] * d)
+    entries = {}
+    if draw(st.booleans()):
+        total = 0
+        for _ in range(draw(st.integers(1, 5))):
+            x = (draw(st.integers(1, p - 1)),) + draw(point)[1:]
+            m = draw(st.integers(1, 3))
+            if total + x[0] * m < p and entries.get(x, 0) + m <= 3:
+                entries[x] = entries.get(x, 0) + m
+                total += x[0] * m
+        entries = entries or {(1,) + (0,) * (d - 1): 1}
+    else:
+        for x in draw(st.lists(point, min_size=1, max_size=8)):
+            entries[x] = min(3, entries.get(x, 0) + draw(st.integers(1, 3)))
+    return GroupMultiset(GroupParams(p, d), entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets_with_multiplicity())
+def test_early_stopped_witness_matches_full_table(A):
+    """find_zero_sum_subset stops at the round that first reaches 0; its
+    witness is the full table's, None exactly when 0 is no nonempty sum,
+    and every state it reached was first reached in the same round."""
+    zero = A.params.zero()
+    full = enumerate_subsums(A)
+    expected = full.witness(zero)
+    cert = find_zero_sum_subset(A)
+    if expected is None:
+        assert cert is None
+    else:
+        assert cert is not None and cert.verify(A)
+        assert list(cert.subset.items()) == list(expected.items())
+    if all(x[0] for x in A.support()) and sum(x[0] * m for x, m in A.items()) < A.params.p:
+        assert cert is None
+    stopped = _subsums(A, until_zero=True)
+    reached = stopped.first_round >= 0
+    assert (stopped.first_round[reached] == full.first_round[reached]).all()
+    if expected is not None:
+        assert stopped.first_round.max() == stopped.first_round[zero]
+    else:
+        assert stopped.reach == full.reach
 
 
 def _with_round(table, state, r):
@@ -307,11 +365,14 @@ def test_olson_memory_budget_interval():
 def _list_search(params):
     """The search as it ran on list frames, unbounded: each frame filters its
     candidates into a Python list of addable indices, and every child is a
-    call.  Also returns the size and witness held as each node was counted:
-    a budget of k nodes ends the search as it counts node k + 1, with
-    held[k]."""
-    p, d = params.p, params.d
-    neg = [params.index(tuple(-c % p for c in params.unindex(j))) for j in range(params.order)]
+    call.  A frame's subsums are a set of state indices, grown by
+    `params.add`, apart from the reach kernel.  Also returns the size and
+    witness held as each node was counted: a budget of k nodes ends the
+    search as it counts node k + 1, with held[k]."""
+    p = params.p
+    points = [params.unindex(j) for j in range(params.order)]
+    neg = [params.index(tuple(-c % p for c in x)) for x in points]
+    plus = [[params.index(params.add(s, x)) for x in points] for s in points]
     seed = _constructive_free_set(params)
     best = (len(seed), tuple(sorted(seed)))
     held, path = [], [1]
@@ -319,7 +380,7 @@ def _list_search(params):
     def dfs(size, reach, cands):
         nonlocal best
         held.append(best)
-        addable = [j for j in cands if not reach >> neg[j] & 1]
+        addable = [j for j in cands if neg[j] not in reach]
         if size + len(addable) <= best[0]:
             return
         path.append(0)
@@ -328,12 +389,11 @@ def _list_search(params):
                 break
             path[-1] = j
             if size + 1 > best[0]:
-                best = (size + 1, tuple(params.unindex(k) for k in sorted(path)))
-            moves = _moves(p, d, params.unindex(j))
-            dfs(size + 1, reach | _rotate(reach, moves) | 1 << j, addable[i + 1:])
+                best = (size + 1, tuple(points[k] for k in sorted(path)))
+            dfs(size + 1, reach | {plus[s][j] for s in reach} | {j}, addable[i + 1:])
         path.pop()
 
-    dfs(1, 1 << 1, range(2, params.order))
+    dfs(1, {1}, range(2, params.order))
     return FreeSetResult(*best, True, len(held)), held
 
 
