@@ -25,8 +25,11 @@ autocorrelation of Y, and the offer table, the number of elements the
 cheapest pair with difference sigma consumes (inf where none is offered or
 sigma is not admissible).  The step is one masked argmax over the two, and
 the chosen shift is recounted exactly.  A fiber pair is stored as its least
-free point a, which fixes b = a - sigma; fiber pairs are built in numpy, in
-blocks of bounded size whatever the fibers hold.  A relation pair uses at
+free point a, which fixes b = a - sigma.  The table of least pairs is built
+once per cover, in numpy blocks of bounded size whatever the fibers hold,
+and kept across its steps (`_PairTable`): after a step only the sigma whose
+least pair used a point no longer free are looked up again, since the free
+points only shrink.  A relation pair uses at
 least four elements against a fiber pair's two, so it wins only with
 strictly larger growth: relations are sampled only on steps where the best
 fiber pair falls short of the table's maximum over admissible sigma.  Such a
@@ -259,29 +262,140 @@ def _best_shift(
     return s, int(top), new
 
 
-# most ordered pairs _fiber_pairs holds at once (one a point's pairs at least)
+# most ordered pairs _fiber_pairs, and most (a, sigma) lookups
+# _PairTable._least, hold at once (one a point's at least)
 _PAIR_ROWS = 1 << 16
+
+
+def _tail_code(digits: Sequence[Tuple[np.ndarray, np.ndarray]], p: int) -> np.ndarray:
+    """The C-order code in (p,)^D of x - y, given the D coordinate pairs
+    (x, y) of residues as arrays that broadcast."""
+    code = 0
+    for x, y in digits:
+        diff = x - y
+        diff += p * (diff < 0)  # cheaper than % on int64
+        code = code * p + diff
+    return code
 
 
 def _fiber_pairs(free: Dict[Vec, List[Vec]], l: int, p: int, d: int) -> np.ndarray:
     """The table over sigma in (p,)^(d-l) of the C-order code in (p,)^d of
     the least free point a with a partner b = a - sigma, b != a, in its own
     fiber; p^d where there is none.  The first l coordinates of sigma are
-    zero, so a fixes its fiber and with it b.  Pairs are built in blocks of
-    about _PAIR_ROWS, each reduced into the table with np.minimum.at."""
-    least_a = np.full((p,) * (d - l), p ** d, dtype=np.int64)
+    zero, so a fixes its fiber and with it b, and b = a only at sigma = 0.
+    Pairs are built in blocks of about _PAIR_ROWS, each reduced into the
+    table with np.minimum.at.  A cover builds it once, in `_PairTable`."""
+    D = d - l
+    least_a = np.full(p ** D, p ** d, dtype=np.int64)
     for support in free.values():
         pts = np.array(sorted(set(support)), dtype=np.int64).reshape(-1, d)
         n = len(pts)
         codes = np.ravel_multi_index(pts.T, (p,) * d)
         per = max(1, _PAIR_ROWS // max(n, 1))  # a points per block
         for start in range(0, n, per):
-            ia = np.repeat(np.arange(start, min(start + per, n)), n)
-            ib = np.tile(np.arange(n), len(ia) // n)
-            ia, ib = ia[ia != ib], ib[ia != ib]
-            sigma = tuple(((pts[ia, l:] - pts[ib, l:]) % p).T)
-            np.minimum.at(least_a, sigma, codes[ia])
-    return least_a
+            a = slice(start, start + per)
+            sigma = _tail_code([(x[a, None], x) for x in pts[:, l:].T], p)
+            np.minimum.at(least_a, sigma.ravel(), np.repeat(codes[a], n))
+    least_a[0] = p ** d
+    return least_a.reshape((p,) * D)
+
+
+class _PairTable:
+    """The free lists of one cover and their `_fiber_pairs` table, kept
+    across its steps.
+
+    The table is built once.  `take` removes points from the free lists; a
+    point leaves the free support when its last copy is taken, and only the
+    sigma whose least pair (a, a - sigma) used such a point are looked up
+    again.  The free support only shrinks, so every other sigma keeps its
+    least pair.  A pair is held as the positions of a and b in the initial
+    support, sorted by code, which carries a free flag per position.  The
+    fibers differ in their first l coordinates (`_check_fiber_geometry`),
+    which lead the code, so a fiber's points are one run of that order, and
+    one of them is found by its last d - l coordinates alone, since sigma
+    leaves the first l unchanged.
+    """
+
+    def __init__(self, free: Dict[Vec, List[Vec]], l: int, p: int, d: int):
+        self.free = {label: list(points) for label, points in free.items()}
+        self.p = p
+        least_a = _fiber_pairs(self.free, l, p, d).reshape(-1)
+        self._shape = (p,) * (d - l)
+        self._label_of = {x: label for label, points in free.items() for x in points}
+        support = sorted(self._label_of)
+        n = len(support)
+        self._position = dict(zip(support, range(n)))
+        # positions n ("no pair", always free) and n + 1 (no point)
+        pts = np.zeros((n + 2, d), dtype=np.int64)
+        pts[:n] = np.array(support, dtype=np.int64).reshape(n, d)
+        self._code_of = np.ravel_multi_index(pts[: n + 1].T, (p,) * d)
+        self._code_of[n] = p ** d
+        self._free = np.ones(n + 2, dtype=bool)
+        self._free[n + 1] = False
+        self._digits = pts[:, l:].T
+        self._sigma_digits = np.indices(self._shape).reshape(d - l, -1)
+        # position by fiber offset plus tail code; the fiber of a position
+        # counts the changes of the first l coordinates before it
+        self._offset = np.zeros(n + 2, dtype=np.int64)
+        self._offset[1:n] = np.cumsum((pts[1:n, :l] != pts[: n - 1, :l]).any(axis=1))
+        self._offset *= least_a.size
+        self._at = np.full(self._offset[n - 1] + least_a.size, n + 1)
+        self._at[self._offset[:n] + self._tail(np.arange(n), 0)] = np.arange(n)
+        self._a = np.searchsorted(self._code_of[:n], least_a)
+        has = np.flatnonzero(least_a < p ** d)
+        self._b = np.full(least_a.size, n)
+        self._b[has] = self._partner(self._a[has], has)
+
+    @property
+    def least_a(self) -> np.ndarray:
+        """The `_fiber_pairs` table of the current free lists."""
+        return self._code_of[self._a].reshape(self._shape)
+
+    def take(self, points: Iterable[Vec]) -> None:
+        """Remove one copy of each point from its free list and look up
+        again the sigma whose least pair used a point no longer free."""
+        for x in points:
+            left = self.free[self._label_of[x]]
+            left.remove(x)
+            if x not in left:
+                self._free[self._position[x]] = False
+        stale = np.flatnonzero(~(self._free[self._a] & self._free[self._b]))
+        if len(stale):
+            self._a[stale], self._b[stale] = self._least(stale)
+
+    def _tail(self, a: np.ndarray, sigma) -> np.ndarray:
+        """The C-order code in (p,)^(d-l) of the last d - l coordinates of
+        a - sigma, for support positions a and flat sigma that broadcast."""
+        return _tail_code(
+            [(x[a], y[sigma]) for x, y in zip(self._digits, self._sigma_digits)], self.p
+        )
+
+    def _partner(self, a: np.ndarray, sigma) -> np.ndarray:
+        """The position of a - sigma in a's fiber, n + 1 where it is none."""
+        return self._at[self._offset[a] + self._tail(a, sigma)]
+
+    def _least(self, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The positions of the least free a with b = a - sigma free, and of
+        b, for nonzero flat sigma; n for both where there is none.  Free
+        points are read in ascending blocks of about _PAIR_ROWS lookups, and
+        a sigma leaves the search at its first hit."""
+        n = len(self._code_of) - 1
+        out_a = np.full(len(sigma), n)
+        out_b = np.full(len(sigma), n)
+        rows = np.flatnonzero(self._free[:n])
+        pending = np.arange(len(sigma))
+        start = 0
+        while len(pending) and start < len(rows):
+            block = rows[start : start + max(1, _PAIR_ROWS // len(pending))]
+            b = self._partner(block[:, None], sigma[pending])
+            hit = self._free[b]
+            found = hit.any(axis=0)
+            first, cols = hit[:, found].argmax(axis=0), np.flatnonzero(found)
+            out_a[pending[cols]] = block[first]
+            out_b[pending[cols]] = b[first, cols]
+            pending = pending[~found]
+            start += len(block)
+        return out_a, out_b
 
 
 def alon_dubiner_step(A: GroupMultiset, ycur: Iterable[Vec]) -> Tuple[Vec, int]:
@@ -498,8 +612,10 @@ def expansion_cover(
     labels = sorted(fibers)
     relations = enumerate_relations(labels, params.T) if l > 0 else ()
     # per label, the elements no pair has taken yet, sorted with multiplicity
-    free = {label: sorted(fibers[label].iter_with_multiplicity()) for label in labels}
-    label_of = {x: label for label in labels for x in fibers[label].support()}
+    offers = _PairTable(
+        {label: sorted(fibers[label].iter_with_multiplicity()) for label in labels}, l, p, d
+    )
+    free = offers.free
 
     shape = (p,) * D
     Y = np.zeros(shape, dtype=bool)
@@ -524,7 +640,7 @@ def expansion_cover(
             target = np.argwhere(~Y)[0]
             admissible = Y[np.ix_(*[(t - np.arange(p)) % p for t in target])]
         bound = table[admissible].max()
-        least_a = _fiber_pairs(free, l, p, d)
+        least_a = offers.least_a
         fiber = least_a < p ** d
         # a relation pair uses >= 4 elements against a fiber pair's 2, so it
         # can win only when no admissible fiber pair reaches the bound
@@ -552,8 +668,7 @@ def expansion_cover(
             j1, j2, rel = (a,), (gparams.sub(a, sigma),), None
         else:
             j1, j2, rel = rel_cands[sigma]
-        for x in j1 + j2:
-            free[label_of[x]].remove(x)
+        offers.take(j1 + j2)
         first_step[new] = len(pairs) + 1
         Y |= new
         pairs.append(CoverPair(j1, j2, sigma, rel))
@@ -569,6 +684,6 @@ def expansion_cover(
     k = sum(len(pair.j1) for pair in pairs)
     return ExpansionCover(
         gparams, l, fibers, tuple(pairs), base, k,
-        tuple(int(x) for x in first_step.reshape(-1)),
+        tuple(first_step.reshape(-1).tolist()),
     )
 

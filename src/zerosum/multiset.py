@@ -53,11 +53,17 @@ class GroupMultiset:
 
     @classmethod
     def from_points(cls, params: GroupParams, points: Iterable) -> "GroupMultiset":
+        """The multiset of the points, each reduced mod p once; repeated
+        points add up.  ValueError for a point without d coordinates."""
+        p, d = params.p, params.d
         entries: Dict[Vec, int] = {}
         for pt in points:
-            key = params.reduce(tuple(pt))
+            pt = tuple(pt)
+            if len(pt) != d:
+                raise ValueError(f"expected {d} coordinates, got {len(pt)}")
+            key = tuple(int(c) % p for c in pt)
             entries[key] = entries.get(key, 0) + 1
-        return cls(params, entries)
+        return cls._trusted(params, dict(sorted(entries.items())))
 
     @classmethod
     def empty(cls, params: GroupParams) -> "GroupMultiset":

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import linalg
 from .expansion import ExpansionParams, ExpansionStagnation, expansion_cover
 from .group import _OPS, GroupParams, LinearFunctional, Vec, _check
@@ -304,11 +306,16 @@ def random_thinning(
             # consumes two elements per pair, so spare mass is pure slack
             q = (lo + 3 * hi) / (4.0 * len(fib))
             q = min(max(q, 1.0 / len(fib)), 0.9)
-            chosen = [x for x in fib.iter_with_multiplicity() if rng.random() < q]
-            if not (lo <= len(chosen) <= hi):
+            # one draw per element in sorted order, so the kept points
+            # count up in sorted order too
+            chosen: Dict[Vec, int] = {}
+            for x in fib.iter_with_multiplicity():
+                if rng.random() < q:
+                    chosen[x] = chosen.get(x, 0) + 1
+            if not (lo <= sum(chosen.values()) <= hi):
                 ok = False
                 break
-            draw[label] = GroupMultiset.from_points(params, chosen)
+            draw[label] = GroupMultiset._trusted(params, chosen)
         if not ok:
             continue
         union = GroupMultiset.empty(params)
@@ -514,23 +521,26 @@ def _tube_projection_stage(run: _Run):
             {"S": list(S), "l": l},
         )
 
+    # each part maps with one product; its points share one label
+    M_arr = np.array([[c % p for c in row] for row in M], dtype=np.int64)
     part_labels: Dict[int, Vec] = {}
-    fiber_entries: Dict[Vec, Dict[Vec, int]] = {}
+    fiber_rows: Dict[Vec, List[Tuple[np.ndarray, np.ndarray]]] = {}
     run.back_map = {}
     for i in S:
-        labels_seen = set()
-        for x, mult in run.sdec.parts[i].items():
-            xt = linalg.matvec(M, x, p)
-            run.back_map[xt] = x
-            label = tuple(params.signed((h - vv) % p) for h, vv in zip(xt[:l], v[:l]))
-            labels_seen.add(label)
-            fiber_entries.setdefault(label, {})[xt] = mult
-        _check("part_has_one_label", len(labels_seen), "==", 1, f"part {i}")
-        part_labels[i] = labels_seen.pop()
+        pts, mults = run.sdec.parts[i].arrays()
+        img = pts @ M_arr.T % p
+        run.back_map.update(zip(map(tuple, img.tolist()), map(tuple, pts.tolist())))
+        heads = (img[:, :l] - np.array(v[:l], dtype=np.int64)) % p
+        n_labels = 1 if (heads == heads[0]).all() else len(np.unique(heads, axis=0))
+        _check("part_has_one_label", n_labels, "==", 1, f"part {i}")
+        label = part_labels[i] = tuple(params.signed(int(h)) for h in heads[0])
+        fiber_rows.setdefault(label, []).append((img, mults))
     run.fibers = {}
-    for label, entries in fiber_entries.items():
+    for label, rows in fiber_rows.items():
         _check("label_inside_tube_box", max(map(abs, label), default=0), "<=", K_S)
-        run.fibers[label] = GroupMultiset(params, entries)
+        run.fibers[label] = GroupMultiset._from_arrays(
+            params, np.concatenate([img for img, _m in rows]), np.concatenate([m for _i, m in rows])
+        )
 
     ys = ((a[i], linalg.matvec(M, run.points[i], p)[:l]) for i in S)
     id_ys = _identity("sum_a_i_y_i", _vsum(ys, l, p), (0,) * l)
@@ -708,7 +718,9 @@ def _assembly_stage(run: _Run):
     size_ledger = sum(run.a_y[lab] - run.k_y[lab] for lab in run.a_y) + cover.k
     _check("ledger_is_B_size", size_ledger, "==", len(b_elements))
     _check("ledger_is_sum_a_i", size_ledger, "==", sum(run.a[i] for i in run.S))
-    subset = GroupMultiset.from_points(run.params, [run.back_map[x] for x in b_elements])
+    # back_map's values are X's points, canonical already
+    pulled = sorted(run.back_map[x] for x in b_elements)
+    subset = GroupMultiset._trusted(run.params, dict.fromkeys(pulled, 1))
     _check("pullback_injective", len(subset), "==", len(b_elements))
     run.cert = ZeroSumCertificate(run.params, subset)
     return {

@@ -13,7 +13,10 @@ smallest literal representative.  The returned witness maximises the number
 of nonzero coefficients (the downstream sum-lifting search wants mass on as
 many points as possible) and is lexicographically minimal among those.
 
-The DP holds one p^d layer per point.  Whether a plain sequence has a
+The DP holds one p^d layer per point.  A layer is the maximum, over the
+point's candidate residues, of the next layer read at the shifted states:
+one gather through flat state indices per block of candidates, the block
+bounded by _GATHER_CELLS cells.  Whether a plain sequence has a
 nonempty zero sum is the r = 0 case with its multiplicities as weights, but
 it wants no maximal support, so `subsums.zero_sum_sequence` answers it with
 the reach kernel and none of these layers.
@@ -97,39 +100,66 @@ def verify_coefficients(inst: WeightedInstance, sol: CoefficientSolution) -> boo
     return all(t % inst.params.p == 0 for t in total)
 
 
+# most cells one gather of a DP layer reads at once (one shift's layer at least)
+_GATHER_CELLS = 1 << 16
+
+
+def _layers(inst: WeightedInstance) -> List[np.ndarray]:
+    """layers[i][s], over the (p,)^d grid of partial sums s: the largest
+    nonzero-coefficient count of a completion from point i that ends at
+    total 0, and -1_000_000 (less any count) where none does; layers[n] is 0
+    at the origin only.
+
+    Taking residue res at point i moves s to s + res*y_i, so a layer is the
+    maximum over point i's candidates of the next layer read at the shifted
+    states plus the candidate's count.  Each block of up to _GATHER_CELLS
+    cells reads the next layer at once through flat state indices.
+    """
+    params = inst.params
+    p, d = params.p, params.d
+    shape, size = (p,) * d, p ** d
+    per = max(1, _GATHER_CELLS // size)  # candidate shifts per block
+    NEG = -1_000_000
+    best = np.full(size, NEG, dtype=np.int64)
+    best[0] = 0
+    layers = [best]
+    for i in range(len(inst.points) - 1, -1, -1):
+        cands = inst.candidate_values(i)
+        shifts = np.array([res for _v, res in cands])[:, None] * np.array(inst.points[i]) % p
+        counts = np.array([1 if v > 0 else 0 for v, _res in cands])
+        nxt = layers[-1]
+        cur = np.full(size, NEG, dtype=np.int64)
+        for start in range(0, len(cands), per):
+            block = shifts[start : start + per]
+            # the flat index of s + shift, summed one axis at a time
+            idx = np.zeros((len(block),) + shape, dtype=np.int64)
+            for k in range(d):
+                axis = (np.arange(p) + block[:, k, None]) % p * p ** (d - 1 - k)
+                idx += axis.reshape((len(block),) + (1,) * k + (p,) + (1,) * (d - 1 - k))
+            gathered = nxt[idx.reshape(len(block), size)] + counts[start : start + per, None]
+            np.maximum(cur, gathered.max(axis=0), out=cur)
+        layers.append(cur)
+    layers.reverse()  # layers[i] = best over points i..n-1
+    return [layer.reshape(shape) for layer in layers]
+
+
 def weighted_zero_sum(inst: WeightedInstance) -> Optional[CoefficientSolution]:
     """Exhaustive DP over partial sums; None means provably no solution.
 
-    Backward pass: best[i][s] = largest nonzero-coefficient count over all
-    completions from point i with accumulated sum s ending at total 0.
-    A maximum of 0 at the start state means the all-zero vector is the only
-    solution, i.e. the instance is infeasible.
+    Backward pass (`_layers`): best[i][s] = largest nonzero-coefficient
+    count over all completions from point i with accumulated sum s ending at
+    total 0.  A maximum of 0 at the start state means the all-zero vector is
+    the only solution, i.e. the instance is infeasible.
     """
     params = inst.params
     p, d = params.p, params.d
     n = len(inst.points)
-    shape, axes = (p,) * d, tuple(range(d))
 
     def step(i: int, res: int) -> Vec:
         """The state shift res * y_i of choosing residue res at point i."""
         return tuple((res * c) % p for c in inst.points[i])
 
-    # layers are (p,)^d grids over the partial sum s; taking residue res at
-    # point i moves s to s + res*y_i, read off the next layer by one roll
-    NEG = -1_000_000
-    best = np.full(shape, NEG, dtype=np.int64)
-    best[params.zero()] = 0
-    layers = [best]
-    for i in range(n - 1, -1, -1):
-        nxt = layers[-1]
-        cur = np.full(shape, NEG, dtype=np.int64)
-        for v, res in inst.candidate_values(i):
-            cost = 1 if v > 0 else 0
-            shift = tuple(-c for c in step(i, res))
-            np.maximum(cur, np.roll(nxt, shift, axis=axes) + cost, out=cur)
-        layers.append(cur)
-    layers.reverse()  # layers[i] = best over points i..n-1
-
+    layers = _layers(inst)
     max_support = int(layers[0][params.zero()])
     if max_support <= 0:
         if inst.hypothesis_holds():

@@ -365,6 +365,20 @@ def free_lists(draw):
     return free, l, p, d
 
 
+def assert_least_pairs(least_a, free, l, p, d):
+    """least_a is the _fiber_pairs table of the free lists: per sigma tail,
+    the code of the a of naive_fiber_pairs' least (a, b), or p^d."""
+    want = naive_fiber_pairs(free, l, p)
+    assert least_a.shape == (p,) * (d - l)
+    for tail in np.ndindex(least_a.shape):
+        if tail not in want:
+            assert least_a[tail] == p ** d
+            continue
+        a = tuple(int(c) for c in np.unravel_index(least_a[tail], (p,) * d))
+        b = tuple((x - y) % p for x, y in zip(a, (0,) * l + tail))
+        assert (a, b) == want[tail]
+
+
 @settings(max_examples=200, deadline=None)
 @given(free_lists(), st.sampled_from([1, 5, 1 << 16]))
 def test_fiber_pairs_match_pairwise_offers(inst, block_rows):
@@ -377,15 +391,44 @@ def test_fiber_pairs_match_pairwise_offers(inst, block_rows):
         least_a = expansion._fiber_pairs(free, l, p, d)
     finally:
         expansion._PAIR_ROWS = saved
-    want = naive_fiber_pairs(free, l, p)
-    assert least_a.shape == (p,) * (d - l)
-    for tail in np.ndindex(least_a.shape):
-        if tail not in want:
-            assert least_a[tail] == p ** d
-            continue
-        a = tuple(int(c) for c in np.unravel_index(least_a[tail], (p,) * d))
-        b = tuple((x - y) % p for x, y in zip(a, (0,) * l + tail))
-        assert (a, b) == want[tail]
+    assert_least_pairs(least_a, free, l, p, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_lists(), st.sampled_from([1, 5, 1 << 16]), st.data())
+def test_kept_pair_table_matches_rebuild_after_every_take(inst, block_rows, data):
+    # a cover's takes: two points of one fiber (a fiber pair) or four to six
+    # points of any fibers (a relation pair's branches), a repeated point
+    # taken once per copy; after each one the kept table must equal the
+    # table of the lists left, and the lists must be what is left
+    free, l, p, d = inst
+    left = {label: list(xs) for label, xs in free.items()}
+    saved = expansion._PAIR_ROWS
+    expansion._PAIR_ROWS = block_rows
+    try:
+        table = expansion._PairTable(free, l, p, d)
+        assert_least_pairs(table.least_a, left, l, p, d)
+        while data.draw(st.booleans()):
+            pairable = [label for label in sorted(left) if len(left[label]) >= 2]
+            if pairable and data.draw(st.booleans()):
+                pool = left[data.draw(st.sampled_from(pairable))]
+                size = 2
+            else:
+                pool = [x for label in sorted(left) for x in left[label]]
+                size = min(len(pool), data.draw(st.sampled_from([4, 5, 6])))
+            if size == 0:
+                break
+            picks = data.draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size, unique=True)
+            )
+            taken = [pool[i] for i in picks]
+            table.take(taken)
+            for x in taken:
+                left[next(label for label in left if x in left[label])].remove(x)
+            assert table.free == left
+            assert_least_pairs(table.least_a, left, l, p, d)
+    finally:
+        expansion._PAIR_ROWS = saved
 
 
 @st.composite

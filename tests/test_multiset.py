@@ -1,7 +1,7 @@
 """The trusted multiset operations against the validating constructor.
 
-`union`, `minus`, `select`, `split`, `translate` and `apply_iso`
-build their results without `GroupMultiset.__init__`.  Each must equal the
+`from_points`, `union`, `minus`, `select`, `split`, `translate` and
+`apply_iso` build their results without `GroupMultiset.__init__`.  Each must equal the
 multiset that `__init__` builds from the same entries: the same `items()`
 order, cardinality and `arrays()`, with plain Python ints throughout.
 `apply_iso` is also checked point by point against `AffineIso.apply`, on
@@ -68,6 +68,20 @@ def multisets(draw, n=1):
     p, d = draw(st.sampled_from(SHAPES))
     params = GroupParams(p, d)
     return params, [_canonical(params, draw(points)) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SHAPES), st.lists(st.tuples(*[big_ints] * 3), max_size=20))
+def test_from_points_matches_validating_constructor(shape, raw):
+    # each point reduced once, repeats counted; a point of another length
+    # raises the ValueError that GroupParams.reduce raises
+    params = GroupParams(*shape)
+    pts = [pt[: params.d] for pt in raw]
+    want = _validated(params, _canonical(params, [(pt, 1) for pt in pts]))
+    _assert_same(GroupMultiset.from_points(params, pts), want)
+    _assert_same(GroupMultiset.from_points(params, (list(pt) for pt in pts)), want)
+    with pytest.raises(ValueError, match=f"expected {params.d} coordinates, got {params.d + 1}"):
+        GroupMultiset.from_points(params, pts + [(0,) * (params.d + 1)])
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,11 +3,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerosum import pipeline
+from zerosum import linalg, pipeline
 from zerosum.generators import fiber_union, random_cloud
 from zerosum.group import GroupParams, affine_hull
 from zerosum.multiset import GroupMultiset
@@ -263,3 +264,53 @@ def test_dimension_three_saturation_fails_structurally():
     assert not res.ok
     assert res.failure.stage == "strong_decompose"
     assert not res.failure.holds()
+
+
+def matvec_projection(run):
+    """The tube projection of run's parts point by point with linalg.matvec:
+    (fibers, back_map, a_y)."""
+    p, params, l, v = run.p, run.params, run.l, run.v
+    M = run.sc.cert.psi.matrix
+    entries, back_map, a_y = {}, {}, {}
+    for i in run.S:
+        labels = set()
+        for x, mult in run.sdec.parts[i].items():
+            xt = linalg.matvec(M, x, p)
+            back_map[xt] = x
+            label = tuple(params.signed((h - vv) % p) for h, vv in zip(xt[:l], v[:l]))
+            labels.add(label)
+            entries.setdefault(label, {})[xt] = mult
+        assert len(labels) == 1
+        label = labels.pop()
+        a_y[label] = a_y.get(label, 0) + run.a[i]
+    return {label: GroupMultiset(params, e) for label, e in entries.items()}, back_map, a_y
+
+
+@pytest.mark.parametrize(
+    "p, d, n_fibers, fiber_size, skew, seed",
+    [
+        (31, 2, 5, None, False, 1),
+        (31, 2, 6, 28, True, 2),
+        (61, 2, 5, 58, True, 3),
+        (19, 3, 2, None, True, 0),
+        (19, 3, 3, 200, True, 1),
+        (23, 3, 2, 400, True, 2),
+    ],
+)
+def test_tube_projection_matches_per_point_matvec(p, d, n_fibers, fiber_size, skew, seed):
+    X = fiber_union(
+        GroupParams(p, d), n_fibers, fiber_size=fiber_size, seed=seed, skew=skew, offset=1
+    )
+    run = pipeline._Run(X, PipelineConfig(seed=seed))
+    for stage in pipeline._STAGES[:4]:
+        record, failure = stage(run)
+        assert failure is None
+    assert record["stage"] == "tube_projection" and run.sc.cert.l >= 1
+    fibers, back_map, a_y = matvec_projection(run)
+    assert list(run.fibers) == list(fibers) and run.fibers == fibers
+    for label, fib in fibers.items():
+        # the array path's cached arrays agree with its entries
+        got, want = run.fibers[label].arrays(), fib.arrays()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert run.back_map == back_map
+    assert run.a_y == a_y and record["labels"] == pipeline._labelled(a_y)

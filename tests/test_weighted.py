@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from zerosum import weighted
 from zerosum.group import GroupParams
 from zerosum.multiset import GroupMultiset
 from zerosum.subsums import zero_sum_sequence
@@ -82,6 +84,38 @@ def _random_instance(rng, force_hypothesis):
         while sum(weights) < need:
             weights[rng.randrange(len(points))] += rng.randrange(1, 6)
     return WeightedInstance(params, points, tuple(weights), r)
+
+
+def roll_layers(inst):
+    """The DP layers by the reference loop: one np.roll of the next layer per
+    candidate residue, layers[i] over points i..n-1."""
+    p, d = inst.params.p, inst.params.d
+    shape, axes = (p,) * d, tuple(range(d))
+    best = np.full(shape, -1_000_000, dtype=np.int64)
+    best[(0,) * d] = 0
+    layers = [best]
+    for i in range(len(inst.points) - 1, -1, -1):
+        nxt = layers[-1]
+        cur = np.full(shape, -1_000_000, dtype=np.int64)
+        for v, res in inst.candidate_values(i):
+            shift = tuple(-((res * c) % p) for c in inst.points[i])
+            np.maximum(cur, np.roll(nxt, shift, axis=axes) + (1 if v > 0 else 0), out=cur)
+        layers.append(cur)
+    return layers[::-1]
+
+
+@pytest.mark.parametrize("cells", [1, 50, weighted._GATHER_CELLS])
+def test_layers_match_roll_reference(monkeypatch, cells):
+    # cells = 1 gathers one candidate shift per block, 50 several shifts of
+    # the small grids with a short last block, the default every shift at once
+    monkeypatch.setattr(weighted, "_GATHER_CELLS", cells)
+    rng = random.Random(31)
+    for _ in range(80):
+        inst = _random_instance(rng, rng.random() < 0.5)
+        got, want = weighted._layers(inst), roll_layers(inst)
+        assert len(got) == len(want) == len(inst.points) + 1
+        for layer, ref in zip(got, want):
+            assert layer.shape == ref.shape and np.array_equal(layer, ref)
 
 
 def test_completeness_under_hypothesis():
